@@ -15,7 +15,7 @@
 // every value. Default: the FAULTSTUDY_THREADS environment variable, else
 // one lane per hardware thread. `--seed N` overrides the base trial seed.
 //
-// Telemetry (compiled in by default, see FAULTSTUDY_TELEMETRY):
+// Telemetry:
 //   --telemetry=<path>   metrics snapshot; `.json` extension selects the
 //                        JSON exporter, anything else Prometheus text.
 //   --trace=<path>       Chrome trace_event timeline (chrome://tracing,
@@ -23,7 +23,7 @@
 //                        ticks and are byte-identical for any --threads;
 //                        mine traces are wall-clock self-profiles.
 //
-// Coverage (compiled in by default, see FAULTSTUDY_COVERAGE):
+// Coverage:
 //   --coverage=<path>    matrix/simulate coverage atlas; `.json` selects
 //                        the atlas JSON, `.html` the heatmap, anything
 //                        else the text summary. Byte-identical for any
@@ -327,14 +327,14 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
   harness::TrialConfig config;
   if (g_seed >= 0) config.seed = static_cast<std::uint64_t>(g_seed);
   telemetry::TrialTelemetry telem;
-  telemetry::TrialTelemetry* tp = telemetry_wanted() ? &telem : nullptr;
   obs::CoverageMap cover;
-  obs::CoverageMap* cp = !g_coverage_path.empty() ? &cover : nullptr;
+  obs::TrialSinks sinks;
+  if (telemetry_wanted()) sinks.telemetry = &telem;
+  if (!g_coverage_path.empty()) sinks.coverage = &cover;
   const auto plan = inject::plan_for(
       *seed, g_seed >= 0 ? static_cast<std::uint64_t>(g_seed) : 42);
   auto mech = factory();
-  const auto outcome =
-      harness::run_trial(plan, *mech, config, nullptr, tp, nullptr, cp);
+  const auto outcome = harness::run_trial(plan, *mech, config, nullptr, sinks);
   std::printf("simulate  : seed=%llu threads=1\n",
               static_cast<unsigned long long>(config.seed));
   std::printf("fault     : %s (%s, %s)\n", seed->fault_id.c_str(),
@@ -348,7 +348,7 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
   if (!outcome.first_failure.empty()) {
     std::printf("first failure: %s\n", outcome.first_failure.c_str());
   }
-  if (tp != nullptr) {
+  if (sinks.telemetry != nullptr) {
     telemetry::MetricsRegistry registry;
     telemetry::fold_into(telem, mechanism, registry);
     if (export_telemetry(registry.snapshot(),
@@ -356,7 +356,7 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
       return 1;
     }
   }
-  if (cp != nullptr) {
+  if (sinks.coverage != nullptr) {
     obs::CoverageAtlas atlas;
     atlas.begin_study({*seed}, {mechanism});
     atlas.fold_trial(*seed, cover);

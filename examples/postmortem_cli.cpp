@@ -160,9 +160,9 @@ int cmd_specimen(const std::string& fault_id, const std::string& mechanism) {
   // Traced deep-dive: the post-mortem's detection stage gets race-detector
   // and invariant-checker verdicts on top of the harness observations.
   harness::TrialObservation observation;
-  forensics::TrialForensics forens;
+  forensics::FlightRecorder ring;
   const auto outcome =
-      harness::run_trial(plan, *mech, config, &observation, nullptr, &forens);
+      harness::run_trial(plan, *mech, config, &observation, {.flight = &ring});
 
   std::printf("specimen  : %s under %s (seed=%llu)\n", fault_id.c_str(),
               mechanism.c_str(),
@@ -170,12 +170,12 @@ int cmd_specimen(const std::string& fault_id, const std::string& mechanism) {
   std::printf("verdict   : %s (%zu failures, %zu recoveries)\n",
               outcome.survived ? "SURVIVED" : "NOT SURVIVED",
               outcome.failures, outcome.recoveries);
-  if (!forens.postmortem.has_value()) {
+  if (!outcome.postmortem.has_value()) {
     std::printf("no post-mortem: the trial survived (ring held %zu events)\n",
-                forens.ring.size());
+                ring.size());
     return 0;
   }
-  const forensics::PostMortemRecord& pm = *forens.postmortem;
+  const forensics::PostMortemRecord& pm = *outcome.postmortem;
   std::printf("signature : %s\n",
               forensics::failure_signature(pm).c_str());
   std::printf("\ncausal chain:\n");

@@ -150,15 +150,17 @@ int main(int argc, char** argv) {
   const bool want_coverage = !coverage_path.empty() || !baseline_path.empty();
   telemetry::TrialTelemetry telem;
   obs::CoverageMap cover;
+  obs::TrialSinks sinks;
+  if (want_telemetry) sinks.telemetry = &telem;
+  if (want_coverage) sinks.coverage = &cover;
   const auto plan = inject::plan_for(*seed, 42);
   env::Environment environment(plan.env_config);
+  if (sinks.any()) environment.bind_sinks(&sinks);
   telemetry::SpanTracer* tracer = nullptr;
   if (want_telemetry) {
-    environment.set_counters(&telem.counters);
     telem.spans.bind_sim(&environment.clock());
     tracer = &telem.spans;
   }
-  if (want_coverage) environment.set_coverage(&cover);
   // Opened/closed by hand: the scope must end before the export below, not
   // at the end of main.
   std::size_t trial_span = 0;

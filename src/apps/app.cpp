@@ -35,9 +35,7 @@ bool BaseApp::base_start(env::Environment& e) {
     workers_.push_back(*pid);
   }
   running_ = true;
-  FS_FORENSIC(e.flight(),
-              record(forensics::FlightCode::kAppStarted, workers_.size()));
-  FS_COVER(e.coverage(), hit(obs::Site::kAppStarted));
+  e.emit(obs::Event::kAppStarted, workers_.size());
   return true;
 }
 
@@ -47,10 +45,7 @@ void BaseApp::base_stop(env::Environment& e) {
   e.network().release_ports_of(std::string(name_));
   workers_.clear();
   state_.fd_footprint = 0;
-  if (running_) {
-    FS_FORENSIC(e.flight(), record(forensics::FlightCode::kAppStopped));
-    FS_COVER(e.coverage(), hit(obs::Site::kAppStopped));
-  }
+  if (running_) e.emit(obs::Event::kAppStopped);
   running_ = false;
 }
 
@@ -77,7 +72,7 @@ bool BaseApp::base_restore(const BaseState& state, env::Environment& e) {
     workers_.push_back(*pid);
   }
   running_ = true;
-  FS_COVER(e.coverage(), hit(obs::Site::kAppRestored));
+  e.emit(obs::Event::kAppRestored);
   return true;
 }
 
@@ -305,9 +300,7 @@ std::optional<StepResult> BaseApp::check_fault(const WorkItem& item,
       // The bug: load spawns children that hang and are never reaped.
       auto pid = e.processes().spawn(owner);
       if (!pid.has_value()) return fail("process table full");
-      FS_FORENSIC(e.flight(),
-                  record(forensics::FlightCode::kAppChildSpawned, *pid));
-      FS_COVER(e.coverage(), hit(obs::Site::kAppChildSpawned));
+      e.emit(obs::Event::kAppChildSpawned, *pid);
       e.processes().mark_hung(*pid);
       return std::nullopt;
     }

@@ -127,8 +127,7 @@ StepResult Database::handle(const WorkItem& item, env::Environment& e) {
   e.advance(1);
   ++queries_;
   ++state_.items_handled;
-  FS_TELEM(e.counters(), app.queries_ok++);
-  FS_COVER(e.coverage(), hit(obs::Site::kAppDbQuery));
+  e.emit(obs::Event::kDbQuery);
   return {};
 }
 

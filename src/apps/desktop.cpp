@@ -118,8 +118,7 @@ StepResult Desktop::handle(const WorkItem& item, env::Environment& e) {
   e.advance(1);
   ++events_;
   ++state_.items_handled;
-  FS_TELEM(e.counters(), app.ui_events++);
-  FS_COVER(e.coverage(), hit(obs::Site::kAppUiEvent));
+  e.emit(obs::Event::kUiEvent);
   return {};
 }
 

@@ -93,11 +93,8 @@ StepResult WebServer::handle(const WorkItem& item, env::Environment& e) {
   // Heavy requests run a CGI child for the duration of the item.
   if (item.heavy) {
     if (auto pid = e.processes().spawn("apache"); pid.has_value()) {
-      FS_FORENSIC(e.flight(),
-                  record(forensics::FlightCode::kAppChildSpawned, *pid));
+      e.emit(obs::Event::kWebCgiChild, *pid);
       e.processes().kill(*pid);
-      FS_TELEM(e.counters(), app.cgi_children++);
-      FS_COVER(e.coverage(), hit(obs::Site::kAppChildSpawned));
     }
   }
 
@@ -107,8 +104,7 @@ StepResult WebServer::handle(const WorkItem& item, env::Environment& e) {
     e.disk().append(cache_prefix_ + "/fill" + std::to_string(item.id),
                     item.write_bytes);
     ++cache_fills_;
-    FS_TELEM(e.counters(), app.cache_fills++);
-    FS_COVER(e.coverage(), hit(obs::Site::kAppWebCacheFill));
+    e.emit(obs::Event::kWebCacheFill);
   }
 
   // HostnameLookups-style DNS (result ignored by the fixed server).
@@ -119,8 +115,7 @@ StepResult WebServer::handle(const WorkItem& item, env::Environment& e) {
   e.advance(1);
   ++served_;
   ++state_.items_handled;
-  FS_TELEM(e.counters(), app.requests_served++);
-  FS_COVER(e.coverage(), hit(obs::Site::kAppWebRequest));
+  e.emit(obs::Event::kWebRequest);
   return {};
 }
 

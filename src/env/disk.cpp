@@ -4,25 +4,17 @@ namespace faultstudy::env {
 
 Disk::WriteResult Disk::append(const std::string& path, std::uint64_t bytes) {
   if (free_space() < bytes) {
-    FS_TELEM(counters_, disk_write_failures++);
-    FS_FORENSIC(flight_,
-                record(forensics::FlightCode::kDiskFull, bytes, used_));
-    FS_COVER(coverage_, hit(obs::Site::kEnvDiskNoSpace));
+    obs::emit(sinks_, obs::Event::kDiskNoSpace, bytes, used_);
     return WriteResult::kNoSpace;
   }
   auto& info = files_[path];
   if (info.size + bytes > max_file_size_) {
-    FS_TELEM(counters_, disk_write_failures++);
-    FS_FORENSIC(flight_, record(forensics::FlightCode::kFileSizeLimit, bytes,
-                                max_file_size_));
-    FS_COVER(coverage_, hit(obs::Site::kEnvDiskFileTooBig));
+    obs::emit(sinks_, obs::Event::kDiskFileTooBig, bytes, max_file_size_);
     return WriteResult::kFileTooBig;
   }
   info.size += bytes;
   used_ += bytes;
-  FS_TELEM(counters_, disk_writes++);
-  FS_TELEM(counters_, disk_bytes_written += bytes);
-  FS_TELEM_PEAK(counters_, peak_disk_used, used_);
+  obs::emit(sinks_, obs::Event::kDiskWrite, bytes, used_);
   return WriteResult::kOk;
 }
 
@@ -31,7 +23,7 @@ void Disk::truncate(const std::string& path) {
   if (it == files_.end()) return;
   used_ -= it->second.size;
   it->second.size = 0;
-  FS_TELEM(counters_, disk_truncates++);
+  obs::emit(sinks_, obs::Event::kDiskTruncate);
 }
 
 void Disk::remove(const std::string& path) {

@@ -8,9 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "forensics/recorder.hpp"
-#include "obs/probes.hpp"
-#include "telemetry/counters.hpp"
+#include "obs/bus.hpp"
 
 namespace faultstudy::env {
 
@@ -67,29 +65,15 @@ class Disk {
   /// Total bytes under a path prefix.
   std::uint64_t used_under(const std::string& prefix) const;
 
-  /// Per-trial telemetry sink; nullptr (the default) records nothing.
-  void set_counters(telemetry::ResourceCounters* counters) noexcept {
-    counters_ = counters;
-  }
-
-  /// Per-trial flight recorder; nullptr (the default) records nothing.
-  void set_flight(forensics::FlightRecorder* flight) noexcept {
-    flight_ = flight;
-  }
-
-  /// Per-trial coverage map; nullptr (the default) records nothing.
-  void set_coverage(obs::CoverageMap* coverage) noexcept {
-    coverage_ = coverage;
-  }
+  /// Per-trial observation sinks; nullptr (the default) records nothing.
+  void bind_sinks(const obs::TrialSinks* sinks) noexcept { sinks_ = sinks; }
 
  private:
   std::uint64_t capacity_;
   std::uint64_t max_file_size_;
   std::uint64_t used_ = 0;
   std::unordered_map<std::string, FileInfo> files_;
-  telemetry::ResourceCounters* counters_ = nullptr;
-  forensics::FlightRecorder* flight_ = nullptr;
-  obs::CoverageMap* coverage_ = nullptr;
+  const obs::TrialSinks* sinks_ = nullptr;
 };
 
 }  // namespace faultstudy::env

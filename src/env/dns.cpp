@@ -10,24 +10,20 @@ void DnsServer::break_until(DnsHealth state, Tick until) noexcept {
   forced_ = state;
   forced_until_ = until;
   if (state != DnsHealth::kHealthy) {
-    FS_FORENSIC(flight_,
-                record(forensics::FlightCode::kDnsBroken,
-                       static_cast<std::uint64_t>(state), until));
-    FS_COVER(coverage_, hit(obs::Site::kEnvDnsBroken));
+    obs::emit(sinks_, obs::Event::kDnsBroken,
+              static_cast<std::uint64_t>(state), until);
   }
 }
 
 DnsReply DnsServer::resolve(const std::string& host, Tick now) const {
   (void)host;
-  FS_TELEM(counters_, dns_lookups++);
+  obs::emit(sinks_, obs::Event::kDnsLookup);
   switch (health(now)) {
     case DnsHealth::kErroring:
-      FS_TELEM(counters_, dns_errors++);
-      FS_COVER(coverage_, hit(obs::Site::kEnvDnsError));
+      obs::emit(sinks_, obs::Event::kDnsError);
       return {.ok = false, .latency = kNormalLatency};
     case DnsHealth::kSlow:
-      FS_TELEM(counters_, dns_slow_replies++);
-      FS_COVER(coverage_, hit(obs::Site::kEnvDnsSlow));
+      obs::emit(sinks_, obs::Event::kDnsSlow);
       return {.ok = true, .latency = kSlowLatency};
     case DnsHealth::kHealthy:
       break;
@@ -37,8 +33,7 @@ DnsReply DnsServer::resolve(const std::string& host, Tick now) const {
 
 DnsReply DnsServer::reverse(const std::string& address, Tick now) const {
   if (!reverse_records_.contains(address)) {
-    FS_TELEM(counters_, dns_reverse_misses++);
-    FS_COVER(coverage_, hit(obs::Site::kEnvDnsReverseMiss));
+    obs::emit(sinks_, obs::Event::kDnsReverseMiss);
     return {.ok = false, .latency = kNormalLatency};
   }
   return resolve(address, now);

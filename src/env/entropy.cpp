@@ -19,16 +19,13 @@ std::uint64_t EntropyPool::bits(Tick now) const noexcept {
 
 bool EntropyPool::take(std::uint64_t want, Tick now) noexcept {
   settle(now);
-  FS_TELEM(counters_, entropy_reads++);
+  obs::emit(sinks_, obs::Event::kEntropyRead);
   if (bits_ < want) {
-    FS_TELEM(counters_, entropy_blocked++);
-    FS_FORENSIC(flight_,
-                record(forensics::FlightCode::kEntropyBlocked, want, bits_));
-    FS_COVER(coverage_, hit(obs::Site::kEnvEntropyBlocked));
+    obs::emit(sinks_, obs::Event::kEntropyBlocked, want, bits_);
     return false;
   }
   bits_ -= want;
-  FS_TELEM(counters_, entropy_bits_taken += want);
+  obs::emit(sinks_, obs::Event::kEntropyTaken, want);
   return true;
 }
 

@@ -9,9 +9,7 @@
 #include <cstdint>
 
 #include "env/clock.hpp"
-#include "forensics/recorder.hpp"
-#include "obs/probes.hpp"
-#include "telemetry/counters.hpp"
+#include "obs/bus.hpp"
 
 namespace faultstudy::env {
 
@@ -31,20 +29,8 @@ class EntropyPool {
 
   std::uint64_t refill_rate() const noexcept { return refill_per_tick_; }
 
-  /// Per-trial telemetry sink; nullptr (the default) records nothing.
-  void set_counters(telemetry::ResourceCounters* counters) noexcept {
-    counters_ = counters;
-  }
-
-  /// Per-trial flight recorder; nullptr (the default) records nothing.
-  void set_flight(forensics::FlightRecorder* flight) noexcept {
-    flight_ = flight;
-  }
-
-  /// Per-trial coverage map; nullptr (the default) records nothing.
-  void set_coverage(obs::CoverageMap* coverage) noexcept {
-    coverage_ = coverage;
-  }
+  /// Per-trial observation sinks; nullptr (the default) records nothing.
+  void bind_sinks(const obs::TrialSinks* sinks) noexcept { sinks_ = sinks; }
 
  private:
   void settle(Tick now) const noexcept;
@@ -52,9 +38,7 @@ class EntropyPool {
   mutable std::uint64_t bits_;
   std::uint64_t refill_per_tick_;
   mutable Tick last_ = 0;
-  telemetry::ResourceCounters* counters_ = nullptr;
-  forensics::FlightRecorder* flight_ = nullptr;
-  obs::CoverageMap* coverage_ = nullptr;
+  const obs::TrialSinks* sinks_ = nullptr;
   static constexpr std::uint64_t kPoolMax = 4096;
 };
 

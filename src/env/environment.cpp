@@ -10,40 +10,16 @@ Environment::Environment(const EnvironmentConfig& config)
       scheduler_(config.seed),
       entropy_(config.entropy_bits, config.entropy_refill_per_tick) {}
 
-void Environment::set_counters(telemetry::TrialCounters* counters) noexcept {
-  counters_ = counters;
-  telemetry::ResourceCounters* resources =
-      counters != nullptr ? &counters->resources : nullptr;
-  processes_.set_counters(resources);
-  fds_.set_counters(resources);
-  disk_.set_counters(resources);
-  dns_.set_counters(resources);
-  network_.set_counters(resources);
-  scheduler_.set_counters(resources);
-  entropy_.set_counters(resources);
-}
-
-void Environment::set_flight(forensics::FlightRecorder* flight) noexcept {
-  flight_ = flight;
-  processes_.set_flight(flight);
-  fds_.set_flight(flight);
-  disk_.set_flight(flight);
-  dns_.set_flight(flight);
-  network_.set_flight(flight);
-  entropy_.set_flight(flight);
-  signals_.set_flight(flight);
-}
-
-void Environment::set_coverage(obs::CoverageMap* coverage) noexcept {
-  coverage_ = coverage;
-  processes_.set_coverage(coverage);
-  fds_.set_coverage(coverage);
-  disk_.set_coverage(coverage);
-  dns_.set_coverage(coverage);
-  network_.set_coverage(coverage);
-  scheduler_.set_coverage(coverage);
-  entropy_.set_coverage(coverage);
-  signals_.set_coverage(coverage);
+void Environment::bind_sinks(const obs::TrialSinks* sinks) noexcept {
+  sinks_ = sinks;
+  processes_.bind_sinks(sinks);
+  fds_.bind_sinks(sinks);
+  disk_.bind_sinks(sinks);
+  dns_.bind_sinks(sinks);
+  network_.bind_sinks(sinks);
+  scheduler_.bind_sinks(sinks);
+  entropy_.bind_sinks(sinks);
+  signals_.bind_sinks(sinks);
 }
 
 }  // namespace faultstudy::env

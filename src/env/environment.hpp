@@ -23,9 +23,7 @@
 #include "env/scheduler.hpp"
 #include "env/signals.hpp"
 #include "env/trace.hpp"
-#include "forensics/recorder.hpp"
-#include "obs/probes.hpp"
-#include "telemetry/counters.hpp"
+#include "obs/bus.hpp"
 
 namespace faultstudy::env {
 
@@ -70,30 +68,19 @@ class Environment {
 
   const EnvironmentConfig& config() const noexcept { return config_; }
 
-  /// Binds a per-trial telemetry sink: the resource block goes into every
-  /// subsystem; apps and recovery mechanisms reach the app/recovery blocks
-  /// through counters(). Pass nullptr to detach (the default state).
-  void set_counters(telemetry::TrialCounters* counters) noexcept;
+  /// Binds the per-trial observation sinks into every subsystem; apps and
+  /// recovery mechanisms emit through emit(). Pass nullptr to detach (the
+  /// default state). The sinks must outlive the binding.
+  void bind_sinks(const obs::TrialSinks* sinks) noexcept;
 
-  /// The bound per-trial sink, or nullptr when telemetry is detached.
-  telemetry::TrialCounters* counters() noexcept { return counters_; }
+  /// The bound sinks, or nullptr when nothing observes this environment.
+  const obs::TrialSinks* sinks() const noexcept { return sinks_; }
 
-  /// Binds a per-trial flight recorder: subsystems record resource
-  /// transitions (descriptor exhaustion, disk-full, link degradation, …)
-  /// into the ring; apps and recovery mechanisms reach it through
-  /// flight(). Pass nullptr to detach (the default state).
-  void set_flight(forensics::FlightRecorder* flight) noexcept;
-
-  /// The bound flight recorder, or nullptr when forensics is detached.
-  forensics::FlightRecorder* flight() noexcept { return flight_; }
-
-  /// Binds a per-trial coverage map: subsystems mark their denial/failure
-  /// branches as exercised; apps and recovery mechanisms reach the map
-  /// through coverage(). Pass nullptr to detach (the default state).
-  void set_coverage(obs::CoverageMap* coverage) noexcept;
-
-  /// The bound coverage map, or nullptr when coverage is detached.
-  obs::CoverageMap* coverage() noexcept { return coverage_; }
+  /// One hook site: applies `event` to whatever views are bound.
+  void emit(obs::Event event, std::uint64_t a = 0,
+            std::uint64_t b = 0) const noexcept {
+    obs::emit(sinks_, event, a, b);
+  }
 
  private:
   EnvironmentConfig config_;
@@ -108,9 +95,7 @@ class Environment {
   SignalBus signals_;
   TraceLog trace_;
   std::string hostname_ = "production-host";
-  telemetry::TrialCounters* counters_ = nullptr;
-  forensics::FlightRecorder* flight_ = nullptr;
-  obs::CoverageMap* coverage_ = nullptr;
+  const obs::TrialSinks* sinks_ = nullptr;
 };
 
 }  // namespace faultstudy::env

@@ -6,16 +6,12 @@ namespace faultstudy::env {
 
 bool FdTable::acquire(const std::string& owner, std::size_t n) {
   if (available() < n) {
-    FS_TELEM(counters_, fd_acquire_failures++);
-    FS_FORENSIC(flight_,
-                record(forensics::FlightCode::kFdExhausted, n, used_));
-    FS_COVER(coverage_, hit(obs::Site::kEnvFdDenied));
+    obs::emit(sinks_, obs::Event::kFdDenied, n, used_);
     return false;
   }
   held_[owner] += n;
   used_ += n;
-  FS_TELEM(counters_, fds_acquired += n);
-  FS_TELEM_PEAK(counters_, peak_fds, used_);
+  obs::emit(sinks_, obs::Event::kFdAcquired, n, used_);
   return true;
 }
 
@@ -26,7 +22,7 @@ void FdTable::release(const std::string& owner, std::size_t n) {
   it->second -= freed;
   used_ -= freed;
   if (it->second == 0) held_.erase(it);
-  FS_TELEM(counters_, fds_released += freed);
+  obs::emit(sinks_, obs::Event::kFdReleased, freed);
 }
 
 std::size_t FdTable::release_all(const std::string& owner) {
@@ -35,7 +31,7 @@ std::size_t FdTable::release_all(const std::string& owner) {
   const std::size_t freed = it->second;
   used_ -= freed;
   held_.erase(it);
-  FS_TELEM(counters_, fds_released += freed);
+  obs::emit(sinks_, obs::Event::kFdReleased, freed);
   return freed;
 }
 

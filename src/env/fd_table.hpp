@@ -10,9 +10,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "forensics/recorder.hpp"
-#include "obs/probes.hpp"
-#include "telemetry/counters.hpp"
+#include "obs/bus.hpp"
 
 namespace faultstudy::env {
 
@@ -41,28 +39,14 @@ class FdTable {
   /// descriptors available to a process").
   void grow(std::size_t extra) noexcept { capacity_ += extra; }
 
-  /// Per-trial telemetry sink; nullptr (the default) records nothing.
-  void set_counters(telemetry::ResourceCounters* counters) noexcept {
-    counters_ = counters;
-  }
-
-  /// Per-trial flight recorder; nullptr (the default) records nothing.
-  void set_flight(forensics::FlightRecorder* flight) noexcept {
-    flight_ = flight;
-  }
-
-  /// Per-trial coverage map; nullptr (the default) records nothing.
-  void set_coverage(obs::CoverageMap* coverage) noexcept {
-    coverage_ = coverage;
-  }
+  /// Per-trial observation sinks; nullptr (the default) records nothing.
+  void bind_sinks(const obs::TrialSinks* sinks) noexcept { sinks_ = sinks; }
 
  private:
   std::size_t capacity_;
   std::size_t used_ = 0;
   std::unordered_map<std::string, std::size_t> held_;
-  telemetry::ResourceCounters* counters_ = nullptr;
-  forensics::FlightRecorder* flight_ = nullptr;
-  obs::CoverageMap* coverage_ = nullptr;
+  const obs::TrialSinks* sinks_ = nullptr;
 };
 
 }  // namespace faultstudy::env

@@ -10,10 +10,8 @@ void Network::degrade_until(LinkState state, Tick until) noexcept {
   forced_ = state;
   forced_until_ = until;
   if (state != LinkState::kNormal) {
-    FS_FORENSIC(flight_,
-                record(forensics::FlightCode::kLinkDegraded,
-                       static_cast<std::uint64_t>(state), until));
-    FS_COVER(coverage_, hit(obs::Site::kEnvLinkDegraded));
+    obs::emit(sinks_, obs::Event::kLinkDegraded,
+              static_cast<std::uint64_t>(state), until);
   }
 }
 
@@ -21,13 +19,10 @@ bool Network::bind_port(int port, const std::string& owner) {
   auto [it, inserted] = ports_.emplace(port, owner);
   (void)it;
   if (inserted) {
-    FS_TELEM(counters_, port_binds++);
+    obs::emit(sinks_, obs::Event::kPortBound);
   } else {
-    FS_TELEM(counters_, port_bind_failures++);
-    FS_FORENSIC(flight_,
-                record(forensics::FlightCode::kPortDenied,
-                       static_cast<std::uint64_t>(port)));
-    FS_COVER(coverage_, hit(obs::Site::kEnvPortDenied));
+    obs::emit(sinks_, obs::Event::kPortDenied,
+              static_cast<std::uint64_t>(port));
   }
   return inserted;
 }
@@ -36,7 +31,7 @@ void Network::release_port(int port, const std::string& owner) {
   auto it = ports_.find(port);
   if (it != ports_.end() && it->second == owner) {
     ports_.erase(it);
-    FS_TELEM(counters_, ports_released++);
+    obs::emit(sinks_, obs::Event::kPortReleased, 1);
   }
 }
 
@@ -50,7 +45,7 @@ std::size_t Network::release_ports_of(const std::string& owner) {
       ++it;
     }
   }
-  FS_TELEM(counters_, ports_released += released);
+  obs::emit(sinks_, obs::Event::kPortReleased, released);
   return released;
 }
 
@@ -63,10 +58,7 @@ std::string Network::port_owner(int port) const {
 
 bool Network::consume_kernel_resource(std::size_t n) noexcept {
   if (kernel_resource_ < n) {
-    FS_TELEM(counters_, kernel_resource_denied++);
-    FS_FORENSIC(flight_, record(forensics::FlightCode::kKernelResourceDenied,
-                                n, kernel_resource_));
-    FS_COVER(coverage_, hit(obs::Site::kEnvKernelResourceDenied));
+    obs::emit(sinks_, obs::Event::kKernelResourceDenied, n, kernel_resource_);
     return false;
   }
   kernel_resource_ -= n;

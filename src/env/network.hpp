@@ -6,9 +6,7 @@
 #include <unordered_map>
 
 #include "env/clock.hpp"
-#include "forensics/recorder.hpp"
-#include "obs/probes.hpp"
-#include "telemetry/counters.hpp"
+#include "obs/bus.hpp"
 
 namespace faultstudy::env {
 
@@ -23,7 +21,7 @@ class Network {
   bool card_present() const noexcept { return card_present_; }
   void remove_card() noexcept {
     card_present_ = false;
-    FS_FORENSIC(flight_, record(forensics::FlightCode::kCardRemoved));
+    obs::emit(sinks_, obs::Event::kCardRemoved);
   }
   void insert_card() noexcept { card_present_ = true; }
 
@@ -44,20 +42,8 @@ class Network {
   static constexpr Tick kNormalLatency = 1;
   static constexpr Tick kSlowLatency = 3000;
 
-  /// Per-trial telemetry sink; nullptr (the default) records nothing.
-  void set_counters(telemetry::ResourceCounters* counters) noexcept {
-    counters_ = counters;
-  }
-
-  /// Per-trial flight recorder; nullptr (the default) records nothing.
-  void set_flight(forensics::FlightRecorder* flight) noexcept {
-    flight_ = flight;
-  }
-
-  /// Per-trial coverage map; nullptr (the default) records nothing.
-  void set_coverage(obs::CoverageMap* coverage) noexcept {
-    coverage_ = coverage;
-  }
+  /// Per-trial observation sinks; nullptr (the default) records nothing.
+  void bind_sinks(const obs::TrialSinks* sinks) noexcept { sinks_ = sinks; }
 
  private:
   LinkState forced_ = LinkState::kNormal;
@@ -65,9 +51,7 @@ class Network {
   bool card_present_ = true;
   std::unordered_map<int, std::string> ports_;
   std::size_t kernel_resource_ = 1u << 20;
-  telemetry::ResourceCounters* counters_ = nullptr;
-  forensics::FlightRecorder* flight_ = nullptr;
-  obs::CoverageMap* coverage_ = nullptr;
+  const obs::TrialSinks* sinks_ = nullptr;
 };
 
 }  // namespace faultstudy::env

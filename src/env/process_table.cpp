@@ -4,10 +4,7 @@ namespace faultstudy::env {
 
 std::optional<Pid> ProcessTable::spawn(const std::string& owner) {
   if (full()) {
-    FS_TELEM(counters_, proc_spawn_failures++);
-    FS_FORENSIC(flight_,
-                record(forensics::FlightCode::kProcTableFull, capacity_));
-    FS_COVER(coverage_, hit(obs::Site::kEnvProcSpawnDenied));
+    obs::emit(sinks_, obs::Event::kProcSpawnDenied, capacity_);
     return std::nullopt;
   }
   const Pid pid = next_pid_++;
@@ -15,14 +12,13 @@ std::optional<Pid> ProcessTable::spawn(const std::string& owner) {
   p.pid = pid;
   p.owner = owner;
   procs_.emplace(pid, std::move(p));
-  FS_TELEM(counters_, proc_spawns++);
-  FS_TELEM_PEAK(counters_, peak_procs, procs_.size());
+  obs::emit(sinks_, obs::Event::kProcSpawned, pid, procs_.size());
   return pid;
 }
 
 bool ProcessTable::kill(Pid pid) {
   if (procs_.erase(pid) == 0) return false;
-  FS_TELEM(counters_, proc_kills++);
+  obs::emit(sinks_, obs::Event::kProcKilled, 1);
   return true;
 }
 
@@ -30,9 +26,7 @@ bool ProcessTable::mark_hung(Pid pid) {
   auto it = procs_.find(pid);
   if (it == procs_.end()) return false;
   it->second.hung = true;
-  FS_TELEM(counters_, procs_marked_hung++);
-  FS_FORENSIC(flight_, record(forensics::FlightCode::kProcHung, pid));
-  FS_COVER(coverage_, hit(obs::Site::kEnvProcHung));
+  obs::emit(sinks_, obs::Event::kProcHung, pid);
   return true;
 }
 
@@ -46,7 +40,7 @@ std::size_t ProcessTable::kill_owned_by(const std::string& owner) {
       ++it;
     }
   }
-  FS_TELEM(counters_, proc_kills += killed);
+  obs::emit(sinks_, obs::Event::kProcKilled, killed);
   return killed;
 }
 

@@ -12,9 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "forensics/recorder.hpp"
-#include "obs/probes.hpp"
-#include "telemetry/counters.hpp"
+#include "obs/bus.hpp"
 
 namespace faultstudy::env {
 
@@ -68,28 +66,14 @@ class ProcessTable {
   /// observers can reuse one allocation across calls.
   void owned_by(const std::string& owner, std::vector<Pid>& out) const;
 
-  /// Per-trial telemetry sink; nullptr (the default) records nothing.
-  void set_counters(telemetry::ResourceCounters* counters) noexcept {
-    counters_ = counters;
-  }
-
-  /// Per-trial flight recorder; nullptr (the default) records nothing.
-  void set_flight(forensics::FlightRecorder* flight) noexcept {
-    flight_ = flight;
-  }
-
-  /// Per-trial coverage map; nullptr (the default) records nothing.
-  void set_coverage(obs::CoverageMap* coverage) noexcept {
-    coverage_ = coverage;
-  }
+  /// Per-trial observation sinks; nullptr (the default) records nothing.
+  void bind_sinks(const obs::TrialSinks* sinks) noexcept { sinks_ = sinks; }
 
  private:
   std::size_t capacity_;
   std::unordered_map<Pid, Process> procs_;
   Pid next_pid_ = 100;
-  telemetry::ResourceCounters* counters_ = nullptr;
-  forensics::FlightRecorder* flight_ = nullptr;
-  obs::CoverageMap* coverage_ = nullptr;
+  const obs::TrialSinks* sinks_ = nullptr;
 };
 
 }  // namespace faultstudy::env

@@ -6,10 +6,9 @@
 namespace faultstudy::env {
 
 Interleaving Scheduler::draw() {
-  FS_TELEM(counters_, sched_draws++);
+  obs::emit(sinks_, obs::Event::kSchedDraw);
   if (has_last_ && replay_bias_ > 0.0 && rng_.chance(replay_bias_)) {
-    FS_TELEM(counters_, sched_replays++);
-    FS_COVER(coverage_, hit(obs::Site::kEnvSchedReplay));
+    obs::emit(sinks_, obs::Event::kSchedReplay);
     return last_;
   }
   Interleaving i;

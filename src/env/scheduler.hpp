@@ -11,8 +11,7 @@
 
 #include <cstdint>
 
-#include "obs/probes.hpp"
-#include "telemetry/counters.hpp"
+#include "obs/bus.hpp"
 #include "util/rng.hpp"
 
 namespace faultstudy::env {
@@ -45,23 +44,15 @@ class Scheduler {
   static bool in_hazard_window(const Interleaving& i, double start,
                                double width) noexcept;
 
-  /// Per-trial telemetry sink; nullptr (the default) records nothing.
-  void set_counters(telemetry::ResourceCounters* counters) noexcept {
-    counters_ = counters;
-  }
-
-  /// Per-trial coverage map; nullptr (the default) records nothing.
-  void set_coverage(obs::CoverageMap* coverage) noexcept {
-    coverage_ = coverage;
-  }
+  /// Per-trial observation sinks; nullptr (the default) records nothing.
+  void bind_sinks(const obs::TrialSinks* sinks) noexcept { sinks_ = sinks; }
 
  private:
   util::Rng rng_;
   double replay_bias_ = 0.0;
   bool has_last_ = false;
   Interleaving last_;
-  telemetry::ResourceCounters* counters_ = nullptr;
-  obs::CoverageMap* coverage_ = nullptr;
+  const obs::TrialSinks* sinks_ = nullptr;
 };
 
 }  // namespace faultstudy::env

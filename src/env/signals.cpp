@@ -6,9 +6,8 @@ namespace faultstudy::env {
 
 void SignalBus::raise(Signal signal, Tick at) {
   pending_.push_back({signal, at});
-  FS_FORENSIC(flight_, record(forensics::FlightCode::kSignalRaised,
-                              static_cast<std::uint64_t>(signal), at));
-  FS_COVER(coverage_, hit(obs::Site::kEnvSignalRaised));
+  obs::emit(sinks_, obs::Event::kSignalRaised,
+            static_cast<std::uint64_t>(signal), at);
 }
 
 std::vector<Signal> SignalBus::deliver_due(Tick now) {

@@ -10,8 +10,7 @@
 #include <vector>
 
 #include "env/clock.hpp"
-#include "forensics/recorder.hpp"
-#include "obs/probes.hpp"
+#include "obs/bus.hpp"
 
 namespace faultstudy::env {
 
@@ -35,20 +34,12 @@ class SignalBus {
 
   void clear() noexcept { pending_.clear(); }
 
-  /// Per-trial flight recorder; nullptr (the default) records nothing.
-  void set_flight(forensics::FlightRecorder* flight) noexcept {
-    flight_ = flight;
-  }
-
-  /// Per-trial coverage map; nullptr (the default) records nothing.
-  void set_coverage(obs::CoverageMap* coverage) noexcept {
-    coverage_ = coverage;
-  }
+  /// Per-trial observation sinks; nullptr (the default) records nothing.
+  void bind_sinks(const obs::TrialSinks* sinks) noexcept { sinks_ = sinks; }
 
  private:
   std::vector<PendingSignal> pending_;
-  forensics::FlightRecorder* flight_ = nullptr;
-  obs::CoverageMap* coverage_ = nullptr;
+  const obs::TrialSinks* sinks_ = nullptr;
 };
 
 }  // namespace faultstudy::env

@@ -90,24 +90,9 @@ EnvResourceState capture_env_state(env::Environment& environment) {
 
 namespace {
 
+// The environment-resource section of FlightCode is contiguous.
 bool is_resource_transition(FlightCode code) noexcept {
-  switch (code) {
-    case FlightCode::kFdExhausted:
-    case FlightCode::kProcTableFull:
-    case FlightCode::kProcHung:
-    case FlightCode::kDiskFull:
-    case FlightCode::kFileSizeLimit:
-    case FlightCode::kDnsBroken:
-    case FlightCode::kLinkDegraded:
-    case FlightCode::kCardRemoved:
-    case FlightCode::kPortDenied:
-    case FlightCode::kKernelResourceDenied:
-    case FlightCode::kEntropyBlocked:
-    case FlightCode::kSignalRaised:
-      return true;
-    default:
-      return false;
-  }
+  return code >= FlightCode::kFdExhausted && code <= FlightCode::kSignalRaised;
 }
 
 std::string_view step_status_name(std::uint64_t status) noexcept {

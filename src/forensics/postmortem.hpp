@@ -130,14 +130,6 @@ PostMortemRecord build_postmortem(const FlightRecorder& ring,
                                   env::Environment& environment,
                                   const PostMortemInputs& inputs);
 
-/// Per-trial forensic state the caller hands to run_trial: the ring the
-/// trial records into, and — filled in by the runner iff the trial did not
-/// survive — the reconstructed post-mortem.
-struct TrialForensics {
-  FlightRecorder ring;
-  std::optional<PostMortemRecord> postmortem;
-};
-
 /// Study-wide forensic aggregate: post-mortems from every failed trial,
 /// folded serially in matrix index order so the collection (and everything
 /// exported from it) is identical for every thread count.

@@ -10,13 +10,9 @@
 // full history — and the drop count is kept so exports can say what was
 // lost.
 //
-// Cost model, mirroring telemetry/counters.hpp:
-//
-//   * disabled at compile time (-DFAULTSTUDY_FORENSICS=OFF): every
-//     FS_FORENSIC site expands to nothing;
-//   * compiled in but no recorder attached (the default): one predictable
-//     `ptr != nullptr` branch per site;
-//   * attached: one bounds-checked store into a preallocated ring slot.
+// The recorder is the forensic view of the observation bus (obs/bus.hpp):
+// an attached ring costs one store into a preallocated slot per event whose
+// bus row names a FlightCode.
 //
 // Determinism contract: a trial is single-threaded and the ring is owned by
 // exactly one trial, so event order and sim-clock stamps are bit-identical
@@ -32,34 +28,6 @@
 
 #include "env/clock.hpp"
 #include "util/thread_pool.hpp"
-
-// CMake defines FAULTSTUDY_FORENSICS to 0 or 1; default to enabled for
-// builds that bypass the option (e.g. direct compiler invocations).
-#ifndef FAULTSTUDY_FORENSICS
-#define FAULTSTUDY_FORENSICS 1
-#endif
-
-// Runs `expr` on the recorder when forensics is compiled in and `sink` is
-// non-null: FS_FORENSIC(flight_, record(FlightCode::kDiskFull, bytes)).
-#if FAULTSTUDY_FORENSICS
-#define FS_FORENSIC(sink, expr)              \
-  do {                                       \
-    if (auto* fs_forensic_sink = (sink)) {   \
-      fs_forensic_sink->expr;                \
-    }                                        \
-  } while (0)
-#else
-// Disabled: the site still type-checks but generates no code, including the
-// evaluation of `sink`.
-#define FS_FORENSIC(sink, expr)                \
-  do {                                         \
-    if constexpr (false) {                     \
-      if (auto* fs_forensic_sink = (sink)) {   \
-        fs_forensic_sink->expr;                \
-      }                                        \
-    }                                          \
-  } while (0)
-#endif
 
 namespace faultstudy::forensics {
 

@@ -84,24 +84,6 @@ class ResourceRecorder {
   std::uint64_t disk_used_ = 0;
 };
 
-/// Maps the trial verdict onto its coverage probe; the atlas's "trial"
-/// section mirrors the TrialVerdict enum one-to-one.
-obs::Site verdict_site(forensics::TrialVerdict verdict) noexcept {
-  switch (verdict) {
-    case forensics::TrialVerdict::kSurvived: return obs::Site::kTrialSurvived;
-    case forensics::TrialVerdict::kStartFailure:
-      return obs::Site::kTrialStartFailure;
-    case forensics::TrialVerdict::kRetryCapExceeded:
-      return obs::Site::kTrialRetryCapExceeded;
-    case forensics::TrialVerdict::kBudgetExhausted:
-      return obs::Site::kTrialBudgetExhausted;
-    case forensics::TrialVerdict::kRecoveryFailed:
-      return obs::Site::kTrialRecoveryFailed;
-    case forensics::TrialVerdict::kCount: break;
-  }
-  return obs::Site::kTrialSurvived;
-}
-
 /// Transcript verdict labels predate the TrialVerdict enum; keep the exact
 /// strings so existing transcript consumers see no change.
 std::string_view verdict_label(forensics::TrialVerdict verdict) noexcept {
@@ -124,9 +106,7 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
                        recovery::Mechanism& mechanism,
                        const TrialConfig& config,
                        TrialObservation* observation,
-                       telemetry::TrialTelemetry* telemetry,
-                       forensics::TrialForensics* forensics,
-                       obs::CoverageMap* coverage) {
+                       const obs::TrialSinks& sinks) {
   TrialOutcome outcome;
 
   // Patch the trial seed into cheap copies of the two config structs rather
@@ -139,55 +119,39 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
   env::Environment environment(env_config);
   if (observation != nullptr) environment.trace().enable();
 
-  // Bind the flight recorder before anything else happens so the ring sees
-  // the whole trial: arming, resource transitions, recoveries, verdict.
-  forensics::FlightRecorder* flight = nullptr;
-  if (forensics != nullptr) {
-    flight = &forensics->ring;
-    flight->bind_clock(&environment.clock());
-    environment.set_flight(flight);
+  // Bind the bus before anything else happens so every view sees the whole
+  // trial: arming, resource transitions, recoveries, verdict. A bus with no
+  // view attached stays unbound, leaving one null check per hook site.
+  if (sinks.any()) environment.bind_sinks(&sinks);
+  if (sinks.flight != nullptr) sinks.flight->bind_clock(&environment.clock());
+  telemetry::SpanTracer* tracer = nullptr;
+  std::string recovery_span_name;
+  if (sinks.telemetry != nullptr) {
+    tracer = &sinks.telemetry->spans;
+    tracer->bind_sim(&environment.clock());
+    recovery_span_name = "recovery/";
+    recovery_span_name += mechanism.name();
   }
 
   const apps::Workload workload =
       apps::make_workload(plan.seed.app, workload_spec);
-  FS_FORENSIC(flight, record(forensics::FlightCode::kTrialStart,
-                             workload.size(), config.cycles));
-
-  // Bind the coverage sink before any probe can fire; mechanisms cache it
-  // in attach(), the same way they cache the telemetry counters.
-  if (coverage != nullptr) environment.set_coverage(coverage);
-
-  // Bind telemetry before attach(): mechanisms cache the sink there.
-  telemetry::SpanTracer* tracer = nullptr;
-  std::string recovery_span_name;
-  if (telemetry != nullptr) {
-    environment.set_counters(&telemetry->counters);
-    telemetry->spans.bind_sim(&environment.clock());
-    tracer = &telemetry->spans;
-    recovery_span_name = "recovery/";
-    recovery_span_name += mechanism.name();
-  }
+  environment.emit(obs::Event::kTrialStart, workload.size(), config.cycles);
   TELEM_SPAN(tracer, "trial");
 
   auto app = inject::make_app(plan.seed.app);
   app->arm_fault(plan.fault);
-  FS_FORENSIC(flight,
-              record(forensics::FlightCode::kFaultArmed,
-                     static_cast<std::uint64_t>(plan.seed.trigger),
-                     static_cast<std::uint64_t>(plan.seed.symptom)));
-  FS_COVER(coverage, hit_inject(plan.seed.trigger));
+  environment.emit(obs::Event::kFaultArmed,
+                   static_cast<std::uint64_t>(plan.seed.trigger),
+                   static_cast<std::uint64_t>(plan.seed.symptom));
 
   const auto finish = [&](forensics::TrialVerdict verdict) {
-    FS_FORENSIC(flight, record(forensics::FlightCode::kVerdict,
-                               static_cast<std::uint64_t>(verdict)));
-    FS_COVER(coverage, hit(verdict_site(verdict)));
+    environment.emit(obs::Event::kVerdict, static_cast<std::uint64_t>(verdict));
     if (observation != nullptr) {
       observation->transcript.record(EventKind::kVerdict, environment.now(), 0,
                                      std::string(verdict_label(verdict)));
       observation->trace = environment.trace().events();
     }
-#if FAULTSTUDY_FORENSICS
-    if (forensics != nullptr &&
+    if (sinks.flight != nullptr &&
         verdict != forensics::TrialVerdict::kSurvived) {
       forensics::PostMortemInputs inputs;
       inputs.fault_id = plan.seed.fault_id;
@@ -203,10 +167,9 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
         inputs.transcript = &observation->transcript;
         inputs.trace = observation->trace;
       }
-      forensics->postmortem =
-          forensics::build_postmortem(forensics->ring, environment, inputs);
+      outcome.postmortem =
+          forensics::build_postmortem(*sinks.flight, environment, inputs);
     }
-#endif
   };
 
   if (!app->start(environment)) {
@@ -215,9 +178,9 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
     return outcome;
   }
   plan.arm_environment(environment, *app);
-  FS_FORENSIC(flight, record(forensics::FlightCode::kEnvArmed));
+  environment.emit(obs::Event::kEnvArmed);
   mechanism.attach(*app, environment);
-  FS_COVER(coverage, hit(obs::Site::kRecAttach));
+  environment.emit(obs::Event::kAttached);
 
   // The resource baseline is taken after start + arming: the recorder sees
   // only what the workload and the mechanism do from here on.
@@ -246,8 +209,7 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
 
     const env::Tick item_start = environment.now();
     const apps::StepResult result = app->handle(*item, environment);
-    FS_TELEM(telemetry,
-             item_latency_ticks.observe(environment.now() - item_start));
+    environment.emit(obs::Event::kItemDone, environment.now() - item_start);
     if (recorder.has_value()) {
       recorder->observe(i);
       observation->transcript.record(
@@ -264,9 +226,8 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
     ++outcome.failures;
     outcome.failure_observed = true;
     if (outcome.first_failure.empty()) outcome.first_failure = result.detail;
-    FS_FORENSIC(flight,
-                record(forensics::FlightCode::kItemFailed, i,
-                       static_cast<std::uint64_t>(result.status)));
+    environment.emit(obs::Event::kItemFailed, i,
+                     static_cast<std::uint64_t>(result.status));
 
     if (++consecutive > config.per_item_retries) {
       finish(forensics::TrialVerdict::kRetryCapExceeded);
@@ -281,16 +242,15 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
       observation->transcript.record(EventKind::kRecoveryBegin,
                                      environment.now(), i);
     }
-    FS_FORENSIC(flight, record(forensics::FlightCode::kRecoveryBegin, i));
+    environment.emit(obs::Event::kRecoveryBegin, i);
     const env::Tick recovery_start = environment.now();
     recovery::RecoveryAction action;
     {
       TELEM_SPAN(tracer, recovery_span_name);
       action = mechanism.recover(*app, environment);
     }
-    FS_TELEM(telemetry, counters.recovery.attempts++);
-    FS_TELEM(telemetry, recovery_latency_ticks.observe(environment.now() -
-                                                       recovery_start));
+    environment.emit(obs::Event::kRecoveryDone,
+                     environment.now() - recovery_start);
     ++outcome.recoveries;
     if (!mechanism.preserves_state()) outcome.state_preserved = false;
     // Roll the cursor back to the restored checkpoint; those items are
@@ -308,24 +268,14 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
                                          : EventKind::kRecoveryFailed,
                                      environment.now(), i);
     }
-    if (rewind > 0) {
-      FS_FORENSIC(flight, record(forensics::FlightCode::kRollback, rewind));
-      FS_COVER(coverage, hit(obs::Site::kRecRollbackRewind));
-    }
+    if (rewind > 0) environment.emit(obs::Event::kRollback, rewind);
     if (!action.recovered) {
-      FS_TELEM(telemetry, counters.recovery.failures++);
-      FS_FORENSIC(flight,
-                  record(forensics::FlightCode::kRecoveryFailed, i));
-      FS_COVER(coverage, hit(obs::Site::kRecRecoveryFailed));
+      environment.emit(obs::Event::kRecoveryFailed, i);
       outcome.first_failure += " (recovery failed)";
       finish(forensics::TrialVerdict::kRecoveryFailed);
       return outcome;
     }
-    FS_TELEM(telemetry, counters.recovery.successes++);
-    FS_TELEM(telemetry, counters.recovery.items_rewound += rewind);
-    FS_FORENSIC(flight,
-                record(forensics::FlightCode::kRecoveryOk, i, rewind));
-    FS_COVER(coverage, hit(obs::Site::kRecRecoveryOk));
+    environment.emit(obs::Event::kRecoveryOk, i, rewind);
     outcome.items_reexecuted += rewind;
     i -= rewind;
   }
@@ -373,17 +323,6 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
     for (const auto& nm : mechanisms) names.push_back(nm.name);
     coverage->begin_study(seeds, names);
   }
-  if (seeds.empty() || mechanisms.empty()) {
-    for (const auto& nm : mechanisms) {
-      MechanismReport report;
-      report.mechanism = nm.name;
-      auto probe = nm.make();
-      report.generic = probe->is_generic();
-      result.reports.push_back(std::move(report));
-    }
-    return result;
-  }
-
   // Majority vote over the repeats of one (mechanism, seed) cell. Every
   // trial seed is derived from the fault id, so cells are independent and
   // farm out to the pool; the reduction below runs on this thread in index
@@ -403,8 +342,8 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
       std::optional<forensics::PostMortemRecord> postmortem;
     };
     std::vector<TrialFate> fates;
-    /// Union coverage over the cell's repeats. Heap-allocated for the same
-    /// reason as `telem`: the unobserved path pays one pointer per cell.
+    /// Coverage summed over the cell's repeats (every repeat hits the same
+    /// map). Heap-allocated for the same reason as `telem`.
     std::unique_ptr<obs::CoverageMap> probes;
   };
   const std::size_t cell_count = mechanisms.size() * seeds.size();
@@ -412,45 +351,45 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
       cell_count, config.threads, [&](std::size_t cell) {
         const NamedMechanism& nm = mechanisms[cell / seeds.size()];
         const corpus::SeedFault& seed = seeds[cell % seeds.size()];
+        // Only the views the caller attached are built; a bare matrix runs
+        // every trial with the bus unbound. One ring serves all repeats.
         CellVotes votes;
+        std::optional<forensics::FlightRecorder> ring;
+        if (forensics != nullptr) ring.emplace();
+        if (coverage != nullptr) {
+          votes.probes = std::make_unique<obs::CoverageMap>();
+        }
         for (int r = 0; r < repeats; ++r) {
           TrialConfig tc = config;
           tc.seed = config.seed + static_cast<std::uint64_t>(r) * 7919 +
                     util::fnv1a(seed.fault_id);
           const auto plan = inject::plan_for(seed, tc.seed);
           auto mechanism = nm.make();
-          telemetry::TrialTelemetry trial_telem;
-          telemetry::TrialTelemetry* tt =
-              telemetry != nullptr ? &trial_telem : nullptr;
-          forensics::TrialForensics trial_forensics;
-          forensics::TrialForensics* tf =
-              forensics != nullptr ? &trial_forensics : nullptr;
-          obs::CoverageMap trial_cover;
-          obs::CoverageMap* cc = coverage != nullptr ? &trial_cover : nullptr;
-          const TrialOutcome outcome =
-              run_trial(plan, *mechanism, tc, nullptr, tt, tf, cc);
-          if (cc != nullptr) {
-            if (votes.probes == nullptr) {
-              votes.probes = std::make_unique<obs::CoverageMap>(trial_cover);
-            } else {
-              votes.probes->merge(trial_cover);
-            }
+          std::optional<telemetry::TrialTelemetry> trial_telem;
+          obs::TrialSinks sinks;
+          if (telemetry != nullptr) sinks.telemetry = &trial_telem.emplace();
+          if (ring.has_value()) {
+            ring->clear();
+            sinks.flight = &*ring;
           }
-          if (tf != nullptr) {
-            if (tf->postmortem.has_value()) tf->postmortem->repeat = r;
+          sinks.coverage = votes.probes.get();
+          TrialOutcome outcome =
+              run_trial(plan, *mechanism, tc, nullptr, sinks);
+          if (forensics != nullptr) {
+            if (outcome.postmortem.has_value()) outcome.postmortem->repeat = r;
             votes.fates.push_back(
-                {outcome.survived, std::move(tf->postmortem)});
+                {outcome.survived, std::move(outcome.postmortem)});
           }
-          if (tt != nullptr) {
+          if (trial_telem.has_value()) {
             if (votes.telem == nullptr) {
               votes.telem = std::make_unique<telemetry::TrialTelemetry>(
-                  std::move(trial_telem));
+                  std::move(*trial_telem));
             } else {
-              telemetry::merge(votes.telem->counters, trial_telem.counters);
+              telemetry::merge(votes.telem->counters, trial_telem->counters);
               votes.telem->recovery_latency_ticks.merge(
-                  trial_telem.recovery_latency_ticks);
+                  trial_telem->recovery_latency_ticks);
               votes.telem->item_latency_ticks.merge(
-                  trial_telem.item_latency_ticks);
+                  trial_telem->item_latency_ticks);
             }
           }
           if (outcome.failure_observed) {
@@ -462,60 +401,31 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
         return votes;
       });
 
-  // Serial index-order fold of per-cell forensics: the post-mortem
-  // collection comes out in (mechanism, seed, repeat) order for every
-  // thread count.
-  if (forensics != nullptr) {
-    for (std::size_t m = 0; m < mechanisms.size(); ++m) {
-      for (std::size_t s = 0; s < seeds.size(); ++s) {
-        CellVotes& votes = cells[m * seeds.size() + s];
-        for (auto& fate : votes.fates) {
-          forensics->fold_trial(fate.survived, std::move(fate.postmortem));
-        }
+  // Serial reduction in (mechanism, seed) index order: the survival table
+  // and every attached study view — post-mortems in (mechanism, seed,
+  // repeat) order, the atlas, the metrics and kept traces — come out
+  // identical for every thread count.
+  for (std::size_t m = 0; m < mechanisms.size(); ++m) {
+    MechanismReport report;
+    report.mechanism = mechanisms[m].name;
+    report.generic = mechanisms[m].make()->is_generic();
+    for (std::size_t s = 0; s < seeds.size(); ++s) {
+      CellVotes& votes = cells[m * seeds.size() + s];
+      for (auto& fate : votes.fates) {
+        forensics->fold_trial(fate.survived, std::move(fate.postmortem));
       }
-    }
-  }
-
-  // Serial index-order fold of per-cell coverage: the atlas's totals,
-  // per-specimen vectors, and mechanism grids come out identical for every
-  // thread count.
-  if (coverage != nullptr) {
-    for (std::size_t m = 0; m < mechanisms.size(); ++m) {
-      for (std::size_t s = 0; s < seeds.size(); ++s) {
-        const CellVotes& votes = cells[m * seeds.size() + s];
-        if (votes.probes == nullptr) continue;
+      if (votes.probes != nullptr) {
         coverage->fold_cell(m, s, *votes.probes,
                             static_cast<std::uint64_t>(repeats),
                             static_cast<std::uint64_t>(votes.observed),
                             static_cast<std::uint64_t>(votes.survived));
       }
-    }
-  }
-
-  // Serial index-order fold of per-cell telemetry: study metrics and the
-  // kept traces come out identical for every thread count.
-  if (telemetry != nullptr) {
-    for (std::size_t m = 0; m < mechanisms.size(); ++m) {
-      for (std::size_t s = 0; s < seeds.size(); ++s) {
-        CellVotes& votes = cells[m * seeds.size() + s];
-        if (votes.telem == nullptr) continue;
+      if (votes.telem != nullptr) {
         telemetry->fold_trial(mechanisms[m].name,
                               mechanisms[m].name + "/" + seeds[s].fault_id,
                               std::move(*votes.telem),
                               /*keep_trace=*/true);
       }
-    }
-  }
-
-  for (std::size_t m = 0; m < mechanisms.size(); ++m) {
-    MechanismReport report;
-    report.mechanism = mechanisms[m].name;
-    {
-      auto probe = mechanisms[m].make();
-      report.generic = probe->is_generic();
-    }
-    for (std::size_t s = 0; s < seeds.size(); ++s) {
-      const CellVotes& votes = cells[m * seeds.size() + s];
       if (votes.observed == 0) {
         ++report.vacuous;
         continue;

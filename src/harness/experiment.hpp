@@ -14,6 +14,7 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "harness/transcript.hpp"
 #include "inject/specimen.hpp"
 #include "obs/atlas.hpp"
+#include "obs/bus.hpp"
 #include "recovery/mechanism.hpp"
 #include "telemetry/trial.hpp"
 
@@ -54,6 +56,9 @@ struct TrialOutcome {
   /// restart actually ran).
   bool state_preserved = true;
   std::string first_failure;
+  /// The reconstructed post-mortem; set iff the trial ran with a flight
+  /// recorder attached and did not survive.
+  std::optional<forensics::PostMortemRecord> postmortem;
 };
 
 /// What a traced trial leaves behind for the analysis layer: the resource
@@ -70,35 +75,25 @@ struct TrialObservation {
 /// process-table deltas, disk writes, recovery windows) alongside the
 /// protocol events.
 ///
-/// With `telemetry` set, the trial binds it as the environment's counter
-/// sink, times items and recoveries in simulated ticks, and records
-/// sim-domain spans (a "trial" root plus one "recovery/<mechanism>" span
-/// per recovery). Virtual time is simulation state, so the recorded
-/// telemetry is identical for every thread count.
-///
-/// With `forensics` set, the trial binds its flight-recorder ring as the
-/// environment's forensic sink: the harness protocol, environment resource
-/// transitions, application state changes, and recovery actions land in the
-/// ring as they happen. When the trial does NOT survive, the runner
-/// snapshots the ring plus the environment's resource state into
-/// `forensics->postmortem` and reconstructs the causal chain from injected
-/// fault to recovery outcome (forensics/postmortem.hpp); trials that ran
-/// traced also get detector verdicts folded into the chain's detection
-/// stage. Compiled out under -DFAULTSTUDY_FORENSICS=OFF.
-///
-/// With `coverage` set, the trial binds it as the environment's coverage
-/// sink: every probe the trial crosses — env denial branches, app state
-/// transitions, recovery-mechanism actions, the injected trigger, and the
-/// verdict — bumps its counter in the map. Probe counts are simulation
-/// state, so the map is identical for every thread count. Compiled out
-/// under -DFAULTSTUDY_COVERAGE=OFF.
+/// With any view of `sinks` attached, the trial binds the bus into the
+/// environment before anything happens, so every hook site — harness
+/// protocol, environment resource transitions, application state changes,
+/// recovery actions, the armed trigger and the verdict — lands in the
+/// attached views (obs/bus.hpp). Every view is simulation state and
+/// identical for every thread count. Per view:
+///   * telemetry: counters and tick histograms, plus sim-domain spans (a
+///     "trial" root and one "recovery/<mechanism>" span per recovery);
+///   * flight: the ring is stamped with the trial's clock; when the trial
+///     does NOT survive, the runner snapshots the ring plus the
+///     environment's resource state into `TrialOutcome::postmortem` and
+///     reconstructs the causal chain (forensics/postmortem.hpp). Traced
+///     trials also get detector verdicts folded into the detection stage;
+///   * coverage: one probe count per crossed probe.
 TrialOutcome run_trial(const inject::InjectionPlan& plan,
                        recovery::Mechanism& mechanism,
                        const TrialConfig& config = {},
                        TrialObservation* observation = nullptr,
-                       telemetry::TrialTelemetry* telemetry = nullptr,
-                       forensics::TrialForensics* forensics = nullptr,
-                       obs::CoverageMap* coverage = nullptr);
+                       const obs::TrialSinks& sinks = {});
 
 /// Mechanism factory, so the matrix can instantiate a fresh mechanism per
 /// trial (mechanisms hold per-trial checkpoints).
@@ -136,11 +131,15 @@ struct MechanismReport {
   std::size_t total_all() const noexcept {
     return total[0] + total[1] + total[2];
   }
+
+  bool operator==(const MechanismReport&) const = default;
 };
 
 struct MatrixResult {
   std::vector<MechanismReport> reports;
   std::size_t fault_count = 0;
+
+  bool operator==(const MatrixResult&) const = default;
 };
 
 /// Runs the full fault x mechanism matrix over the given seeds. `repeats`
@@ -149,23 +148,17 @@ struct MatrixResult {
 /// are probabilistic). Cells run on `config.threads` lanes; the result is
 /// identical for every thread count. Mechanism factories must be safe to
 /// invoke concurrently (the standard roster's stateless lambdas are).
-/// With `telemetry` set, every trial runs instrumented: counters and tick
-/// histograms from all repeats of a cell merge into one per-cell aggregate
-/// (held in the cell's index slot), and the serial reduction folds cells
-/// into `telemetry` in index order — so study-level metrics and the kept
-/// traces (the first repeat of each cell, labeled "mechanism/fault-id")
-/// are bit-identical for every thread count.
-/// With `forensics` set, every trial runs with a flight recorder attached
-/// and every failed trial's post-mortem (stamped with its repeat ordinal)
-/// lands in its cell's index slot; the serial reduction folds them into
-/// `forensics` in (mechanism, seed, repeat) order, so the post-mortem
-/// collection — and everything triage/export derives from it — is
-/// bit-identical for every thread count.
-/// With `coverage` set, every trial records its probe map; repeats of a
-/// cell merge into one per-cell map (held in the cell's index slot), and
-/// the serial reduction folds cells into the atlas in (mechanism, seed)
-/// index order — so the atlas, its blind-spot list, and every export
-/// derived from it are bit-identical for every thread count.
+/// Each study sink attaches the matching view of every trial's bus; a
+/// bare matrix binds no sink at all. Per-cell aggregates live in the
+/// cell's index slot and the serial reduction folds them in (mechanism,
+/// seed) index order, so every study view is bit-identical for every
+/// thread count:
+///   * `telemetry`: counters and tick histograms summed over a cell's
+///     repeats; the kept trace is the first repeat's, labeled
+///     "mechanism/fault-id";
+///   * `forensics`: every failed trial's post-mortem, stamped with its
+///     repeat ordinal, in (mechanism, seed, repeat) order;
+///   * `coverage`: one probe map per cell, folded into the atlas.
 MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
                         const std::vector<NamedMechanism>& mechanisms,
                         const TrialConfig& config = {}, int repeats = 3,

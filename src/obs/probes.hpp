@@ -1,21 +1,15 @@
-// Coverage-probe primitives: the compile-time gate, the probe site
-// enumeration, and the plain per-trial CoverageMap instrumented components
-// write into.
+// Coverage-probe primitives: the probe site enumeration and the plain
+// per-trial CoverageMap, the coverage view of the observation bus
+// (obs/bus.hpp).
 //
 // A probe is the cheapest possible observation: "this branch ran". The atlas
 // layer (obs/atlas.hpp) folds per-trial maps into a study-wide coverage
-// atlas; this header is the hot-path half and follows the cost model of
-// telemetry/counters.hpp and forensics/recorder.hpp exactly:
-//
-//   * disabled at compile time (-DFAULTSTUDY_COVERAGE=OFF): every FS_COVER
-//     site expands to nothing — true zero overhead;
-//   * compiled in but no sink attached (the default at runtime): one
-//     predictable `ptr != nullptr` branch per site;
-//   * attached: one array-indexed increment into a preallocated slot.
+// atlas; an attached map costs one array-indexed increment per event whose
+// bus row names a probe.
 //
 // Determinism contract: a trial is single-threaded and owns its CoverageMap;
 // parallel sweeps give every matrix cell its own map in a per-index slot and
-// merge serially in index order (the PR 2 contract), so the folded atlas is
+// merge serially in index order (DESIGN.md §8), so the folded atlas is
 // bit-identical for every thread count. Every value is an integer.
 #pragma once
 
@@ -24,36 +18,6 @@
 #include <cstdint>
 
 #include "core/taxonomy.hpp"
-
-// CMake defines FAULTSTUDY_COVERAGE to 0 or 1; default to enabled for
-// builds that bypass the option (e.g. direct compiler invocations).
-#ifndef FAULTSTUDY_COVERAGE
-#define FAULTSTUDY_COVERAGE 1
-#endif
-
-// Runs `expr` on the sink when coverage is compiled in and `sink` is
-// non-null: FS_COVER(coverage_, hit(obs::Site::kEnvFdDenied)). The sink
-// expression is evaluated exactly once.
-#if FAULTSTUDY_COVERAGE
-#define FS_COVER(sink, expr)              \
-  do {                                    \
-    if (auto* fs_cover_sink = (sink)) {   \
-      fs_cover_sink->expr;                \
-    }                                     \
-  } while (0)
-#else
-// Disabled: the site still type-checks (so both build modes stay honest)
-// but `if constexpr (false)` guarantees zero generated code, including the
-// evaluation of `sink`.
-#define FS_COVER(sink, expr)                \
-  do {                                      \
-    if constexpr (false) {                  \
-      if (auto* fs_cover_sink = (sink)) {   \
-        fs_cover_sink->expr;                \
-      }                                     \
-    }                                       \
-  } while (0)
-#endif
 
 namespace faultstudy::obs {
 

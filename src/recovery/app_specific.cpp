@@ -22,9 +22,7 @@ bool app_recoverable(core::Trigger trigger) noexcept {
 void AppSpecific::attach(apps::SimApp& app, env::Environment& e) {
   (void)app;
   e.scheduler().set_replay_bias(ReplayBias::kAppSpecific);
-  counters_ = e.counters();
-  flight_ = e.flight();
-  coverage_ = e.coverage();
+  sinks_ = e.sinks();
 }
 
 RecoveryAction AppSpecific::recover(apps::SimApp& app, env::Environment& e) {
@@ -49,10 +47,7 @@ void AppSpecific::prepare_retry(apps::WorkItem& item) {
       // page instead of handing it to the buggy code path.
       item.poison = false;
       item.op = std::string(apps::kRejectedOp);
-      FS_TELEM(counters_, recovery.retries_sanitized++);
-      FS_FORENSIC(flight_,
-                  record(forensics::FlightCode::kRetrySanitized, item.id));
-      FS_COVER(coverage_, hit(obs::Site::kRecRetrySanitized));
+      obs::emit(sinks_, obs::Event::kRetrySanitized, item.id);
     }
     sanitize_next_ = false;
   }

@@ -10,10 +10,8 @@
 // operator. The recovery-matrix bench reports these separately.
 #pragma once
 
-#include "forensics/recorder.hpp"
-#include "obs/probes.hpp"
+#include "obs/bus.hpp"
 #include "recovery/mechanism.hpp"
-#include "telemetry/counters.hpp"
 
 namespace faultstudy::recovery {
 
@@ -38,10 +36,8 @@ class AppSpecific final : public Mechanism {
  private:
   bool sanitize_next_ = false;
   // prepare_retry has no Environment parameter; attach caches the trial's
-  // sinks so sanitized retries are still counted and flight-recorded.
-  telemetry::TrialCounters* counters_ = nullptr;
-  forensics::FlightRecorder* flight_ = nullptr;
-  obs::CoverageMap* coverage_ = nullptr;
+  // sinks so sanitized retries are still observed.
+  const obs::TrialSinks* sinks_ = nullptr;
 };
 
 /// True when the trigger's condition is reachable by application-level

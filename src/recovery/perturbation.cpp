@@ -12,7 +12,7 @@ void sweep_application(apps::SimApp& app, env::Environment& e) {
   e.processes().kill_owned_by(children);
   e.network().release_ports_of(owner);
   e.network().release_ports_of(children);
-  FS_COVER(e.coverage(), hit(obs::Site::kRecSweep));
+  e.emit(obs::Event::kSweep);
 }
 
 }  // namespace faultstudy::recovery

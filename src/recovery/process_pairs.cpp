@@ -20,9 +20,7 @@ RecoveryAction ProcessPairs::recover(apps::SimApp& app, env::Environment& e) {
   RecoveryAction action;
   action.recovered = app.restore(backup_, e);
   action.rewind_items = 0;  // the backup is synced to the last completed op
-  FS_TELEM(e.counters(), recovery.failovers++);
-  FS_FORENSIC(e.flight(), record(forensics::FlightCode::kFailover));
-  FS_COVER(e.coverage(), hit(obs::Site::kRecFailover));
+  e.emit(obs::Event::kFailover);
   return action;
 }
 

@@ -16,9 +16,7 @@ RecoveryAction Rejuvenation::recover(apps::SimApp& app, env::Environment& e) {
   RecoveryAction action;
   action.recovered = app.running();
   action.rewind_items = 0;
-  FS_TELEM(e.counters(), recovery.rejuvenation_cycles++);
-  FS_FORENSIC(e.flight(), record(forensics::FlightCode::kRejuvenation));
-  FS_COVER(e.coverage(), hit(obs::Site::kRecRejuvenation));
+  e.emit(obs::Event::kRejuvenation);
   return action;
 }
 
@@ -39,9 +37,7 @@ void ScheduledRejuvenation::on_item_success(apps::SimApp& app,
   e.advance(RecoveryCosts::kRejuvenation / 2);
   sweep_application(app, e);
   app.rejuvenate(e);
-  FS_TELEM(e.counters(), recovery.proactive_rejuvenations++);
-  FS_FORENSIC(e.flight(), record(forensics::FlightCode::kRejuvenation, 1));
-  FS_COVER(e.coverage(), hit(obs::Site::kRecProactiveRejuvenation));
+  e.emit(obs::Event::kProactiveRejuvenation, 1);
 }
 
 RecoveryAction ScheduledRejuvenation::recover(apps::SimApp& app,
@@ -54,9 +50,7 @@ RecoveryAction ScheduledRejuvenation::recover(apps::SimApp& app,
   since_ = 0;
   RecoveryAction action;
   action.recovered = app.running();
-  FS_TELEM(e.counters(), recovery.rejuvenation_cycles++);
-  FS_FORENSIC(e.flight(), record(forensics::FlightCode::kRejuvenation));
-  FS_COVER(e.coverage(), hit(obs::Site::kRecRejuvenation));
+  e.emit(obs::Event::kRejuvenation);
   return action;
 }
 

@@ -16,9 +16,7 @@ RecoveryAction ColdRestart::recover(apps::SimApp& app, env::Environment& e) {
   RecoveryAction action;
   action.recovered = app.start(e);
   action.rewind_items = 0;  // in-flight work is simply lost, not replayed
-  FS_TELEM(e.counters(), recovery.cold_restarts++);
-  FS_FORENSIC(e.flight(), record(forensics::FlightCode::kColdRestart));
-  FS_COVER(e.coverage(), hit(obs::Site::kRecColdRestart));
+  e.emit(obs::Event::kColdRestart);
   return action;
 }
 

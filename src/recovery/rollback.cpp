@@ -16,18 +16,14 @@ void RollbackRetry::attach(apps::SimApp& app, env::Environment& e) {
   e.scheduler().set_replay_bias(replay_bias());
   checkpoint_ = app.snapshot();
   since_checkpoint_ = 0;
-  FS_TELEM(e.counters(), recovery.checkpoints++);
-  FS_FORENSIC(e.flight(), record(forensics::FlightCode::kCheckpoint));
-  FS_COVER(e.coverage(), hit(obs::Site::kRecCheckpoint));
+  e.emit(obs::Event::kCheckpoint);
 }
 
 void RollbackRetry::on_item_success(apps::SimApp& app, env::Environment& e) {
   if (++since_checkpoint_ >= interval_) {
     checkpoint_ = app.snapshot();
     since_checkpoint_ = 0;
-    FS_TELEM(e.counters(), recovery.checkpoints++);
-    FS_FORENSIC(e.flight(), record(forensics::FlightCode::kCheckpoint));
-    FS_COVER(e.coverage(), hit(obs::Site::kRecCheckpoint));
+    e.emit(obs::Event::kCheckpoint);
   }
 }
 

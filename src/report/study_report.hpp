@@ -32,8 +32,6 @@ struct StudyReportOptions {
   bool include_forensics = true;
   /// Run the matrix with coverage probes folded into an atlas and render
   /// the coverage section (probe totals, taxonomy cells, blind spots).
-  /// Under -DFAULTSTUDY_COVERAGE=OFF the probes compile out and the
-  /// section reports zero coverage.
   bool include_coverage = true;
   /// Matrix repeats per (fault, mechanism) cell.
   int matrix_repeats = 3;

@@ -1,83 +1,20 @@
-// Telemetry hot-path primitives: the compile-time gate and the plain
-// per-trial counter structs that instrumented components write into.
-//
-// Two cost tiers, by design:
-//
-//   * disabled at compile time (-DFAULTSTUDY_TELEMETRY=OFF): every FS_TELEM
-//     site expands to nothing — true zero overhead;
-//   * compiled in but no sink attached (the default at runtime): one
-//     predictable `ptr != nullptr` branch per site, nothing else.
+// The plain per-trial counter structs the observation bus (obs/bus.hpp)
+// bumps: every TrialCounters field is named by at least one row of the bus's
+// event table.
 //
 // Everything in this header is a plain struct of integers. A trial is
 // single-threaded, so increments need no atomics; parallel sweeps give every
 // trial its own struct in a per-index slot and merge serially in index order
-// (the PR 2 determinism contract), which is what keeps aggregated telemetry
-// bit-identical across thread counts.
+// (the executor's determinism contract, DESIGN.md §8), which is what keeps
+// aggregated telemetry bit-identical across thread counts.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
-// CMake defines FAULTSTUDY_TELEMETRY to 0 or 1; default to enabled for
-// builds that bypass the option (e.g. direct compiler invocations).
-#ifndef FAULTSTUDY_TELEMETRY
-#define FAULTSTUDY_TELEMETRY 1
-#endif
-
-// Runs `expr` on the sink when telemetry is compiled in and `sink` is
-// non-null: FS_TELEM(e.counters(), resources.dns_lookups++). The sink
-// expression is evaluated exactly once.
-#if FAULTSTUDY_TELEMETRY
-#define FS_TELEM(sink, expr)                 \
-  do {                                       \
-    if (auto* fs_telem_sink = (sink)) {      \
-      fs_telem_sink->expr;                   \
-    }                                        \
-  } while (0)
-#else
-// Disabled: the site still type-checks (so both build modes stay honest)
-// but `if constexpr (false)` guarantees zero generated code, including the
-// evaluation of `sink`.
-#define FS_TELEM(sink, expr)              \
-  do {                                    \
-    if constexpr (false) {                \
-      if (auto* fs_telem_sink = (sink)) { \
-        fs_telem_sink->expr;              \
-      }                                   \
-    }                                     \
-  } while (0)
-#endif
-
-// Raises a high-watermark field: FS_TELEM_PEAK(counters, peak_fds, used()).
-#if FAULTSTUDY_TELEMETRY
-#define FS_TELEM_PEAK(sink, field, value)                            \
-  do {                                                               \
-    if (auto* fs_telem_sink = (sink)) {                              \
-      const auto fs_telem_value = static_cast<std::uint64_t>(value); \
-      if (fs_telem_value > fs_telem_sink->field) {                   \
-        fs_telem_sink->field = fs_telem_value;                       \
-      }                                                              \
-    }                                                                \
-  } while (0)
-#else
-#define FS_TELEM_PEAK(sink, field, value)                            \
-  do {                                                               \
-    if constexpr (false) {                                           \
-      if (auto* fs_telem_sink = (sink)) {                            \
-        const auto fs_telem_value = static_cast<std::uint64_t>(value); \
-        if (fs_telem_value > fs_telem_sink->field) {                 \
-          fs_telem_sink->field = fs_telem_value;                     \
-        }                                                            \
-      }                                                              \
-    }                                                                \
-  } while (0)
-#endif
-
 namespace faultstudy::telemetry {
 
-/// What the simulated environment's resources did during one trial. Each
-/// subsystem holds a pointer to this struct (bound by
-/// env::Environment::set_counters) and bumps its own fields.
+/// What the simulated environment's resources did during one trial.
 struct ResourceCounters {
   // Process table.
   std::uint64_t proc_spawns = 0;
@@ -113,11 +50,12 @@ struct ResourceCounters {
   std::uint64_t entropy_reads = 0;
   std::uint64_t entropy_blocked = 0;  ///< read wanted more bits than held
   std::uint64_t entropy_bits_taken = 0;
+
+  bool operator==(const ResourceCounters&) const = default;
 };
 
-/// What the recovery machinery did during one trial. The trial runner
-/// counts attempts/outcomes; mechanisms bump their own specifics through
-/// env::Environment::counters().
+/// What the recovery machinery did during one trial: the trial runner's
+/// attempts/outcomes plus each mechanism's own actions.
 struct RecoveryCounters {
   std::uint64_t attempts = 0;
   std::uint64_t successes = 0;
@@ -129,6 +67,8 @@ struct RecoveryCounters {
   std::uint64_t rejuvenation_cycles = 0;  ///< reactive rejuvenation passes
   std::uint64_t proactive_rejuvenations = 0;  ///< scheduled (quiescent) passes
   std::uint64_t retries_sanitized = 0;  ///< wrapper rejected a killer input
+
+  bool operator==(const RecoveryCounters&) const = default;
 };
 
 /// What the simulated application did during one trial, beyond the
@@ -139,16 +79,17 @@ struct AppCounters {
   std::uint64_t cgi_children = 0;
   std::uint64_t queries_ok = 0;  ///< database
   std::uint64_t ui_events = 0;   ///< desktop
+
+  bool operator==(const AppCounters&) const = default;
 };
 
-/// The per-trial counter sink the environment hands out to everything it
-/// hosts. env::Environment::set_counters(&trial_telemetry.counters) binds
-/// the resource block into every subsystem and exposes the whole struct to
-/// apps and mechanisms.
+/// The per-trial counter view of the observation bus.
 struct TrialCounters {
   ResourceCounters resources;
   RecoveryCounters recovery;
   AppCounters app;
+
+  bool operator==(const TrialCounters&) const = default;
 };
 
 /// Field-wise sum (for folding repeat trials of one matrix cell together).

@@ -98,17 +98,13 @@ class SpanScope {
   std::size_t index_ = 0;
 };
 
-#define FS_TELEM_CAT2(a, b) a##b
-#define FS_TELEM_CAT(a, b) FS_TELEM_CAT2(a, b)
+#define TELEM_SPAN_CAT2(a, b) a##b
+#define TELEM_SPAN_CAT(a, b) TELEM_SPAN_CAT2(a, b)
 
 // TELEM_SPAN(tracer_ptr, "recovery/rollback"): scoped span tied to the
-// enclosing block. Compiles to a void cast when telemetry is off.
-#if FAULTSTUDY_TELEMETRY
-#define TELEM_SPAN(tracer, name)                               \
-  ::faultstudy::telemetry::SpanScope FS_TELEM_CAT(             \
-      fs_telem_span_, __LINE__)((tracer), (name))
-#else
-#define TELEM_SPAN(tracer, name) static_cast<void>(tracer)
-#endif
+// enclosing block; a null tracer records nothing.
+#define TELEM_SPAN(tracer, name)                 \
+  ::faultstudy::telemetry::SpanScope TELEM_SPAN_CAT( \
+      telem_span_, __LINE__)((tracer), (name))
 
 }  // namespace faultstudy::telemetry

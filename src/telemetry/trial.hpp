@@ -20,8 +20,8 @@
 
 namespace faultstudy::telemetry {
 
-/// Everything one trial records. Bind `spans` to the trial's clock and
-/// `counters` into the environment before running.
+/// Everything one trial records: the telemetry view of the observation bus
+/// (obs::TrialSinks), which run_trial binds to the trial's clock.
 struct TrialTelemetry {
   TrialTelemetry();
 

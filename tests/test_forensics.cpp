@@ -14,6 +14,7 @@
 #include "forensics/recorder.hpp"
 #include "forensics/triage.hpp"
 #include "harness/experiment.hpp"
+#include "obs/bus.hpp"
 
 namespace faultstudy {
 namespace {
@@ -83,24 +84,19 @@ TEST(FlightRecorder, ClearResetsWithoutReallocating) {
   EXPECT_EQ(ring.capacity(), 8u);
 }
 
-#if FAULTSTUDY_FORENSICS
 TEST(ForensicMacro, NullSinkIsANoOp) {
+  // The flight view through the bus: an unbound bus records nothing, a
+  // bound one records the row's flight code.
   FlightRecorder ring;
-  FlightRecorder* sink = nullptr;
-  FS_FORENSIC(sink, record(FlightCode::kCheckpoint));
+  const obs::TrialSinks* sinks = nullptr;
+  obs::emit(sinks, obs::Event::kCheckpoint);
   EXPECT_TRUE(ring.empty());
-  sink = &ring;
-  FS_FORENSIC(sink, record(FlightCode::kCheckpoint));
-  EXPECT_EQ(ring.size(), 1u);
+  const obs::TrialSinks bound{.flight = &ring};
+  sinks = &bound;
+  obs::emit(sinks, obs::Event::kCheckpoint);
+  ASSERT_EQ(ring.size(), 1u);
+  EXPECT_EQ(ring.chronological()[0].code, FlightCode::kCheckpoint);
 }
-#else
-TEST(ForensicMacro, CompilesOutEntirely) {
-  FlightRecorder ring;
-  FlightRecorder* sink = &ring;
-  FS_FORENSIC(sink, record(FlightCode::kCheckpoint));
-  EXPECT_TRUE(ring.empty());
-}
-#endif
 
 // --- causal-chain reconstruction ------------------------------------------
 
@@ -146,22 +142,19 @@ TEST(PostMortem, DirectFailureHasNoResourcePrelude) {
   EXPECT_EQ(pm.propagation, FlightCode::kCount);
 }
 
-// Trial-runner integration only exists when the layer is compiled in; the
-// pure reconstruction and triage tests above run either way.
-#if FAULTSTUDY_FORENSICS
 TEST(PostMortem, KnownSpecimenReconstructsFullChain) {
   // apache-ei-01 is environment-independent: cold-restart retries the same
   // poisoned input until the per-item cap, deterministically failing.
   const auto& seed = seed_by_id("apache-ei-01");
   const auto plan = inject::plan_for(seed, 42);
   auto mechanism = mechanism_by_name("cold-restart")();
-  forensics::TrialForensics forens;
+  FlightRecorder ring;
   const auto outcome =
-      harness::run_trial(plan, *mechanism, {}, nullptr, nullptr, &forens);
+      harness::run_trial(plan, *mechanism, {}, nullptr, {.flight = &ring});
 
   ASSERT_FALSE(outcome.survived);
-  ASSERT_TRUE(forens.postmortem.has_value());
-  const auto& pm = *forens.postmortem;
+  ASSERT_TRUE(outcome.postmortem.has_value());
+  const auto& pm = *outcome.postmortem;
   EXPECT_EQ(pm.fault_id, "apache-ei-01");
   EXPECT_EQ(pm.mechanism, "cold-restart");
   EXPECT_EQ(pm.verdict, TrialVerdict::kRetryCapExceeded);
@@ -185,12 +178,12 @@ TEST(PostMortem, TracedSpecimenCarriesDetectorVerdicts) {
   const auto plan = inject::plan_for(seed, 42);
   auto mechanism = mechanism_by_name("cold-restart")();
   harness::TrialObservation observation;
-  forensics::TrialForensics forens;
+  FlightRecorder ring;
   const auto outcome = harness::run_trial(plan, *mechanism, {}, &observation,
-                                          nullptr, &forens);
+                                          {.flight = &ring});
   ASSERT_FALSE(outcome.survived);
-  ASSERT_TRUE(forens.postmortem.has_value());
-  EXPECT_TRUE(forens.postmortem->analyzed);
+  ASSERT_TRUE(outcome.postmortem.has_value());
+  EXPECT_TRUE(outcome.postmortem->analyzed);
 }
 
 TEST(PostMortem, SurvivorProducesNoPostMortem) {
@@ -199,14 +192,13 @@ TEST(PostMortem, SurvivorProducesNoPostMortem) {
   const auto& seed = seed_by_id("apache-edn-02");
   const auto plan = inject::plan_for(seed, 42);
   auto mechanism = mechanism_by_name("cold-restart")();
-  forensics::TrialForensics forens;
+  FlightRecorder ring;
   const auto outcome =
-      harness::run_trial(plan, *mechanism, {}, nullptr, nullptr, &forens);
+      harness::run_trial(plan, *mechanism, {}, nullptr, {.flight = &ring});
   EXPECT_TRUE(outcome.survived);
-  EXPECT_FALSE(forens.postmortem.has_value());
-  EXPECT_FALSE(forens.ring.empty());
+  EXPECT_FALSE(outcome.postmortem.has_value());
+  EXPECT_FALSE(ring.empty());
 }
-#endif  // FAULTSTUDY_FORENSICS
 
 TEST(StudyForensics, FoldCountsSurvivorsWithoutRecords) {
   forensics::StudyForensics study;
@@ -225,7 +217,6 @@ TEST(StudyForensics, FoldCountsSurvivorsWithoutRecords) {
 
 // --- full-corpus determinism ----------------------------------------------
 
-#if FAULTSTUDY_FORENSICS
 struct MatrixRun {
   harness::MatrixResult matrix;
   forensics::StudyForensics study;
@@ -273,7 +264,6 @@ TEST(StudyForensics, FullCorpusPostMortemsAreLaneIdentical) {
             forensics::render_explorer_html(wide.study, clusters_wide, rows,
                                             "t"));
 }
-#endif  // FAULTSTUDY_FORENSICS
 
 // --- triage ---------------------------------------------------------------
 

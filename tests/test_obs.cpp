@@ -74,19 +74,12 @@ TEST(CoverageProbes, TrialRecordsProbesWhenCompiledIn) {
   const auto plan = inject::plan_for(seeds[0], 42);
   auto mechanism = harness::standard_mechanisms()[0].make();
   obs::CoverageMap map;
-  (void)harness::run_trial(plan, *mechanism, {}, nullptr, nullptr, nullptr,
-                           &map);
-#if FAULTSTUDY_COVERAGE
+  (void)harness::run_trial(plan, *mechanism, {}, nullptr, {.coverage = &map});
   // The trial must at least arm its trigger, start the app, attach the
   // mechanism, and reach a verdict.
   EXPECT_GT(map.count_inject(seeds[0].trigger), 0u);
   EXPECT_GT(map.count(obs::Site::kAppStarted), 0u);
   EXPECT_GT(map.count(obs::Site::kRecAttach), 0u);
-#else
-  // Compile-out check: with FAULTSTUDY_COVERAGE=OFF every FS_COVER site
-  // expands to nothing, so an attached sink stays empty.
-  EXPECT_TRUE(map.empty());
-#endif
 }
 
 // --- atlas fold determinism ------------------------------------------------
@@ -168,7 +161,6 @@ TEST(CoverageAtlas, FullMatrixLeavesNoStructuralEnvBlindSpotsUnexpected) {
   config.threads = 0;
   (void)harness::run_matrix(seeds, mechanisms, config, 3, nullptr, nullptr,
                             &atlas);
-#if FAULTSTUDY_COVERAGE
   // Every trigger recipe in the corpus must arm at least once: the inject
   // plane covers every taxonomy cell the corpus names.
   const std::size_t inject_hits = atlas.cells_covered();
@@ -186,9 +178,6 @@ TEST(CoverageAtlas, FullMatrixLeavesNoStructuralEnvBlindSpotsUnexpected) {
   EXPECT_GT(atlas.totals().count(obs::Site::kAppStarted), 0u);
   EXPECT_GT(atlas.totals().count(obs::Site::kRecAttach), 0u);
   EXPECT_GT(atlas.totals().count(obs::Site::kTrialSurvived), 0u);
-#else
-  EXPECT_EQ(atlas.probes_hit(), 0u);
-#endif
 }
 
 // --- baseline round-trip and drift ----------------------------------------
@@ -234,26 +223,14 @@ TEST_F(BaselineTest, ParseRejectsGarbageAndWrongSchema) {
 }
 
 TEST_F(BaselineTest, LostCoverageIsFatalDrift) {
-  obs::StudySnapshot baseline = snapshot_;
   obs::StudySnapshot perturbed = snapshot_;
-  bool diverged = false;
-  for (std::size_t i = 0; i < baseline.probes.size(); ++i) {
-    if (baseline.probes[i].hits > 0) {
-      perturbed.probes[i].hits = 0;
-      diverged = true;
-      break;
-    }
-  }
-  if (!diverged) {
-    // Probes compiled out: every row is zero-hit, so grant the baseline a
-    // hit instead — the same drift, coverage the candidate lost.
-    ASSERT_FALSE(baseline.probes.empty());
-    baseline.probes[0].hits = 7;
-    diverged = true;
-  }
-  ASSERT_TRUE(diverged);
+  const auto hit = std::find_if(
+      perturbed.probes.begin(), perturbed.probes.end(),
+      [](const auto& probe) { return probe.hits > 0; });
+  ASSERT_NE(hit, perturbed.probes.end());
+  hit->hits = 0;
   // Candidate lost coverage the baseline had -> fatal.
-  const auto drift = obs::diff(baseline, perturbed);
+  const auto drift = obs::diff(snapshot_, perturbed);
   EXPECT_TRUE(drift.regressed()) << obs::render_text(drift);
 }
 

@@ -17,6 +17,7 @@
 #include "env/clock.hpp"
 #include "harness/experiment.hpp"
 #include "mining/pipeline.hpp"
+#include "obs/bus.hpp"
 #include "telemetry/counters.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
@@ -168,20 +169,21 @@ TEST(SpanTracer, UnboundTracerRecordsNothing) {
   { telemetry::SpanScope null_scope(nullptr, "also ignored"); }
 }
 
-#if FAULTSTUDY_TELEMETRY
 TEST(TelemetryMacros, NullSinkIsANoOp) {
-  telemetry::TrialCounters counters;
-  telemetry::TrialCounters* sink = nullptr;
-  FS_TELEM(sink, resources.proc_spawns++);
-  EXPECT_EQ(counters.resources.proc_spawns, 0u);
-  sink = &counters;
-  FS_TELEM(sink, resources.proc_spawns++);
-  EXPECT_EQ(counters.resources.proc_spawns, 1u);
-  FS_TELEM_PEAK(&counters.resources, peak_procs, 9);
-  FS_TELEM_PEAK(&counters.resources, peak_procs, 3);
-  EXPECT_EQ(counters.resources.peak_procs, 9u);
+  // The counter view through the bus: an unbound bus is skipped, a bound
+  // one bumps the row's counter and keeps the row's peak.
+  telemetry::TrialTelemetry telemetry;
+  const obs::TrialSinks* sinks = nullptr;
+  obs::emit(sinks, obs::Event::kProcSpawned, 1, 9);
+  EXPECT_EQ(telemetry.counters.resources.proc_spawns, 0u);
+  const obs::TrialSinks bound{.telemetry = &telemetry};
+  sinks = &bound;
+  obs::emit(sinks, obs::Event::kProcSpawned, 1, 9);
+  EXPECT_EQ(telemetry.counters.resources.proc_spawns, 1u);
+  obs::emit(sinks, obs::Event::kProcSpawned, 2, 3);
+  EXPECT_EQ(telemetry.counters.resources.proc_spawns, 2u);
+  EXPECT_EQ(telemetry.counters.resources.peak_procs, 9u);
 }
-#endif
 
 // --- exporters ------------------------------------------------------------
 
@@ -306,7 +308,6 @@ TEST(PoolStats, AmbientSinkProfilesTransientPools) {
 
 // --- determinism ----------------------------------------------------------
 
-#if FAULTSTUDY_TELEMETRY
 TEST(TelemetryDeterminism, InstrumentedTrialMatchesItselfAndCounts) {
   const auto seeds = corpus::all_seeds();
   ASSERT_FALSE(seeds.empty());
@@ -315,13 +316,9 @@ TEST(TelemetryDeterminism, InstrumentedTrialMatchesItselfAndCounts) {
 
   telemetry::TrialTelemetry a;
   telemetry::TrialTelemetry b;
-  {
+  for (telemetry::TrialTelemetry* t : {&a, &b}) {
     auto mech = factory();
-    harness::run_trial(plan, *mech, {}, nullptr, &a);
-  }
-  {
-    auto mech = factory();
-    harness::run_trial(plan, *mech, {}, nullptr, &b);
+    harness::run_trial(plan, *mech, {}, nullptr, {.telemetry = t});
   }
   EXPECT_EQ(a.spans.spans(), b.spans.spans());
   EXPECT_EQ(a.recovery_latency_ticks, b.recovery_latency_ticks);
@@ -371,29 +368,6 @@ TEST(TelemetryDeterminism, MatrixSnapshotsAndTracesMatchAcrossThreadCounts) {
             telemetry::to_prometheus(wide->metrics.snapshot()));
 }
 
-TEST(TelemetryDeterminism, InstrumentationDoesNotChangeResults) {
-  // Telemetry observes; it must never steer. The matrix with and without a
-  // sink attached reports the same survival table.
-  auto seeds = corpus::all_seeds();
-  seeds.resize(12);
-  const auto mechanisms = harness::standard_mechanisms();
-  harness::TrialConfig config;
-  config.threads = 2;
-
-  const auto bare = harness::run_matrix(seeds, mechanisms, config);
-  telemetry::StudyTelemetry telem;
-  const auto instrumented =
-      harness::run_matrix(seeds, mechanisms, config, 3, &telem);
-
-  ASSERT_EQ(bare.reports.size(), instrumented.reports.size());
-  for (std::size_t i = 0; i < bare.reports.size(); ++i) {
-    EXPECT_EQ(bare.reports[i].survived, instrumented.reports[i].survived);
-    EXPECT_EQ(bare.reports[i].total, instrumented.reports[i].total);
-  }
-  EXPECT_FALSE(telem.metrics.snapshot().empty());
-  EXPECT_FALSE(telem.traces.empty());
-}
-
 TEST(TelemetryDeterminism, PipelineProfileDoesNotChangeMinedBugs) {
   const auto tracker = corpus::make_apache_tracker();
   mining::PipelineOptions bare;
@@ -414,7 +388,6 @@ TEST(TelemetryDeterminism, PipelineProfileDoesNotChangeMinedBugs) {
   EXPECT_TRUE(profile.spans.wall_domain());
   EXPECT_FALSE(profile.metrics.snapshot().empty());
 }
-#endif  // FAULTSTUDY_TELEMETRY
 
 }  // namespace
 }  // namespace faultstudy
