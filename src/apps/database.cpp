@@ -1,9 +1,52 @@
 #include "apps/database.hpp"
 
+#include <map>
+#include <mutex>
+
 #include "env/interleave.hpp"
 #include "util/strings.hpp"
 
 namespace faultstudy::apps {
+
+namespace {
+
+sql::Engine build_catalog(std::size_t orders_rows) {
+  sql::Engine engine;
+  engine.execute("CREATE TABLE orders (id INT, state TEXT)");
+  engine.execute("CREATE TABLE customers (id INT, name TEXT)");
+  engine.execute("CREATE TABLE sessions (id INT, expires INT)");
+  engine.execute("CREATE TABLE audit_log (id INT, entry TEXT)");  // empty
+  for (std::size_t i = 0; i < orders_rows; ++i) {
+    engine.execute("INSERT INTO orders VALUES (" + std::to_string(i) +
+                   ", 'open')");
+  }
+  for (int i = 0; i < 40; ++i) {
+    engine.execute("INSERT INTO customers VALUES (" + std::to_string(i) +
+                   ", 'customer" + std::to_string(i) + "')");
+  }
+  for (int i = 0; i < 20; ++i) {
+    engine.execute("INSERT INTO sessions VALUES (" + std::to_string(i) +
+                   ", " + std::to_string(100 + i) + ")");
+  }
+  return engine;
+}
+
+/// The process-wide catalog image for `orders_rows`, built on first use.
+/// Images are never erased or written: each keeps one reference to its
+/// tables' row storage for the life of the process, so a lane's copy can
+/// never mistake that storage for its own (sql::Table::detach).
+const sql::Engine& catalog_image(std::size_t orders_rows) {
+  static std::mutex mu;
+  static std::map<std::size_t, const sql::Engine> images;
+  const std::lock_guard lock(mu);
+  auto it = images.find(orders_rows);
+  if (it == images.end()) {
+    it = images.emplace(orders_rows, build_catalog(orders_rows)).first;
+  }
+  return it->second;
+}
+
+}  // namespace
 
 struct Database::DbSnapshot : Snapshot {
   BaseState base;
@@ -46,23 +89,20 @@ void Database::arm_fault(const ActiveFault& fault) {
 
 void Database::create_catalog() {
   const auto flags = engine_.fault_flags();
-  engine_ = sql::Engine(flags);
-  engine_.execute("CREATE TABLE orders (id INT, state TEXT)");
-  engine_.execute("CREATE TABLE customers (id INT, name TEXT)");
-  engine_.execute("CREATE TABLE sessions (id INT, expires INT)");
-  engine_.execute("CREATE TABLE audit_log (id INT, entry TEXT)");  // empty
-  for (std::size_t i = 0; i < config_.orders_rows; ++i) {
-    engine_.execute("INSERT INTO orders VALUES (" + std::to_string(i) +
-                    ", 'open')");
+  engine_ = catalog_image(config_.orders_rows);
+  engine_.set_fault_flags(flags);
+}
+
+sql::ExecResult Database::execute(const std::string& sql) {
+  auto it = statements_.find(sql);
+  if (it == statements_.end()) {
+    auto parsed = sql::parse(sql);
+    if (!parsed.ok()) {
+      return {sql::ExecStatus::kError, parsed.error(), {}, 0};
+    }
+    it = statements_.emplace(sql, std::move(parsed).value()).first;
   }
-  for (int i = 0; i < 40; ++i) {
-    engine_.execute("INSERT INTO customers VALUES (" + std::to_string(i) +
-                    ", 'customer" + std::to_string(i) + "')");
-  }
-  for (int i = 0; i < 20; ++i) {
-    engine_.execute("INSERT INTO sessions VALUES (" + std::to_string(i) +
-                    ", " + std::to_string(100 + i) + ")");
-  }
+  return engine_.execute(it->second);
 }
 
 bool Database::start(env::Environment& e) {
@@ -115,7 +155,7 @@ StepResult Database::handle(const WorkItem& item, env::Environment& e) {
       (void)e.dns().reverse(item.client_address, e.now());
     }
   } else {
-    const sql::ExecResult result = engine_.execute(item.op);
+    const sql::ExecResult result = execute(item.op);
     if (result.status == sql::ExecStatus::kCrash) {
       running_ = false;
       return {StepStatus::kCrash, result.message};
@@ -162,7 +202,7 @@ void Database::rejuvenate(env::Environment& e) {
   // session locks.
   e.disk().truncate("/var/lib/mysql/mysql.log");
   e.disk().truncate(log_path_);
-  engine_.execute("UNLOCK TABLES");
+  execute("UNLOCK TABLES");
   for (const char* table : {"orders", "customers", "sessions", "audit_log"}) {
     if (auto* t = engine_.find_table(table)) t->compact();
   }

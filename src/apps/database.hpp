@@ -6,6 +6,20 @@
 // the empty audit table killer queries poke at). Per item: SQL statements
 // run through the engine; CONNECT items do the reverse-DNS dance.
 //
+// Catalog image. The initial catalog depends only on `orders_rows`, so it
+// is built once per value, by running its CREATE/INSERT statements through
+// the engine, and kept for the life of the process as an immutable image
+// shared by every Database on every lane. start() copies the image, which
+// shares its row storage (sql/table.hpp), and re-applies the armed fault
+// flags.
+//
+// Statement cache. Each Database keeps the parsed form of every SQL op it
+// has run, keyed by the op's text, so a repeated workload item skips lexing
+// and parsing. Ops that fail to parse are not cached (they fail the same
+// way every time). Apps are built per trial, so the cache holds at most one
+// workload's distinct ops; it is not application state and is not part of
+// a snapshot.
+//
 // Five study faults are implemented as real engine-level code bugs and are
 // enabled when the armed fault carries the matching id:
 //   mysql-ei-01  update-while-scanning index corruption
@@ -14,6 +28,10 @@
 //   mysql-ei-04  OPTIMIZE TABLE missing initialization
 //   mysql-ei-05  FLUSH TABLES after LOCK TABLES
 #pragma once
+
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "apps/app.hpp"
 #include "apps/sql/engine.hpp"
@@ -40,6 +58,10 @@ class Database final : public BaseApp {
   bool restore(const SnapshotPtr& snapshot, env::Environment& e) override;
   void rejuvenate(env::Environment& e) override;
 
+  /// Runs one SQL op through the statement cache (parsed on first use).
+  /// handle() runs every non-CONNECT item this way.
+  sql::ExecResult execute(const std::string& sql);
+
   std::uint64_t rows(const std::string& table) const;
   std::uint64_t queries_executed() const noexcept { return queries_; }
   const sql::Engine& engine() const noexcept { return engine_; }
@@ -51,6 +73,7 @@ class Database final : public BaseApp {
   DatabaseConfig config_;
   sql::Engine engine_;
   std::uint64_t queries_ = 0;
+  std::unordered_map<std::string, std::vector<sql::Statement>> statements_;
 };
 
 }  // namespace faultstudy::apps

@@ -23,8 +23,12 @@ ExecResult error(std::string message) {
 ExecResult Engine::execute(std::string_view sql) {
   auto statements = parse(sql);
   if (!statements.ok()) return error(statements.error());
+  return execute(statements.value());
+}
+
+ExecResult Engine::execute(const std::vector<Statement>& statements) {
   ExecResult last;
-  for (const Statement& statement : statements.value()) {
+  for (const Statement& statement : statements) {
     last = run(statement);
     if (last.status != ExecStatus::kOk) return last;
   }
@@ -62,16 +66,27 @@ const Table* Engine::find_table(const std::string& name) const {
   return it == tables_.end() ? nullptr : &it->second;
 }
 
+std::vector<int> Engine::resolve(const Table& table,
+                                 const std::vector<Predicate>& where) {
+  std::vector<int> columns;
+  columns.reserve(where.size());
+  for (const Predicate& p : where) {
+    columns.push_back(table.schema().find(p.column));
+  }
+  return columns;
+}
+
 bool Engine::matches(const Table& table, Slot slot,
                      const std::vector<Predicate>& where,
-                     std::string* err) const {
-  for (const Predicate& p : where) {
-    const int col = table.schema().find(p.column);
-    if (col < 0) {
+                     const std::vector<int>& columns, std::string* err) {
+  const Row& row = table.row(slot);
+  for (std::size_t i = 0; i < where.size(); ++i) {
+    const Predicate& p = where[i];
+    if (columns[i] < 0) {
       if (err != nullptr) *err = "unknown column " + p.column;
       return false;
     }
-    if (!evaluate(p.op, table.row(slot)[static_cast<std::size_t>(col)],
+    if (!evaluate(p.op, row[static_cast<std::size_t>(columns[i])],
                   p.literal)) {
       return false;
     }
@@ -96,9 +111,12 @@ ExecResult Engine::run_select(const SelectStatement& s) {
   }
 
   std::string err;
+  const std::vector<int> where_columns = resolve(*table, s.where);
   std::vector<Slot> hits;
   for (Slot slot : table->scan_heap()) {
-    if (matches(*table, slot, s.where, &err)) hits.push_back(slot);
+    if (matches(*table, slot, s.where, where_columns, &err)) {
+      hits.push_back(slot);
+    }
     if (!err.empty()) return error(err);
   }
 
@@ -168,17 +186,22 @@ ExecResult Engine::run_update(const UpdateStatement& s) {
   const int col = table->schema().find(s.column);
   if (col < 0) return error("unknown column " + s.column);
   std::string err;
+  const std::vector<int> where_columns = resolve(*table, s.where);
 
   if (flags_.update_index_scan_bug && col == 0) {
     // --- mysql-ei-01, the buggy path: drive the update through the index
     // scan cursor. Moving a key forward leaves the stale entry behind
     // (duplicate values in the index); the post-statement consistency
     // check fires and the server dies. ---
+    // The cursor must walk the storage the updates write to: take sole
+    // ownership before opening it, or the first write would clone the
+    // (snapshot-shared) rows and the scan would never meet its own moves.
+    table->detach();
     std::int64_t touched = 0;
     for (auto cursor = table->index_scan(); !cursor.done(); cursor.next()) {
       const Slot slot = cursor.slot();
       if (!table->is_live(slot)) continue;
-      if (!matches(*table, slot, s.where, &err)) {
+      if (!matches(*table, slot, s.where, where_columns, &err)) {
         if (!err.empty()) return error(err);
         continue;
       }
@@ -202,7 +225,9 @@ ExecResult Engine::run_update(const UpdateStatement& s) {
   // rows and then updating the found rows".
   std::vector<Slot> hits;
   for (Slot slot : table->scan_heap()) {
-    if (matches(*table, slot, s.where, &err)) hits.push_back(slot);
+    if (matches(*table, slot, s.where, where_columns, &err)) {
+      hits.push_back(slot);
+    }
     if (!err.empty()) return error(err);
   }
   for (Slot slot : hits) table->update_cell(slot, col, s.value);
@@ -215,9 +240,12 @@ ExecResult Engine::run_delete(const DeleteStatement& s) {
   Table* table = find_table(s.table);
   if (table == nullptr) return error("unknown table " + s.table);
   std::string err;
+  const std::vector<int> where_columns = resolve(*table, s.where);
   std::vector<Slot> hits;
   for (Slot slot : table->scan_heap()) {
-    if (matches(*table, slot, s.where, &err)) hits.push_back(slot);
+    if (matches(*table, slot, s.where, where_columns, &err)) {
+      hits.push_back(slot);
+    }
     if (!err.empty()) return error(err);
   }
   for (Slot slot : hits) table->erase(slot);

@@ -16,8 +16,10 @@
 //   flush_after_lock_bug    (mysql-ei-05) FLUSH TABLES while the session
 //       holds a LOCK TABLES lock re-enters the lock state machine.
 //
-// The engine is value-semantic (copyable) so the Database application's
-// snapshots capture the full catalog + data + lock state.
+// The engine is value-semantic: a copy captures the full catalog + data +
+// lock state, which is what the Database application's snapshots and its
+// shared catalog image rely on. Copies share row storage until first write
+// (table.hpp), so a copy costs O(tables), not O(rows).
 #pragma once
 
 #include <map>
@@ -36,6 +38,8 @@ struct SqlFaultFlags {
   bool count_on_empty_crash = false;
   bool optimize_missing_init = false;
   bool flush_after_lock_bug = false;
+
+  bool operator==(const SqlFaultFlags&) const = default;
 };
 
 enum class ExecStatus : std::uint8_t {
@@ -62,6 +66,10 @@ class Engine {
   /// error or crash. Returns the last statement's result.
   ExecResult execute(std::string_view sql);
 
+  /// Runs already-parsed statements with the same stopping rule, so a
+  /// caller can parse a statement list once and run it many times.
+  ExecResult execute(const std::vector<Statement>& statements);
+
   /// Direct statement execution (parser bypass, used by tests).
   ExecResult run(const Statement& statement);
 
@@ -80,8 +88,14 @@ class Engine {
   ExecResult run_create(const CreateStatement& s);
   ExecResult run_admin(const AdminStatement& s);
 
-  bool matches(const Table& table, Slot slot,
-               const std::vector<Predicate>& where, std::string* error) const;
+  /// Schema column of each WHERE predicate, -1 when unknown; resolved once
+  /// per statement, not per row.
+  static std::vector<int> resolve(const Table& table,
+                                  const std::vector<Predicate>& where);
+  /// An unknown column is an error only once a row reaches its predicate.
+  static bool matches(const Table& table, Slot slot,
+                      const std::vector<Predicate>& where,
+                      const std::vector<int>& columns, std::string* error);
 
   std::map<std::string, Table> tables_;
   std::string locked_table_;

@@ -3,9 +3,13 @@
 // activation mechanics.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "apps/database.hpp"
 #include "apps/desktop.hpp"
 #include "apps/webserver.hpp"
+#include "util/thread_pool.hpp"
 
 namespace faultstudy::apps {
 namespace {
@@ -369,6 +373,232 @@ TEST(Fault, EntropyShortageOnSslItems) {
   ssl.entropy_bits = 256;
   EXPECT_TRUE(is_failure(server.handle(ssl, e)));
   EXPECT_FALSE(is_failure(server.handle(item("GET /plain"), e)));
+}
+
+// ------------------------------------- catalog image and statement cache
+
+/// Everything observable about a database's engine: every table's live
+/// rows and index (in scan order, with the consistency verdict), the lock
+/// state and the armed fault flags.
+struct DbState {
+  std::vector<std::vector<sql::Row>> rows;
+  std::vector<std::vector<std::pair<sql::Value, sql::Slot>>> index;
+  std::vector<std::size_t> index_entries;
+  std::vector<bool> index_ok;
+  bool holds_lock = false;
+  std::string locked_table;
+  sql::SqlFaultFlags flags;
+
+  bool operator==(const DbState&) const = default;
+};
+
+DbState state_of(const Database& db) {
+  DbState s;
+  for (const char* name : {"orders", "customers", "sessions", "audit_log"}) {
+    const sql::Table* t = db.engine().find_table(name);
+    if (t == nullptr) {
+      ADD_FAILURE() << "missing table " << name;
+      continue;
+    }
+    auto& rows = s.rows.emplace_back();
+    for (sql::Slot slot : t->scan_heap()) rows.push_back(t->row(slot));
+    auto& index = s.index.emplace_back();
+    for (auto c = t->index_scan(); !c.done(); c.next()) {
+      index.emplace_back(c.key(), c.slot());
+    }
+    s.index_entries.push_back(t->index_entries());
+    s.index_ok.push_back(t->check_index());
+  }
+  s.holds_lock = db.engine().holds_lock();
+  s.locked_table = db.engine().locked_table();
+  s.flags = db.engine().fault_flags();
+  return s;
+}
+
+/// A write of every kind the engine has, plus a lock left held.
+void churn(Database& db) {
+  for (const char* op :
+       {"INSERT INTO orders VALUES (9001, 'new')",
+        "UPDATE orders SET state = 'done' WHERE id < 10",
+        "UPDATE customers SET id = 500 WHERE id = 3",
+        "DELETE FROM sessions WHERE id > 4", "OPTIMIZE TABLE sessions",
+        "LOCK TABLES orders WRITE"}) {
+    ASSERT_EQ(db.execute(op).status, sql::ExecStatus::kOk) << op;
+  }
+}
+
+TEST(DatabaseImage, WriteAfterSnapshotLeavesSnapshotAndImageUntouched) {
+  env::Environment e;
+  Database db;
+  ASSERT_TRUE(db.start(e));
+  const DbState fresh = state_of(db);
+  const auto snap = db.snapshot();
+  churn(db);
+  EXPECT_NE(state_of(db), fresh);
+
+  ASSERT_TRUE(db.restore(snap, e));
+  EXPECT_EQ(state_of(db), fresh);
+  env::Environment e2;
+  Database second;
+  ASSERT_TRUE(second.start(e2));
+  EXPECT_EQ(state_of(second), fresh);
+}
+
+TEST(DatabaseImage, DatabasesStartedFromOneImageAreIndependent) {
+  env::Environment e1;
+  env::Environment e2;
+  Database a;
+  Database b;
+  ASSERT_TRUE(a.start(e1));
+  ASSERT_TRUE(b.start(e2));
+  const DbState fresh = state_of(a);
+  churn(a);
+  EXPECT_EQ(state_of(b), fresh);
+  ASSERT_EQ(b.execute("DELETE FROM orders").status, sql::ExecStatus::kOk);
+  EXPECT_EQ(b.rows("orders"), 0u);
+  EXPECT_EQ(a.rows("orders"), 201u);
+}
+
+TEST(DatabaseImage, RestoreOfSnapshotIsStateIdentical) {
+  env::Environment e;
+  Database db;
+  ActiveFault fault;
+  fault.fault_id = "mysql-ei-05";
+  db.arm_fault(fault);
+  ASSERT_TRUE(db.start(e));
+  churn(db);  // leaves a lock held and storage diverged from the image
+  const DbState before = state_of(db);
+  EXPECT_TRUE(before.holds_lock);
+  EXPECT_TRUE(before.flags.flush_after_lock_bug);
+  const auto snap = db.snapshot();
+
+  ASSERT_EQ(db.execute("UNLOCK TABLES").status, sql::ExecStatus::kOk);
+  ASSERT_EQ(db.execute("DELETE FROM orders WHERE id < 100").status,
+            sql::ExecStatus::kOk);
+  db.rejuvenate(e);
+  ASSERT_TRUE(db.restore(snap, e));
+  EXPECT_EQ(state_of(db), before);
+  ASSERT_TRUE(db.restore(db.snapshot(), e));
+  EXPECT_EQ(state_of(db), before);
+}
+
+TEST(DatabaseImage, UpdateBugCrashesTheSameWithALiveSnapshot) {
+  // mysql-ei-01 against orders storage the table owns outright, shares
+  // with a live snapshot, or still shares with the catalog image: the same
+  // crash mid-statement, leaving the same half-applied rows.
+  enum class Sharing { kOwned, kSnapshot, kImage };
+  const auto run = [](Sharing sharing) {
+    env::Environment e;
+    Database db;
+    ActiveFault fault;
+    fault.fault_id = "mysql-ei-01";
+    db.arm_fault(fault);
+    EXPECT_TRUE(db.start(e));
+    if (sharing != Sharing::kImage) {
+      // Any write takes the orders storage private.
+      EXPECT_EQ(db.execute("UPDATE orders SET state = 'open' WHERE id = 0")
+                    .status,
+                sql::ExecStatus::kOk);
+    }
+    SnapshotPtr snap;
+    if (sharing == Sharing::kSnapshot) snap = db.snapshot();
+    const DbState before = state_of(db);
+    const StepResult r =
+        db.handle(item("UPDATE orders SET id = 999999 WHERE id < 100"), e);
+    EXPECT_EQ(r.status, StepStatus::kCrash);
+    EXPECT_NE(r.detail.find("duplicate values in the index"),
+              std::string::npos);
+    EXPECT_FALSE(db.running());
+    const DbState after = state_of(db);
+    if (snap != nullptr) {
+      EXPECT_TRUE(db.restore(snap, e));
+      EXPECT_EQ(state_of(db), before);
+    }
+    return after;
+  };
+  const DbState owned = run(Sharing::kOwned);
+  EXPECT_FALSE(owned.index_ok[0]);
+  EXPECT_EQ(std::get<std::int64_t>(owned.rows[0][0][0]), 999999);
+  EXPECT_EQ(std::get<std::int64_t>(owned.rows[0][1][0]), 1);
+  EXPECT_EQ(run(Sharing::kSnapshot), owned);
+  EXPECT_EQ(run(Sharing::kImage), owned);
+}
+
+TEST(DatabaseImage, DifferentOrdersRowsGetDifferentImages) {
+  const auto started_rows = [](std::size_t orders_rows) {
+    env::Environment e;
+    DatabaseConfig config;
+    config.orders_rows = orders_rows;
+    Database db(config);
+    EXPECT_TRUE(db.start(e));
+    return db.rows("orders");
+  };
+  EXPECT_EQ(started_rows(5), 5u);
+  EXPECT_EQ(started_rows(200), 200u);
+  EXPECT_EQ(started_rows(5), 5u);
+  EXPECT_EQ(started_rows(0), 0u);
+}
+
+TEST(DatabaseImage, LanesStartAndMutateFromOneImage) {
+  // Every lane starts from the same process-wide image (two of them, built
+  // concurrently on first use) and writes to its own copy. Under TSan this
+  // is the cross-lane check on the shared storage.
+  constexpr std::size_t kDatabases = 16;
+  std::vector<std::uint64_t> orders(kDatabases);
+  std::vector<char> intact(kDatabases);  // not vector<bool>: one byte a lane
+  util::ThreadPool pool(4);
+  pool.for_index(kDatabases, [&](std::size_t i) {
+    env::Environment e;
+    DatabaseConfig config;
+    config.orders_rows = i % 2 == 0 ? 150 : 151;
+    Database db(config);
+    if (!db.start(e)) return;
+    const auto snap = db.snapshot();
+    churn(db);
+    db.execute("DELETE FROM orders WHERE id < " + std::to_string(i));
+    db.rejuvenate(e);
+    orders[i] = db.rows("orders");
+    intact[i] = db.restore(snap, e) && db.rows("orders") == config.orders_rows;
+  });
+  for (std::size_t i = 0; i < kDatabases; ++i) {
+    const std::uint64_t rows = i % 2 == 0 ? 150 : 151;
+    EXPECT_EQ(orders[i], rows + 1 - i) << i;
+    EXPECT_TRUE(intact[i]) << i;
+  }
+}
+
+TEST(DatabaseStatementCache, UnparsableOpFailsTheSameOnEveryCall) {
+  env::Environment e;
+  Database db;
+  ASSERT_TRUE(db.start(e));
+  const sql::ExecResult first = db.execute("SELEC * FROM orders");
+  ASSERT_EQ(first.status, sql::ExecStatus::kError);
+  EXPECT_FALSE(first.message.empty());
+  for (int i = 0; i < 3; ++i) {
+    const sql::ExecResult again = db.execute("SELEC * FROM orders");
+    EXPECT_EQ(again.status, first.status);
+    EXPECT_EQ(again.message, first.message);
+  }
+  // Statement errors go back to the client; the server keeps serving.
+  EXPECT_FALSE(is_failure(db.handle(item("SELEC * FROM orders"), e)));
+  EXPECT_EQ(db.execute("SELECT COUNT(*) FROM orders").affected, 200);
+}
+
+TEST(DatabaseStatementCache, RepeatedOpsSeeCurrentState) {
+  // A cached statement is re-run against the engine as it is now, not
+  // against the state it was first parsed under.
+  env::Environment e;
+  Database db;
+  ASSERT_TRUE(db.start(e));
+  const std::string insert = "INSERT INTO orders VALUES (9001, 'new')";
+  const std::string count = "SELECT COUNT(*) FROM orders";
+  EXPECT_EQ(db.execute(count).affected, 200);
+  const auto snap = db.snapshot();
+  db.execute(insert);
+  db.execute(insert);
+  EXPECT_EQ(db.execute(count).affected, 202);
+  ASSERT_TRUE(db.restore(snap, e));
+  EXPECT_EQ(db.execute(count).affected, 200);
 }
 
 }  // namespace

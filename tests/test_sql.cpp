@@ -1,6 +1,9 @@
 // Tests for the mini SQL engine: lexer, parser, storage/index, executor,
-// and the five study bugs implemented as engine-level fault points.
+// the five study bugs implemented as engine-level fault points, and the
+// copy-on-write row storage that engine copies share.
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "apps/sql/engine.hpp"
 #include "apps/sql/lexer.hpp"
@@ -324,6 +327,210 @@ TEST(SqlBugs, FixedEngineRunsAllKillersClean) {
   EXPECT_EQ(e.execute("UPDATE t SET id = 999 WHERE id < 3").status,
             ExecStatus::kOk);
   EXPECT_TRUE(e.find_table("t")->check_index());
+}
+
+
+// ------------------------------------------------- WHERE column resolution
+
+TEST(SqlEngine, UnknownWhereColumnIsSilentOnEmptyTable) {
+  // Columns resolve once per statement, but an unknown one is still an
+  // error only once a row reaches its predicate.
+  auto e = make_engine();
+  EXPECT_EQ(e.execute("SELECT * FROM empty_t WHERE nosuch = 1").status,
+            ExecStatus::kOk);
+  EXPECT_EQ(e.execute("UPDATE empty_t SET id = 2 WHERE nosuch = 1").status,
+            ExecStatus::kOk);
+  EXPECT_EQ(e.execute("DELETE FROM empty_t WHERE nosuch = 1").status,
+            ExecStatus::kOk);
+}
+
+TEST(SqlEngine, UnknownWhereColumnIsSilentBehindAFailingPredicate) {
+  auto e = make_engine();
+  const auto none = e.execute("SELECT * FROM t WHERE id > 99 AND nosuch = 1");
+  EXPECT_EQ(none.status, ExecStatus::kOk);
+  EXPECT_TRUE(none.rows.empty());
+  EXPECT_EQ(e.execute("DELETE FROM t WHERE id > 99 AND nosuch = 1").status,
+            ExecStatus::kOk);
+  EXPECT_EQ(e.execute("UPDATE t SET id = 7 WHERE id > 99 AND nosuch = 1")
+                .status,
+            ExecStatus::kOk);
+
+  const auto reached = e.execute("SELECT * FROM t WHERE id > 2 AND nosuch = 1");
+  EXPECT_EQ(reached.status, ExecStatus::kError);
+  EXPECT_EQ(reached.message, "unknown column nosuch");
+  EXPECT_EQ(e.execute("DELETE FROM t WHERE id > 2 AND nosuch = 1").message,
+            "unknown column nosuch");
+  EXPECT_EQ(e.find_table("t")->row_count(), 3u);
+}
+
+TEST(SqlEngine, ParsedStatementsRunLikeText) {
+  const auto parsed =
+      parse("INSERT INTO t VALUES (4, 'new'); SELECT COUNT(*) FROM t");
+  ASSERT_TRUE(parsed.ok());
+  auto e = make_engine();
+  EXPECT_EQ(e.execute(parsed.value()).affected, 4);
+  EXPECT_EQ(e.execute(parsed.value()).affected, 5);
+
+  // The same stopping rule: the first failing statement ends the list.
+  const auto failing = parse("SELECT * FROM nosuch; DELETE FROM t");
+  ASSERT_TRUE(failing.ok());
+  EXPECT_EQ(e.execute(failing.value()).status, ExecStatus::kError);
+  EXPECT_EQ(e.find_table("t")->row_count(), 5u);
+}
+
+// ------------------------------------------------- copy-on-write storage
+
+/// Everything observable about a table: its live rows in heap order, the
+/// index in scan order, and the consistency verdict.
+struct TableState {
+  std::vector<Row> rows;
+  std::vector<std::pair<Value, Slot>> index;
+  std::size_t index_entries = 0;
+  bool index_ok = false;
+
+  bool operator==(const TableState&) const = default;
+};
+
+TableState state_of(const Table& t) {
+  TableState s;
+  for (Slot slot : t.scan_heap()) s.rows.push_back(t.row(slot));
+  for (auto cursor = t.index_scan(); !cursor.done(); cursor.next()) {
+    s.index.emplace_back(cursor.key(), cursor.slot());
+  }
+  s.index_entries = t.index_entries();
+  s.index_ok = t.check_index();
+  return s;
+}
+
+Table small_table() {
+  Table t(Schema{{{"id", ColumnType::kInteger}, {"v", ColumnType::kText}}});
+  for (std::int64_t id : {3, 1, 2}) t.insert({Value{id}, Value{"x"}});
+  return t;
+}
+
+TEST(SqlTable, EveryMutatorLeavesCopiesUntouched) {
+  const Table original = small_table();
+  const TableState before = state_of(original);
+  const auto check = [&](auto&& mutate) {
+    Table copy = original;
+    mutate(copy);
+    EXPECT_NE(state_of(copy), before);
+    EXPECT_EQ(state_of(original), before);
+  };
+  check([](Table& t) { t.insert({Value{std::int64_t{9}}, Value{"y"}}); });
+  check([](Table& t) { t.erase(1); });
+  check([](Table& t) { t.update_cell(0, 1, Value{"changed"}); });
+  check([](Table& t) { t.update_cell(0, 0, Value{std::int64_t{7}}); });
+  check([](Table& t) {
+    t.erase(0);
+    t.compact();
+  });
+}
+
+TEST(SqlTable, NoOpWritesChangeNothing) {
+  const Table original = small_table();
+  Table copy = original;
+  copy.erase(42);                        // no such slot
+  copy.update_cell(0, 5, Value{"nope"});  // no such column
+  copy.compact();                        // nothing to reclaim
+  EXPECT_EQ(state_of(copy), state_of(original));
+}
+
+TEST(SqlTable, CompactRestoresSlotOrderAmongEqualKeys) {
+  // Moving slot 0's key onto slot 2's puts slot 0 after slot 2 in the
+  // index; a rebuild indexes in slot order again, and compact() must do
+  // that rebuild even though no slot is dead.
+  Table t(Schema{{{"id", ColumnType::kInteger}}});
+  for (std::int64_t id : {1, 2, 3}) t.insert({Value{id}});
+  t.update_cell(0, 0, Value{std::int64_t{3}});
+  const auto slots = [&] {
+    std::vector<Slot> out;
+    for (auto c = t.index_scan(); !c.done(); c.next()) out.push_back(c.slot());
+    return out;
+  };
+  EXPECT_EQ(slots(), (std::vector<Slot>{1, 2, 0}));
+  const Table shared = t;
+  t.compact();
+  EXPECT_EQ(slots(), (std::vector<Slot>{1, 0, 2}));
+  EXPECT_EQ(state_of(shared).index.back().second, 0u);
+}
+
+TEST(SqlTable, CursorOpenedAfterDetachSeesItsOwnKeyMoves) {
+  // The mysql-ei-01 scan contract: a cursor opened on detached storage
+  // walks the block the updates write to, so it meets a key it moved ahead
+  // of itself. The copy keeps the pre-scan index.
+  Table t(Schema{{{"id", ColumnType::kInteger}}});
+  for (std::int64_t id : {1, 2, 3}) t.insert({Value{id}});
+  const Table copy = t;
+  t.detach();
+  std::vector<std::int64_t> seen;
+  for (auto c = t.index_scan(); !c.done(); c.next()) {
+    seen.push_back(std::get<std::int64_t>(c.key()));
+    if (seen.back() == 1) {
+      t.update_cell(c.slot(), 0, Value{std::int64_t{9}},
+                    /*corrupt_index_on_key_move=*/true);
+    }
+  }
+  EXPECT_EQ(seen, (std::vector<std::int64_t>{1, 2, 3, 9}));
+  EXPECT_EQ(copy.index_entries(), 3u);
+  EXPECT_TRUE(copy.check_index());
+}
+
+TEST(SqlTable, CompactOfSharedStorageMatchesCompactOfOwned) {
+  const auto damaged = [] {
+    Table t = small_table();
+    t.erase(1);
+    t.update_cell(0, 0, Value{std::int64_t{0}},
+                  /*corrupt_index_on_key_move=*/true);
+    return t;
+  };
+  Table owned = damaged();
+  Table shared = damaged();
+  const Table holder = shared;  // keeps `shared`'s block shared
+  const TableState before = state_of(holder);
+  owned.compact();
+  shared.compact();
+  EXPECT_EQ(state_of(shared), state_of(owned));
+  EXPECT_TRUE(state_of(shared).index_ok);
+  EXPECT_EQ(state_of(holder), before);
+}
+
+TEST(SqlEngine, WriteAfterCopyLeavesCopyUntouched) {
+  auto e = make_engine();
+  const Engine snapshot = e;
+  const TableState before = state_of(*snapshot.find_table("t"));
+  e.execute("INSERT INTO t VALUES (4, 'new')");
+  e.execute("UPDATE t SET state = 'x' WHERE id = 1");
+  e.execute("UPDATE t SET id = 5 WHERE id = 2");
+  e.execute("DELETE FROM t WHERE id = 3");
+  e.execute("OPTIMIZE TABLE t");
+  EXPECT_EQ(state_of(*snapshot.find_table("t")), before);
+  EXPECT_EQ(e.find_table("t")->row_count(), 3u);
+}
+
+TEST(SqlBugs, UpdateWhileScanningCorruptsStorageSharedWithASnapshot) {
+  // mysql-ei-01 must behave the same whether or not a live snapshot shares
+  // the table's rows: same crash, mid-statement, same half-applied rows
+  // and corrupted index; the snapshot keeps the pre-statement state.
+  SqlFaultFlags flags;
+  flags.update_index_scan_bug = true;
+  auto alone = make_engine(flags);
+  auto e = make_engine(flags);
+  const Engine snapshot = e;
+  const TableState before = state_of(*snapshot.find_table("t"));
+
+  const char* killer = "UPDATE t SET id = 999 WHERE id < 3";
+  const auto expected = alone.execute(killer);
+  const auto r = e.execute(killer);
+  ASSERT_EQ(expected.status, ExecStatus::kCrash);
+  EXPECT_EQ(r.status, expected.status);
+  EXPECT_EQ(r.message, expected.message);
+  const TableState after = state_of(*e.find_table("t"));
+  EXPECT_EQ(after, state_of(*alone.find_table("t")));
+  EXPECT_FALSE(after.index_ok);
+  EXPECT_EQ(std::get<std::int64_t>(after.rows[0][0]), 999);  // moved
+  EXPECT_EQ(std::get<std::int64_t>(after.rows[1][0]), 2);    // not reached
+  EXPECT_EQ(state_of(*snapshot.find_table("t")), before);
 }
 
 }  // namespace
