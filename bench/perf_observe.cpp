@@ -87,7 +87,8 @@ void BM_EmitAttached(benchmark::State& state) {
     obs::emit(sinks, obs::Event::kFdDenied, 4, 250);
     benchmark::ClobberMemory();
   }
-  benchmark::DoNotOptimize(telemetry.counters.resources.fd_acquire_failures);
+  benchmark::DoNotOptimize(
+      telemetry.counters[telemetry::counter_index("env/fd/acquire_failures")]);
 }
 BENCHMARK(BM_EmitAttached);
 

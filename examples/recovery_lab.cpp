@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
               std::string(core::to_string(corpus::seed_class(*seed))).c_str());
   std::printf("mechanism : %s\n\n", mechanism_name.c_str());
 
-  // Run the trial manually so we can narrate it.
+  // The narrated trial: one traced run of the study's trial protocol.
   const bool want_telemetry = !telemetry_path.empty() || !trace_path.empty();
   const bool want_coverage = !coverage_path.empty() || !baseline_path.empty();
   telemetry::TrialTelemetry telem;
@@ -154,86 +154,19 @@ int main(int argc, char** argv) {
   if (want_telemetry) sinks.telemetry = &telem;
   if (want_coverage) sinks.coverage = &cover;
   const auto plan = inject::plan_for(*seed, 42);
-  env::Environment environment(plan.env_config);
-  if (sinks.any()) environment.bind_sinks(&sinks);
-  telemetry::SpanTracer* tracer = nullptr;
-  if (want_telemetry) {
-    telem.spans.bind_sim(&environment.clock());
-    tracer = &telem.spans;
-  }
-  // Opened/closed by hand: the scope must end before the export below, not
-  // at the end of main.
-  std::size_t trial_span = 0;
-  if (tracer != nullptr) trial_span = tracer->open("trial");
-  auto app = inject::make_app(seed->app);
-  app->arm_fault(plan.fault);
-  app->start(environment);
-  plan.arm_environment(environment, *app);
   auto mechanism = factory();
-  mechanism->attach(*app, environment);
+  harness::TrialObservation observation;
+  const harness::TrialOutcome outcome = harness::run_trial(
+      plan, *mechanism,
+      harness::TrialConfig{.cycles = 2,
+                           .per_item_retries = 6,
+                           .recovery_budget = 20,
+                           .seed = 42},
+      &observation, sinks);
 
-  harness::Transcript transcript;
-  transcript.record(harness::EventKind::kStart, environment.now(), 0,
-                    std::string(app->name()) + " started");
-
-  const auto workload = apps::make_workload(seed->app, plan.workload);
-  std::size_t recoveries = 0;
-  bool survived = true;
-  std::size_t i = 0;
-  std::size_t consecutive = 0;
-  while (i < workload.size() * 2) {
-    apps::WorkItem item = workload.items[i % workload.size()];
-    if (consecutive > 0) mechanism->prepare_retry(item);
-    const auto result = app->handle(item, environment);
-    if (!apps::is_failure(result)) {
-      consecutive = 0;
-      ++i;
-      continue;
-    }
-    transcript.record(harness::EventKind::kFailure, environment.now(), i,
-                      result.detail + " [" + item.op + "]");
-    if (++consecutive > 6 || recoveries >= 20) {
-      survived = false;
-      break;
-    }
-    transcript.record(harness::EventKind::kRecoveryBegin, environment.now(), i,
-                      std::string(mechanism->name()));
-    const auto recovery_start = environment.now();
-    recovery::RecoveryAction action;
-    {
-      TELEM_SPAN(tracer, "recovery/" + mechanism_name);
-      action = mechanism->recover(*app, environment);
-    }
-    if (want_telemetry) {
-      ++telem.counters.recovery.attempts;
-      if (action.recovered) {
-        ++telem.counters.recovery.successes;
-        telem.counters.recovery.items_rewound += action.rewind_items;
-      } else {
-        ++telem.counters.recovery.failures;
-      }
-      telem.recovery_latency_ticks.observe(
-          static_cast<std::int64_t>(environment.now() - recovery_start));
-    }
-    ++recoveries;
-    transcript.record(action.recovered ? harness::EventKind::kRecoveryOk
-                                       : harness::EventKind::kRecoveryFailed,
-                      environment.now(), i);
-    if (!action.recovered) {
-      survived = false;
-      break;
-    }
-    i -= std::min(action.rewind_items, i);
-  }
-  transcript.record(harness::EventKind::kVerdict, environment.now(), i,
-                    survived ? "workload completed: fault SURVIVED"
-                             : "gave up: fault NOT survived");
-
-  if (tracer != nullptr) tracer->close(trial_span);
-
-  std::fputs(transcript.to_string().c_str(), stdout);
-  std::printf("\nfailures observed: %zu, recoveries: %zu\n",
-              transcript.count(harness::EventKind::kFailure), recoveries);
+  std::fputs(observation.transcript.to_string().c_str(), stdout);
+  std::printf("\nfailures observed: %zu, recoveries: %zu\n", outcome.failures,
+              outcome.recoveries);
 
   if (want_telemetry) {
     telemetry::MetricsRegistry registry;
@@ -322,5 +255,5 @@ int main(int argc, char** argv) {
                 wins, observed, observed, repeats,
                 harness::effective_threads(threads));
   }
-  return survived ? 0 : 2;
+  return outcome.survived ? 0 : 2;
 }

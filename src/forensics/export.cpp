@@ -1,51 +1,21 @@
 #include "forensics/export.hpp"
 
-#include <cstdio>
+#include "util/json.hpp"
 
 namespace faultstudy::forensics {
 namespace {
 
-void append_json_string(std::string& out, std::string_view text) {
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 void append_kv(std::string& out, std::string_view key, std::string_view value,
                bool comma = true) {
-  append_json_string(out, key);
+  out += util::json::quoted(key);
   out.push_back(':');
-  append_json_string(out, value);
+  out += util::json::quoted(value);
   if (comma) out.push_back(',');
 }
 
 void append_kv_num(std::string& out, std::string_view key, std::uint64_t value,
                    bool comma = true) {
-  append_json_string(out, key);
+  out += util::json::quoted(key);
   out += ":" + std::to_string(value);
   if (comma) out.push_back(',');
 }
@@ -147,7 +117,7 @@ std::string to_json(const StudyForensics& study,
     out += "\"fault_ids\":[";
     for (std::size_t f = 0; f < c.fault_ids.size(); ++f) {
       if (f > 0) out.push_back(',');
-      append_json_string(out, c.fault_ids[f]);
+      out += util::json::quoted(c.fault_ids[f]);
     }
     out += "]}";
   }

@@ -6,8 +6,9 @@
 // used)`. A static per-event table (kEventTable) derives every view from
 // that one record:
 //
-//   * telemetry: TrialCounters fields to bump (+1), sum (+a or +b) or peak
-//     (max with b), and a TrialTelemetry latency histogram fed with a;
+//   * telemetry: TrialCounters slots (telemetry/counters.hpp) to bump (+1),
+//     sum (+a or +b) or peak (max with b), and a TrialTelemetry latency
+//     histogram fed with a;
 //   * forensics: the FlightCode appended to the flight-recorder ring with
 //     operands (a, b);
 //   * coverage: the structural Site to hit, or a probe indexed by a (the
@@ -108,23 +109,8 @@ enum class Event : std::uint8_t {
 inline constexpr std::size_t kNumEvents =
     static_cast<std::size_t>(Event::kCount);
 
-/// A TrialCounters field, named by an accessor so rows can reach into the
-/// nested resource/recovery/app blocks.
-using CounterRef = std::uint64_t& (*)(telemetry::TrialCounters&) noexcept;
-
-template <auto Block, auto Field>
-std::uint64_t& counter_field(telemetry::TrialCounters& c) noexcept {
-  return (c.*Block).*Field;
-}
-template <auto Field>
-inline constexpr CounterRef kResource =
-    &counter_field<&telemetry::TrialCounters::resources, Field>;
-template <auto Field>
-inline constexpr CounterRef kRecovery =
-    &counter_field<&telemetry::TrialCounters::recovery, Field>;
-template <auto Field>
-inline constexpr CounterRef kApp =
-    &counter_field<&telemetry::TrialCounters::app, Field>;
+/// An EventRow counter slot that moves no counter.
+inline constexpr std::size_t kNoCounter = telemetry::kNumCounters;
 
 /// Which coverage probe an event hits.
 enum class ProbeKind : std::uint8_t {
@@ -134,12 +120,13 @@ enum class ProbeKind : std::uint8_t {
 };
 
 /// Everything one event means to each view; unset members mean "no effect
-/// on that view".
+/// on that view". Counter slots index telemetry::kCounters and are written
+/// as telemetry::counter_index("<metric name>").
 struct EventRow {
-  CounterRef inc = nullptr;     ///< += 1
-  CounterRef add_a = nullptr;   ///< += a
-  CounterRef add_b = nullptr;   ///< += b
-  CounterRef peak_b = nullptr;  ///< = max(field, b)
+  std::size_t inc = kNoCounter;     ///< += 1
+  std::size_t add_a = kNoCounter;   ///< += a
+  std::size_t add_b = kNoCounter;   ///< += b
+  std::size_t peak_b = kNoCounter;  ///< = max(counter, b)
   telemetry::Histogram telemetry::TrialTelemetry::*observe_a = nullptr;
   forensics::FlightCode flight = forensics::FlightCode::kCount;
   Site site = Site::kCount;
@@ -151,73 +138,71 @@ namespace detail {
 constexpr std::array<EventRow, kNumEvents> make_event_table() {
   using E = Event;
   using F = forensics::FlightCode;
-  using R = telemetry::ResourceCounters;
-  using V = telemetry::RecoveryCounters;
-  using A = telemetry::AppCounters;
   using T = telemetry::TrialTelemetry;
+  using telemetry::counter_index;
   std::array<EventRow, kNumEvents> t{};
   const auto at = [&t](E e) -> EventRow& {
     return t[static_cast<std::size_t>(e)];
   };
 
-  at(E::kProcSpawnDenied) = {.inc = kResource<&R::proc_spawn_failures>,
+  at(E::kProcSpawnDenied) = {.inc = counter_index("env/proc/spawn_failures"),
                              .flight = F::kProcTableFull,
                              .site = Site::kEnvProcSpawnDenied};
-  at(E::kProcSpawned) = {.inc = kResource<&R::proc_spawns>,
-                         .peak_b = kResource<&R::peak_procs>};
-  at(E::kProcKilled) = {.add_a = kResource<&R::proc_kills>};
-  at(E::kProcHung) = {.inc = kResource<&R::procs_marked_hung>,
+  at(E::kProcSpawned) = {.inc = counter_index("env/proc/spawns"),
+                         .peak_b = counter_index("env/proc/peak")};
+  at(E::kProcKilled) = {.add_a = counter_index("env/proc/kills")};
+  at(E::kProcHung) = {.inc = counter_index("env/proc/marked_hung"),
                       .flight = F::kProcHung,
                       .site = Site::kEnvProcHung};
 
-  at(E::kFdDenied) = {.inc = kResource<&R::fd_acquire_failures>,
+  at(E::kFdDenied) = {.inc = counter_index("env/fd/acquire_failures"),
                       .flight = F::kFdExhausted,
                       .site = Site::kEnvFdDenied};
-  at(E::kFdAcquired) = {.add_a = kResource<&R::fds_acquired>,
-                        .peak_b = kResource<&R::peak_fds>};
-  at(E::kFdReleased) = {.add_a = kResource<&R::fds_released>};
+  at(E::kFdAcquired) = {.add_a = counter_index("env/fd/acquired"),
+                        .peak_b = counter_index("env/fd/peak")};
+  at(E::kFdReleased) = {.add_a = counter_index("env/fd/released")};
 
-  at(E::kDiskNoSpace) = {.inc = kResource<&R::disk_write_failures>,
+  at(E::kDiskNoSpace) = {.inc = counter_index("env/disk/write_failures"),
                          .flight = F::kDiskFull,
                          .site = Site::kEnvDiskNoSpace};
-  at(E::kDiskFileTooBig) = {.inc = kResource<&R::disk_write_failures>,
+  at(E::kDiskFileTooBig) = {.inc = counter_index("env/disk/write_failures"),
                             .flight = F::kFileSizeLimit,
                             .site = Site::kEnvDiskFileTooBig};
-  at(E::kDiskWrite) = {.inc = kResource<&R::disk_writes>,
-                       .add_a = kResource<&R::disk_bytes_written>,
-                       .peak_b = kResource<&R::peak_disk_used>};
-  at(E::kDiskTruncate) = {.inc = kResource<&R::disk_truncates>};
+  at(E::kDiskWrite) = {.inc = counter_index("env/disk/writes"),
+                       .add_a = counter_index("env/disk/bytes_written"),
+                       .peak_b = counter_index("env/disk/peak_used")};
+  at(E::kDiskTruncate) = {.inc = counter_index("env/disk/truncates")};
 
   at(E::kDnsBroken) = {.flight = F::kDnsBroken, .site = Site::kEnvDnsBroken};
-  at(E::kDnsLookup) = {.inc = kResource<&R::dns_lookups>};
-  at(E::kDnsError) = {.inc = kResource<&R::dns_errors>,
+  at(E::kDnsLookup) = {.inc = counter_index("env/dns/lookups")};
+  at(E::kDnsError) = {.inc = counter_index("env/dns/errors"),
                       .site = Site::kEnvDnsError};
-  at(E::kDnsSlow) = {.inc = kResource<&R::dns_slow_replies>,
+  at(E::kDnsSlow) = {.inc = counter_index("env/dns/slow_replies"),
                      .site = Site::kEnvDnsSlow};
-  at(E::kDnsReverseMiss) = {.inc = kResource<&R::dns_reverse_misses>,
+  at(E::kDnsReverseMiss) = {.inc = counter_index("env/dns/reverse_misses"),
                             .site = Site::kEnvDnsReverseMiss};
 
   at(E::kLinkDegraded) = {.flight = F::kLinkDegraded,
                           .site = Site::kEnvLinkDegraded};
   at(E::kCardRemoved) = {.flight = F::kCardRemoved};
-  at(E::kPortBound) = {.inc = kResource<&R::port_binds>};
-  at(E::kPortDenied) = {.inc = kResource<&R::port_bind_failures>,
+  at(E::kPortBound) = {.inc = counter_index("env/net/port_binds")};
+  at(E::kPortDenied) = {.inc = counter_index("env/net/port_bind_failures"),
                         .flight = F::kPortDenied,
                         .site = Site::kEnvPortDenied};
-  at(E::kPortReleased) = {.add_a = kResource<&R::ports_released>};
+  at(E::kPortReleased) = {.add_a = counter_index("env/net/ports_released")};
   at(E::kKernelResourceDenied) = {
-      .inc = kResource<&R::kernel_resource_denied>,
+      .inc = counter_index("env/net/kernel_resource_denied"),
       .flight = F::kKernelResourceDenied,
       .site = Site::kEnvKernelResourceDenied};
 
-  at(E::kSchedDraw) = {.inc = kResource<&R::sched_draws>};
-  at(E::kSchedReplay) = {.inc = kResource<&R::sched_replays>,
+  at(E::kSchedDraw) = {.inc = counter_index("env/sched/draws")};
+  at(E::kSchedReplay) = {.inc = counter_index("env/sched/replays"),
                          .site = Site::kEnvSchedReplay};
-  at(E::kEntropyRead) = {.inc = kResource<&R::entropy_reads>};
-  at(E::kEntropyBlocked) = {.inc = kResource<&R::entropy_blocked>,
+  at(E::kEntropyRead) = {.inc = counter_index("env/entropy/reads")};
+  at(E::kEntropyBlocked) = {.inc = counter_index("env/entropy/blocked"),
                             .flight = F::kEntropyBlocked,
                             .site = Site::kEnvEntropyBlocked};
-  at(E::kEntropyTaken) = {.add_a = kResource<&R::entropy_bits_taken>};
+  at(E::kEntropyTaken) = {.add_a = counter_index("env/entropy/bits_taken")};
   at(E::kSignalRaised) = {.flight = F::kSignalRaised,
                           .site = Site::kEnvSignalRaised};
 
@@ -226,33 +211,35 @@ constexpr std::array<EventRow, kNumEvents> make_event_table() {
   at(E::kAppRestored) = {.site = Site::kAppRestored};
   at(E::kAppChildSpawned) = {.flight = F::kAppChildSpawned,
                              .site = Site::kAppChildSpawned};
-  at(E::kWebCgiChild) = {.inc = kApp<&A::cgi_children>,
+  at(E::kWebCgiChild) = {.inc = counter_index("app/cgi_children"),
                          .flight = F::kAppChildSpawned,
                          .site = Site::kAppChildSpawned};
-  at(E::kWebCacheFill) = {.inc = kApp<&A::cache_fills>,
+  at(E::kWebCacheFill) = {.inc = counter_index("app/cache_fills"),
                           .site = Site::kAppWebCacheFill};
-  at(E::kWebRequest) = {.inc = kApp<&A::requests_served>,
+  at(E::kWebRequest) = {.inc = counter_index("app/requests_served"),
                         .site = Site::kAppWebRequest};
-  at(E::kDbQuery) = {.inc = kApp<&A::queries_ok>, .site = Site::kAppDbQuery};
-  at(E::kUiEvent) = {.inc = kApp<&A::ui_events>, .site = Site::kAppUiEvent};
+  at(E::kDbQuery) = {.inc = counter_index("app/queries_ok"),
+                     .site = Site::kAppDbQuery};
+  at(E::kUiEvent) = {.inc = counter_index("app/ui_events"),
+                     .site = Site::kAppUiEvent};
 
-  at(E::kCheckpoint) = {.inc = kRecovery<&V::checkpoints>,
+  at(E::kCheckpoint) = {.inc = counter_index("recovery/checkpoints"),
                         .flight = F::kCheckpoint,
                         .site = Site::kRecCheckpoint};
-  at(E::kFailover) = {.inc = kRecovery<&V::failovers>,
+  at(E::kFailover) = {.inc = counter_index("recovery/failovers"),
                       .flight = F::kFailover,
                       .site = Site::kRecFailover};
-  at(E::kColdRestart) = {.inc = kRecovery<&V::cold_restarts>,
+  at(E::kColdRestart) = {.inc = counter_index("recovery/cold_restarts"),
                          .flight = F::kColdRestart,
                          .site = Site::kRecColdRestart};
-  at(E::kRejuvenation) = {.inc = kRecovery<&V::rejuvenation_cycles>,
+  at(E::kRejuvenation) = {.inc = counter_index("recovery/rejuvenation_cycles"),
                           .flight = F::kRejuvenation,
                           .site = Site::kRecRejuvenation};
   at(E::kProactiveRejuvenation) = {
-      .inc = kRecovery<&V::proactive_rejuvenations>,
+      .inc = counter_index("recovery/proactive_rejuvenations"),
       .flight = F::kRejuvenation,
       .site = Site::kRecProactiveRejuvenation};
-  at(E::kRetrySanitized) = {.inc = kRecovery<&V::retries_sanitized>,
+  at(E::kRetrySanitized) = {.inc = counter_index("recovery/retries_sanitized"),
                             .flight = F::kRetrySanitized,
                             .site = Site::kRecRetrySanitized};
   at(E::kSweep) = {.site = Site::kRecSweep};
@@ -265,15 +252,15 @@ constexpr std::array<EventRow, kNumEvents> make_event_table() {
   at(E::kItemDone) = {.observe_a = &T::item_latency_ticks};
   at(E::kItemFailed) = {.flight = F::kItemFailed};
   at(E::kRecoveryBegin) = {.flight = F::kRecoveryBegin};
-  at(E::kRecoveryDone) = {.inc = kRecovery<&V::attempts>,
+  at(E::kRecoveryDone) = {.inc = counter_index("recovery/attempts"),
                            .observe_a = &T::recovery_latency_ticks};
   at(E::kRollback) = {.flight = F::kRollback,
                       .site = Site::kRecRollbackRewind};
-  at(E::kRecoveryFailed) = {.inc = kRecovery<&V::failures>,
+  at(E::kRecoveryFailed) = {.inc = counter_index("recovery/failures"),
                             .flight = F::kRecoveryFailed,
                             .site = Site::kRecRecoveryFailed};
-  at(E::kRecoveryOk) = {.inc = kRecovery<&V::successes>,
-                        .add_b = kRecovery<&V::items_rewound>,
+  at(E::kRecoveryOk) = {.inc = counter_index("recovery/successes"),
+                        .add_b = counter_index("recovery/items_rewound"),
                         .flight = F::kRecoveryOk,
                         .site = Site::kRecRecoveryOk};
   // The trial section of the Site enum mirrors forensics::TrialVerdict.
@@ -298,6 +285,24 @@ static_assert(static_cast<std::size_t>(Site::kTrialRecoveryFailed) + 1 ==
 inline constexpr std::array<EventRow, kNumEvents> kEventTable =
     detail::make_event_table();
 
+namespace detail {
+constexpr bool rows_match_counter_folds() {
+  using telemetry::Fold;
+  const auto is = [](std::size_t slot, Fold fold) {
+    return slot == kNoCounter || telemetry::kCounters[slot].fold == fold;
+  };
+  for (const EventRow& row : kEventTable) {
+    if (!is(row.inc, Fold::kSum) || !is(row.add_a, Fold::kSum) ||
+        !is(row.add_b, Fold::kSum) || !is(row.peak_b, Fold::kPeak)) {
+      return false;
+    }
+  }
+  return true;
+}
+}  // namespace detail
+static_assert(detail::rows_match_counter_folds(),
+              "peak_b must name a peak counter; inc/add_a/add_b a sum counter");
+
 /// The one per-trial sink. Attach any subset of the views; a bus with none
 /// attached should be bound as nullptr so hook sites skip it in one branch.
 struct TrialSinks {
@@ -315,13 +320,10 @@ struct TrialSinks {
     const EventRow& row = kEventTable[static_cast<std::size_t>(event)];
     if (telemetry != nullptr) {
       telemetry::TrialCounters& c = telemetry->counters;
-      if (row.inc != nullptr) ++row.inc(c);
-      if (row.add_a != nullptr) row.add_a(c) += a;
-      if (row.add_b != nullptr) row.add_b(c) += b;
-      if (row.peak_b != nullptr) {
-        std::uint64_t& peak = row.peak_b(c);
-        peak = std::max(peak, b);
-      }
+      if (row.inc != kNoCounter) ++c[row.inc];
+      if (row.add_a != kNoCounter) c[row.add_a] += a;
+      if (row.add_b != kNoCounter) c[row.add_b] += b;
+      if (row.peak_b != kNoCounter) c[row.peak_b] = std::max(c[row.peak_b], b);
       if (row.observe_a != nullptr) {
         (telemetry->*row.observe_a).observe(static_cast<std::int64_t>(a));
       }

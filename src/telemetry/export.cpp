@@ -1,39 +1,9 @@
 #include "telemetry/export.hpp"
 
-#include <cstdio>
+#include "util/json.hpp"
 
 namespace faultstudy::telemetry {
 namespace {
-
-void append_json_string(std::string& out, std::string_view text) {
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
 
 /// Maps an internal metric name ("env/proc/spawns") onto a valid Prometheus
 /// metric name: illegal characters become '_' and a leading digit gets a
@@ -104,7 +74,7 @@ std::string to_chrome_trace(const std::vector<TraceThread>& threads) {
     comma();
     out += "{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(tid) +
            ",\"name\":\"thread_name\",\"args\":{\"name\":";
-    append_json_string(out, threads[t].label);
+    out += util::json::quoted(threads[t].label);
     out += "}}";
     if (threads[t].tracer == nullptr) continue;
     for (const Span& span : threads[t].tracer->spans()) {
@@ -112,7 +82,7 @@ std::string to_chrome_trace(const std::vector<TraceThread>& threads) {
       out += "{\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(tid) +
              ",\"ts\":" + std::to_string(span.start) +
              ",\"dur\":" + std::to_string(span.duration) + ",\"name\":";
-      append_json_string(out, span.name);
+      out += util::json::quoted(span.name);
       out += ",\"args\":{\"depth\":" + std::to_string(span.depth) + "}}";
     }
   }
@@ -153,20 +123,20 @@ std::string to_json(const MetricsSnapshot& snapshot) {
   std::string out = "{\"counters\":{";
   for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
     if (i > 0) out.push_back(',');
-    append_json_string(out, snapshot.counters[i].name);
+    out += util::json::quoted(snapshot.counters[i].name);
     out += ":" + std::to_string(snapshot.counters[i].value);
   }
   out += "},\"gauges\":{";
   for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
     if (i > 0) out.push_back(',');
-    append_json_string(out, snapshot.gauges[i].name);
+    out += util::json::quoted(snapshot.gauges[i].name);
     out += ":" + std::to_string(snapshot.gauges[i].value);
   }
   out += "},\"histograms\":{";
   for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
     const auto& h = snapshot.histograms[i];
     if (i > 0) out.push_back(',');
-    append_json_string(out, h.name);
+    out += util::json::quoted(h.name);
     out += ":{\"bounds\":[";
     for (std::size_t b = 0; b < h.bounds.size(); ++b) {
       if (b > 0) out.push_back(',');

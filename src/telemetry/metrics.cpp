@@ -57,24 +57,11 @@ std::vector<std::int64_t> default_micros_bounds() {
           500,  1000, 2000,  5000,  10000, 20000,  50000,  100000};
 }
 
-MetricsRegistry::MetricsRegistry(std::size_t shards)
-    : shards_(shards == 0 ? 1 : shards) {}
-
-void MetricsRegistry::ensure_shards(std::size_t shards) {
-  if (shards <= shards_) return;
-  shards_ = shards;
-  for (auto& m : counters_) m.cells.resize(shards_);
-  for (auto& m : gauges_) m.cells.resize(shards_);
-  for (auto& m : histograms_) {
-    m.cells.resize(shards_, Histogram(m.bounds));
-  }
-}
-
 CounterId MetricsRegistry::counter(std::string_view name) {
   const auto it = counter_ids_.find(std::string(name));
   if (it != counter_ids_.end()) return {it->second};
   const auto index = static_cast<std::uint32_t>(counters_.size());
-  counters_.push_back({std::string(name), std::vector<CounterCell>(shards_)});
+  counters_.push_back({std::string(name)});
   counter_ids_.emplace(std::string(name), index);
   return {index};
 }
@@ -83,7 +70,7 @@ GaugeId MetricsRegistry::gauge(std::string_view name) {
   const auto it = gauge_ids_.find(std::string(name));
   if (it != gauge_ids_.end()) return {it->second};
   const auto index = static_cast<std::uint32_t>(gauges_.size());
-  gauges_.push_back({std::string(name), std::vector<GaugeCell>(shards_)});
+  gauges_.push_back({std::string(name)});
   gauge_ids_.emplace(std::string(name), index);
   return {index};
 }
@@ -93,82 +80,50 @@ HistogramId MetricsRegistry::histogram(std::string_view name,
   const auto it = histogram_ids_.find(std::string(name));
   if (it != histogram_ids_.end()) return {it->second};
   const auto index = static_cast<std::uint32_t>(histograms_.size());
-  HistMetric metric;
-  metric.name = std::string(name);
-  metric.bounds = std::move(bounds);
-  metric.cells.assign(shards_, Histogram(metric.bounds));
-  histograms_.push_back(std::move(metric));
+  histograms_.push_back({std::string(name), Histogram(std::move(bounds))});
   histogram_ids_.emplace(std::string(name), index);
   return {index};
 }
 
-void MetricsRegistry::add(CounterId id, std::uint64_t n,
-                          std::size_t shard) noexcept {
-  counters_[id.index].cells[shard < shards_ ? shard : 0].value += n;
+void MetricsRegistry::add(CounterId id, std::uint64_t n) noexcept {
+  counters_[id.index].value += n;
 }
 
-void MetricsRegistry::peak(GaugeId id, std::int64_t value,
-                           std::size_t shard) noexcept {
-  auto& cell = gauges_[id.index].cells[shard < shards_ ? shard : 0];
-  if (!cell.set || value > cell.high) {
-    cell.high = value;
-    cell.set = true;
+void MetricsRegistry::peak(GaugeId id, std::int64_t value) noexcept {
+  auto& gauge = gauges_[id.index];
+  if (!gauge.set || value > gauge.high) {
+    gauge.high = value;
+    gauge.set = true;
   }
 }
 
-void MetricsRegistry::observe(HistogramId id, std::int64_t value,
-                              std::size_t shard) noexcept {
-  histograms_[id.index].cells[shard < shards_ ? shard : 0].observe(value);
-}
-
-void MetricsRegistry::merge_histogram(HistogramId id, const Histogram& h,
-                                      std::size_t shard) {
-  histograms_[id.index].cells[shard < shards_ ? shard : 0].merge(h);
+void MetricsRegistry::merge_histogram(HistogramId id, const Histogram& h) {
+  histograms_[id.index].histogram.merge(h);
 }
 
 void MetricsRegistry::merge_from(const MetricsRegistry& other) {
   for (const auto& m : other.counters_) {
-    std::uint64_t total = 0;
-    for (const auto& cell : m.cells) total += cell.value;
-    if (total > 0) add(counter(m.name), total);
+    if (m.value > 0) add(counter(m.name), m.value);
   }
   for (const auto& m : other.gauges_) {
-    for (const auto& cell : m.cells) {
-      if (cell.set) peak(gauge(m.name), cell.high);
-    }
+    if (m.set) peak(gauge(m.name), m.high);
   }
   for (const auto& m : other.histograms_) {
-    const HistogramId id = histogram(m.name, m.bounds);
-    for (const auto& cell : m.cells) merge_histogram(id, cell);
+    merge_histogram(histogram(m.name, m.histogram.bounds()), m.histogram);
   }
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
   snap.counters.reserve(counters_.size());
-  for (const auto& m : counters_) {
-    std::uint64_t total = 0;
-    for (const auto& cell : m.cells) total += cell.value;
-    snap.counters.push_back({m.name, total});
-  }
+  for (const auto& m : counters_) snap.counters.push_back({m.name, m.value});
   snap.gauges.reserve(gauges_.size());
-  for (const auto& m : gauges_) {
-    std::int64_t high = 0;
-    bool set = false;
-    for (const auto& cell : m.cells) {
-      if (cell.set && (!set || cell.high > high)) {
-        high = cell.high;
-        set = true;
-      }
-    }
-    snap.gauges.push_back({m.name, high});
-  }
+  for (const auto& m : gauges_) snap.gauges.push_back({m.name, m.high});
   snap.histograms.reserve(histograms_.size());
   for (const auto& m : histograms_) {
-    Histogram folded(m.bounds);
-    for (const auto& cell : m.cells) folded.merge(cell);
-    snap.histograms.push_back({m.name, m.bounds, folded.buckets(),
-                               folded.count(), folded.sum()});
+    const Histogram& h = m.histogram;
+    snap.histograms.push_back(
+        {m.name, h.bounds(), h.buckets(), h.count(), h.sum()});
   }
   const auto by_name = [](const auto& a, const auto& b) {
     return a.name < b.name;
@@ -179,61 +134,11 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return snap;
 }
 
-void merge(ResourceCounters& into, const ResourceCounters& from) noexcept {
-  into.proc_spawns += from.proc_spawns;
-  into.proc_spawn_failures += from.proc_spawn_failures;
-  into.proc_kills += from.proc_kills;
-  into.procs_marked_hung += from.procs_marked_hung;
-  into.peak_procs = std::max(into.peak_procs, from.peak_procs);
-  into.fds_acquired += from.fds_acquired;
-  into.fd_acquire_failures += from.fd_acquire_failures;
-  into.fds_released += from.fds_released;
-  into.peak_fds = std::max(into.peak_fds, from.peak_fds);
-  into.disk_writes += from.disk_writes;
-  into.disk_bytes_written += from.disk_bytes_written;
-  into.disk_write_failures += from.disk_write_failures;
-  into.disk_truncates += from.disk_truncates;
-  into.peak_disk_used = std::max(into.peak_disk_used, from.peak_disk_used);
-  into.dns_lookups += from.dns_lookups;
-  into.dns_errors += from.dns_errors;
-  into.dns_slow_replies += from.dns_slow_replies;
-  into.dns_reverse_misses += from.dns_reverse_misses;
-  into.port_binds += from.port_binds;
-  into.port_bind_failures += from.port_bind_failures;
-  into.ports_released += from.ports_released;
-  into.kernel_resource_denied += from.kernel_resource_denied;
-  into.sched_draws += from.sched_draws;
-  into.sched_replays += from.sched_replays;
-  into.entropy_reads += from.entropy_reads;
-  into.entropy_blocked += from.entropy_blocked;
-  into.entropy_bits_taken += from.entropy_bits_taken;
-}
-
-void merge(RecoveryCounters& into, const RecoveryCounters& from) noexcept {
-  into.attempts += from.attempts;
-  into.successes += from.successes;
-  into.failures += from.failures;
-  into.items_rewound += from.items_rewound;
-  into.checkpoints += from.checkpoints;
-  into.failovers += from.failovers;
-  into.cold_restarts += from.cold_restarts;
-  into.rejuvenation_cycles += from.rejuvenation_cycles;
-  into.proactive_rejuvenations += from.proactive_rejuvenations;
-  into.retries_sanitized += from.retries_sanitized;
-}
-
-void merge(AppCounters& into, const AppCounters& from) noexcept {
-  into.requests_served += from.requests_served;
-  into.cache_fills += from.cache_fills;
-  into.cgi_children += from.cgi_children;
-  into.queries_ok += from.queries_ok;
-  into.ui_events += from.ui_events;
-}
-
 void merge(TrialCounters& into, const TrialCounters& from) noexcept {
-  merge(into.resources, from.resources);
-  merge(into.recovery, from.recovery);
-  merge(into.app, from.app);
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    into[i] = kCounters[i].fold == Fold::kPeak ? std::max(into[i], from[i])
+                                               : into[i] + from[i];
+  }
 }
 
 }  // namespace faultstudy::telemetry

@@ -1,18 +1,13 @@
 // MetricsRegistry: named counters, high-watermark gauges, and fixed-bucket
-// histograms with lock-free per-thread shards.
+// histograms.
 //
-// Concurrency model (the PR 2 determinism contract, applied to metrics):
-//
-//   * Registration (counter/gauge/histogram) interns a name into an id and
-//     must happen before a parallel sweep touches the metric; it is the only
-//     operation that allocates.
-//   * Writers (add/peak/observe) touch exactly one shard — by convention the
-//     shard is the writer's executor lane (util::current_lane()), so no two
-//     threads ever write the same slot and no atomics or locks are needed.
-//   * snapshot() and merge_from() run on one thread after the sweep drains
-//     and fold shards in index order. Counter and histogram merges are sums
-//     and gauge merges are maxima — all commutative — so the folded values
-//     are identical for every thread count.
+// Concurrency model (the executor's determinism contract, DESIGN.md §8,
+// applied to metrics): a registry has one writer. Per-trial views are
+// folded into the study registry serially, in index order, after the
+// sweep drains. Registration (counter/gauge/histogram) interns a name into
+// an id and is the only operation that allocates. Counter and histogram
+// merges are sums and gauge merges are maxima, so folded values are
+// identical for every thread count.
 //
 // Every value is an integer (ticks, bytes, counts); there is no floating
 // point anywhere in the registry, which is what makes snapshots comparable
@@ -114,63 +109,41 @@ struct MetricsSnapshot {
 
 class MetricsRegistry {
  public:
-  /// `shards` = number of independent writer lanes (>= 1). Single-threaded
-  /// users (per-trial registries, serial folds) keep the default.
-  explicit MetricsRegistry(std::size_t shards = 1);
-
-  std::size_t shards() const noexcept { return shards_; }
-
-  /// Grows the shard count (serial-only; call before a wider sweep starts).
-  void ensure_shards(std::size_t shards);
-
-  // --- registration (serial-only; returns the existing id on re-use) ---
+  // --- registration (returns the existing id on re-use) ---
   CounterId counter(std::string_view name);
   GaugeId gauge(std::string_view name);
   HistogramId histogram(std::string_view name,
                         std::vector<std::int64_t> bounds);
 
-  // --- writers (lock-free: one writer per shard) ---
-  void add(CounterId id, std::uint64_t n = 1, std::size_t shard = 0) noexcept;
+  // --- writers ---
+  void add(CounterId id, std::uint64_t n = 1) noexcept;
   /// Raises the gauge's high-watermark.
-  void peak(GaugeId id, std::int64_t value, std::size_t shard = 0) noexcept;
-  void observe(HistogramId id, std::int64_t value,
-               std::size_t shard = 0) noexcept;
-  void merge_histogram(HistogramId id, const Histogram& h,
-                       std::size_t shard = 0);
+  void peak(GaugeId id, std::int64_t value) noexcept;
+  void merge_histogram(HistogramId id, const Histogram& h);
 
-  // --- serial fold / export ---
-  /// Union-by-name merge of another registry's folded values (index-order
+  // --- fold / export ---
+  /// Union-by-name merge of another registry's values (index-order
   /// reduction of per-trial registries). Histogram bounds must match.
   void merge_from(const MetricsRegistry& other);
 
-  /// Folds shards in index order and sorts metrics by name.
+  /// Every metric, sorted by name.
   MetricsSnapshot snapshot() const;
 
  private:
-  // One cache line per shard slot so concurrent lanes never false-share.
-  struct alignas(64) CounterCell {
-    std::uint64_t value = 0;
-  };
-  struct alignas(64) GaugeCell {
-    std::int64_t high = 0;
-    bool set = false;
-  };
-
   struct CounterMetric {
     std::string name;
-    std::vector<CounterCell> cells;  ///< one per shard
+    std::uint64_t value = 0;
   };
   struct GaugeMetric {
     std::string name;
-    std::vector<GaugeCell> cells;
+    std::int64_t high = 0;
+    bool set = false;
   };
   struct HistMetric {
     std::string name;
-    std::vector<std::int64_t> bounds;
-    std::vector<Histogram> cells;
+    Histogram histogram;
   };
 
-  std::size_t shards_;
   std::vector<CounterMetric> counters_;
   std::vector<GaugeMetric> gauges_;
   std::vector<HistMetric> histograms_;

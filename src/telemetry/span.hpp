@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "env/clock.hpp"
-#include "telemetry/counters.hpp"
 
 namespace faultstudy::telemetry {
 

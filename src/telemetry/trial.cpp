@@ -4,96 +4,39 @@
 #include <array>
 
 namespace faultstudy::telemetry {
-namespace {
-
-std::string joined(std::string_view head, std::string_view tail) {
-  std::string out;
-  out.reserve(head.size() + tail.size() + 1);
-  out.append(head);
-  out.push_back('/');
-  out.append(tail);
-  return out;
-}
-
-}  // namespace
 
 TrialTelemetry::TrialTelemetry()
     : recovery_latency_ticks(default_tick_bounds()),
       item_latency_ticks(default_tick_bounds()) {}
 
 void fold_into(const TrialTelemetry& trial, std::string_view mechanism,
-               MetricsRegistry& registry, std::size_t shard) {
-  const auto add = [&](std::string_view name, std::uint64_t n) {
-    if (n > 0) registry.add(registry.counter(name), n, shard);
-  };
-  const auto peak = [&](std::string_view name, std::uint64_t high) {
-    registry.peak(registry.gauge(name), static_cast<std::int64_t>(high),
-                  shard);
-  };
-
-  const ResourceCounters& r = trial.counters.resources;
-  add("env/proc/spawns", r.proc_spawns);
-  add("env/proc/spawn_failures", r.proc_spawn_failures);
-  add("env/proc/kills", r.proc_kills);
-  add("env/proc/marked_hung", r.procs_marked_hung);
-  peak("env/proc/peak", r.peak_procs);
-  add("env/fd/acquired", r.fds_acquired);
-  add("env/fd/acquire_failures", r.fd_acquire_failures);
-  add("env/fd/released", r.fds_released);
-  peak("env/fd/peak", r.peak_fds);
-  add("env/disk/writes", r.disk_writes);
-  add("env/disk/bytes_written", r.disk_bytes_written);
-  add("env/disk/write_failures", r.disk_write_failures);
-  add("env/disk/truncates", r.disk_truncates);
-  peak("env/disk/peak_used", r.peak_disk_used);
-  add("env/dns/lookups", r.dns_lookups);
-  add("env/dns/errors", r.dns_errors);
-  add("env/dns/slow_replies", r.dns_slow_replies);
-  add("env/dns/reverse_misses", r.dns_reverse_misses);
-  add("env/net/port_binds", r.port_binds);
-  add("env/net/port_bind_failures", r.port_bind_failures);
-  add("env/net/ports_released", r.ports_released);
-  add("env/net/kernel_resource_denied", r.kernel_resource_denied);
-  add("env/sched/draws", r.sched_draws);
-  add("env/sched/replays", r.sched_replays);
-  add("env/entropy/reads", r.entropy_reads);
-  add("env/entropy/blocked", r.entropy_blocked);
-  add("env/entropy/bits_taken", r.entropy_bits_taken);
-
-  const AppCounters& a = trial.counters.app;
-  add("app/requests_served", a.requests_served);
-  add("app/cache_fills", a.cache_fills);
-  add("app/cgi_children", a.cgi_children);
-  add("app/queries_ok", a.queries_ok);
-  add("app/ui_events", a.ui_events);
-
+               MetricsRegistry& registry) {
   const std::string mech(mechanism.empty() ? "trial" : mechanism);
-  const RecoveryCounters& c = trial.counters.recovery;
-  const auto rec = [&](std::string_view name, std::uint64_t n) {
-    add(joined("recovery/" + mech, name), n);
-  };
-  rec("attempts", c.attempts);
-  rec("successes", c.successes);
-  rec("failures", c.failures);
-  rec("items_rewound", c.items_rewound);
-  rec("checkpoints", c.checkpoints);
-  rec("failovers", c.failovers);
-  rec("cold_restarts", c.cold_restarts);
-  rec("rejuvenation_cycles", c.rejuvenation_cycles);
-  rec("proactive_rejuvenations", c.proactive_rejuvenations);
-  rec("retries_sanitized", c.retries_sanitized);
+  constexpr std::string_view kRecovery = "recovery/";
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    const CounterDef& def = kCounters[i];
+    const std::uint64_t value = trial.counters[i];
+    if (def.fold == Fold::kSum && value == 0) continue;
+    std::string name(def.name);
+    if (name.starts_with(kRecovery)) name.insert(kRecovery.size(), mech + '/');
+    if (def.fold == Fold::kPeak) {
+      registry.peak(registry.gauge(name), static_cast<std::int64_t>(value));
+    } else {
+      registry.add(registry.counter(name), value);
+    }
+  }
 
   if (!trial.recovery_latency_ticks.empty()) {
     const HistogramId id =
-        registry.histogram(joined("recovery/" + mech, "latency_ticks"),
+        registry.histogram("recovery/" + mech + "/latency_ticks",
                            trial.recovery_latency_ticks.bounds());
-    registry.merge_histogram(id, trial.recovery_latency_ticks, shard);
+    registry.merge_histogram(id, trial.recovery_latency_ticks);
   }
   if (!trial.item_latency_ticks.empty()) {
     const HistogramId id =
-        registry.histogram(joined("trial/" + mech, "item_latency_ticks"),
+        registry.histogram("trial/" + mech + "/item_latency_ticks",
                            trial.item_latency_ticks.bounds());
-    registry.merge_histogram(id, trial.item_latency_ticks, shard);
+    registry.merge_histogram(id, trial.item_latency_ticks);
   }
 }
 

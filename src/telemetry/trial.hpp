@@ -25,19 +25,19 @@ namespace faultstudy::telemetry {
 struct TrialTelemetry {
   TrialTelemetry();
 
-  TrialCounters counters;
+  TrialCounters counters{};
   Histogram recovery_latency_ticks;  ///< env ticks per recovery attempt
   Histogram item_latency_ticks;      ///< env ticks per workload item
   SpanTracer spans;                  ///< sim domain
 };
 
-/// Registers and bumps registry metrics from one trial's aggregates, writing
-/// into `shard`. Resource and app counters fold into global `env/...` and
-/// `app/...` metrics; recovery counters and latency histograms fold under
-/// `recovery/<mechanism>/...` so per-mechanism behavior stays visible.
-/// Serial-only unless every metric was pre-registered.
+/// Registers and bumps registry metrics from one trial's aggregates, one
+/// kCounters row at a time. Resource and app counters fold into global
+/// `env/...` and `app/...` metrics; recovery counters and latency histograms
+/// fold under `recovery/<mechanism>/...` so per-mechanism behavior stays
+/// visible. Sums are registered only when non-zero, peaks always.
 void fold_into(const TrialTelemetry& trial, std::string_view mechanism,
-               MetricsRegistry& registry, std::size_t shard = 0);
+               MetricsRegistry& registry);
 
 /// The study-wide aggregate the CLI exports: a metrics registry plus the
 /// sim-domain traces worth keeping (one representative trial per matrix

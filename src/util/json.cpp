@@ -284,4 +284,11 @@ std::string escape(std::string_view text) {
   return out;
 }
 
+std::string quoted(std::string_view text) {
+  std::string out(1, '"');
+  out += escape(text);
+  out += '"';
+  return out;
+}
+
 }  // namespace faultstudy::util::json

@@ -54,4 +54,7 @@ Result<Value> parse(std::string_view text);
 /// Escapes a string for embedding in a JSON document (quotes not included).
 std::string escape(std::string_view text);
 
+/// The escaped string between double quotes: a complete JSON string.
+std::string quoted(std::string_view text);
+
 }  // namespace faultstudy::util::json

@@ -3,10 +3,8 @@
 // attaching every view changes nothing about the study's results.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 #include "corpus/seeds.hpp"
 #include "env/environment.hpp"
@@ -22,6 +20,7 @@ namespace {
 using forensics::FlightCode;
 using obs::Event;
 using obs::Site;
+using telemetry::counter_index;
 
 /// All three views of one trial, bound into one bus.
 struct Views {
@@ -36,7 +35,7 @@ TEST(ObservationBus, EveryEventMovesExactlyItsRow) {
   // trigger, b is a non-zero peak.
   constexpr std::uint64_t kA = 2;
   constexpr std::uint64_t kB = 5;
-  telemetry::TrialCounters named;  // every field some row moves, set to 1
+  telemetry::TrialCounters named{};  // every counter some row moves, set to 1
   for (std::size_t i = 0; i < obs::kNumEvents; ++i) {
     SCOPED_TRACE("event " + std::to_string(i));
     const auto event = static_cast<Event>(i);
@@ -44,14 +43,14 @@ TEST(ObservationBus, EveryEventMovesExactlyItsRow) {
     Views v;
     v.sinks.emit(event, kA, kB);
 
-    telemetry::TrialCounters counters;
-    if (row.inc != nullptr) row.inc(counters) = 1;
-    if (row.add_a != nullptr) row.add_a(counters) = kA;
-    if (row.add_b != nullptr) row.add_b(counters) = kB;
-    if (row.peak_b != nullptr) row.peak_b(counters) = kB;
-    EXPECT_TRUE(v.telemetry.counters == counters);
-    for (const auto field : {row.inc, row.add_a, row.add_b, row.peak_b}) {
-      if (field != nullptr) field(named) = 1;
+    telemetry::TrialCounters counters{};
+    if (row.inc != obs::kNoCounter) counters[row.inc] = 1;
+    if (row.add_a != obs::kNoCounter) counters[row.add_a] = kA;
+    if (row.add_b != obs::kNoCounter) counters[row.add_b] = kB;
+    if (row.peak_b != obs::kNoCounter) counters[row.peak_b] = kB;
+    EXPECT_EQ(v.telemetry.counters, counters);
+    for (const std::size_t slot : {row.inc, row.add_a, row.add_b, row.peak_b}) {
+      if (slot != obs::kNoCounter) named[slot] = 1;
     }
 
     using T = telemetry::TrialTelemetry;
@@ -86,15 +85,15 @@ TEST(ObservationBus, EveryEventMovesExactlyItsRow) {
     EXPECT_TRUE(v.coverage == probes);
 
     // A row that moves nothing would be a dead hook site.
-    EXPECT_TRUE(!(counters == telemetry::TrialCounters{}) ||
+    EXPECT_TRUE(counters != telemetry::TrialCounters{} ||
                 row.observe_a != nullptr || !v.ring.empty() ||
                 !probes.empty());
   }
 
-  // ...and a counter no row moves would be a dead field.
-  std::array<std::uint64_t, sizeof(named) / sizeof(std::uint64_t)> words{};
-  std::memcpy(words.data(), &named, sizeof(named));
-  for (const std::uint64_t word : words) EXPECT_EQ(word, 1u);
+  // ...and a counter no row moves would be a dead table row.
+  for (std::size_t i = 0; i < telemetry::kNumCounters; ++i) {
+    EXPECT_EQ(named[i], 1u) << telemetry::kCounters[i].name;
+  }
 }
 
 TEST(ObservationBus, RowsDeriveTheLayersTheyReplace) {
@@ -102,13 +101,14 @@ TEST(ObservationBus, RowsDeriveTheLayersTheyReplace) {
   Views v;
   v.sinks.emit(Event::kDiskWrite, 4096, 8192);
   v.sinks.emit(Event::kDiskWrite, 1024, 6000);
-  EXPECT_EQ(v.telemetry.counters.resources.disk_writes, 2u);
-  EXPECT_EQ(v.telemetry.counters.resources.disk_bytes_written, 5120u);
-  EXPECT_EQ(v.telemetry.counters.resources.peak_disk_used, 8192u);
+  const telemetry::TrialCounters& c = v.telemetry.counters;
+  EXPECT_EQ(c[counter_index("env/disk/writes")], 2u);
+  EXPECT_EQ(c[counter_index("env/disk/bytes_written")], 5120u);
+  EXPECT_EQ(c[counter_index("env/disk/peak_used")], 8192u);
 
   v.sinks.emit(Event::kRecoveryOk, 7, 3);
-  EXPECT_EQ(v.telemetry.counters.recovery.successes, 1u);
-  EXPECT_EQ(v.telemetry.counters.recovery.items_rewound, 3u);
+  EXPECT_EQ(c[counter_index("recovery/successes")], 1u);
+  EXPECT_EQ(c[counter_index("recovery/items_rewound")], 3u);
   EXPECT_EQ(v.coverage.count(Site::kRecRecoveryOk), 1u);
 
   // The verdict probe mirrors forensics::TrialVerdict one-to-one.
@@ -138,8 +138,9 @@ TEST(ObservationBus, UnreachedEnvironmentSitesStillEmit) {
   EXPECT_FALSE(environment.network().bind_port(80, "intruder"));
   environment.signals().raise(env::Signal::kHup, 12);
 
-  EXPECT_EQ(v.telemetry.counters.resources.port_binds, 1u);
-  EXPECT_EQ(v.telemetry.counters.resources.port_bind_failures, 1u);
+  const telemetry::TrialCounters& c = v.telemetry.counters;
+  EXPECT_EQ(c[counter_index("env/net/port_binds")], 1u);
+  EXPECT_EQ(c[counter_index("env/net/port_bind_failures")], 1u);
   EXPECT_EQ(v.coverage.count(Site::kEnvPortDenied), 1u);
   EXPECT_EQ(v.coverage.count(Site::kEnvSignalRaised), 1u);
   const auto events = v.ring.chronological();

@@ -192,7 +192,7 @@ class BaselineTest : public ::testing::Test {
     matrix_ = harness::run_matrix(seeds_, mechanisms_, config, 2, nullptr,
                                   nullptr, &atlas_);
     telemetry::MetricsRegistry registry;
-    registry.add(registry.counter("study/example"), 7, 0);
+    registry.add(registry.counter("study/example"), 7);
     snapshot_ = obs::build_snapshot(seeds_, matrix_, atlas_,
                                     registry.snapshot(), 99, 2);
   }

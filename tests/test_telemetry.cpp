@@ -5,11 +5,13 @@
 // byte-identical Chrome trace for threads=1 and threads=4.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "corpus/seeds.hpp"
@@ -82,16 +84,18 @@ TEST(MetricsRegistry, RegistrationInternsNames) {
 }
 
 TEST(MetricsRegistry, ShardsFoldIntoOneSnapshotValue) {
-  telemetry::MetricsRegistry reg(4);
+  // Repeated adds and peaks on one metric fold into one snapshot value.
+  telemetry::MetricsRegistry reg;
   const auto c = reg.counter("hits");
   const auto g = reg.gauge("depth");
-  for (std::size_t shard = 0; shard < 4; ++shard) {
-    reg.add(c, shard + 1, shard);
-    reg.peak(g, static_cast<std::int64_t>(shard * 10), shard);
+  for (const std::int64_t depth : {10, 30, 0, 20}) {
+    reg.add(c, static_cast<std::uint64_t>(depth) + 1);
+    reg.peak(g, depth);
   }
+  EXPECT_EQ(reg.counter("hits").index, c.index);
   const auto snap = reg.snapshot();
   ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].value, 1u + 2u + 3u + 4u);
+  EXPECT_EQ(snap.counters[0].value, 11u + 31u + 1u + 21u);
   ASSERT_EQ(snap.gauges.size(), 1u);
   EXPECT_EQ(snap.gauges[0].value, 30);
 }
@@ -123,17 +127,110 @@ TEST(MetricsRegistry, MergeFromUnionsByName) {
 }
 
 TEST(Counters, MergeSumsCountersAndMaxesPeaks) {
-  telemetry::TrialCounters a;
-  telemetry::TrialCounters b;
-  a.resources.proc_spawns = 2;
-  a.resources.peak_procs = 5;
-  b.resources.proc_spawns = 3;
-  b.resources.peak_procs = 4;
-  b.recovery.attempts = 1;
-  merge(a, b);
-  EXPECT_EQ(a.resources.proc_spawns, 5u);
-  EXPECT_EQ(a.resources.peak_procs, 5u);
-  EXPECT_EQ(a.recovery.attempts, 1u);
+  using telemetry::counter_index;
+  telemetry::TrialCounters a{};
+  telemetry::TrialCounters b{};
+  a[counter_index("env/proc/spawns")] = 2;
+  a[counter_index("env/proc/peak")] = 5;
+  b[counter_index("env/proc/spawns")] = 3;
+  b[counter_index("env/proc/peak")] = 4;
+  b[counter_index("env/fd/peak")] = 6;
+  b[counter_index("recovery/attempts")] = 1;
+  telemetry::merge(a, b);
+  EXPECT_EQ(a[counter_index("env/proc/spawns")], 5u);
+  EXPECT_EQ(a[counter_index("env/proc/peak")], 5u);
+  EXPECT_EQ(a[counter_index("env/fd/peak")], 6u);
+  EXPECT_EQ(a[counter_index("recovery/attempts")], 1u);
+
+  // Every row folds by its kind, whichever side holds the larger value.
+  constexpr std::uint64_t n = telemetry::kNumCounters;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    a[i] = i;
+    b[i] = n - i;
+  }
+  telemetry::merge(a, b);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const telemetry::CounterDef& def = telemetry::kCounters[i];
+    EXPECT_EQ(a[i], def.fold == telemetry::Fold::kPeak ? std::max(i, n - i) : n)
+        << def.name;
+  }
+}
+
+TEST(Counters, FoldIntoKeepsTheMetricVocabulary) {
+  // The exported names, copied from the hand-written fold this table
+  // replaced, in its order. Every counter is set, so none is skipped as zero.
+  constexpr std::string_view kCounterNames = R"(env/proc/spawns
+env/proc/spawn_failures
+env/proc/kills
+env/proc/marked_hung
+env/fd/acquired
+env/fd/acquire_failures
+env/fd/released
+env/disk/writes
+env/disk/bytes_written
+env/disk/write_failures
+env/disk/truncates
+env/dns/lookups
+env/dns/errors
+env/dns/slow_replies
+env/dns/reverse_misses
+env/net/port_binds
+env/net/port_bind_failures
+env/net/ports_released
+env/net/kernel_resource_denied
+env/sched/draws
+env/sched/replays
+env/entropy/reads
+env/entropy/blocked
+env/entropy/bits_taken
+app/requests_served
+app/cache_fills
+app/cgi_children
+app/queries_ok
+app/ui_events
+recovery/m/attempts
+recovery/m/successes
+recovery/m/failures
+recovery/m/items_rewound
+recovery/m/checkpoints
+recovery/m/failovers
+recovery/m/cold_restarts
+recovery/m/rejuvenation_cycles
+recovery/m/proactive_rejuvenations
+recovery/m/retries_sanitized)";
+  constexpr std::string_view kGaugeNames = R"(env/proc/peak
+env/fd/peak
+env/disk/peak_used)";
+  const auto sorted_lines = [](std::string_view text) {
+    std::vector<std::string> lines;
+    std::istringstream in{std::string(text)};
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    std::sort(lines.begin(), lines.end());
+    return lines;
+  };
+  const auto names = [](const auto& metrics) {
+    std::vector<std::string> out;
+    for (const auto& m : metrics) out.push_back(m.name);
+    return out;
+  };
+
+  telemetry::TrialTelemetry trial;
+  trial.counters.fill(1);
+  telemetry::MetricsRegistry reg;
+  telemetry::fold_into(trial, "m", reg);
+  auto snap = reg.snapshot();
+  EXPECT_EQ(names(snap.counters), sorted_lines(kCounterNames));
+  EXPECT_EQ(names(snap.gauges), sorted_lines(kGaugeNames));
+  for (const auto& c : snap.counters) EXPECT_EQ(c.value, 1u) << c.name;
+  for (const auto& g : snap.gauges) EXPECT_EQ(g.value, 1) << g.name;
+  EXPECT_TRUE(snap.histograms.empty());
+
+  // A silent trial registers its peaks and no sums.
+  telemetry::MetricsRegistry silent;
+  telemetry::fold_into(telemetry::TrialTelemetry{}, "m", silent);
+  snap = silent.snapshot();
+  EXPECT_TRUE(snap.counters.empty());
+  EXPECT_EQ(names(snap.gauges), sorted_lines(kGaugeNames));
 }
 
 // --- spans ----------------------------------------------------------------
@@ -175,14 +272,16 @@ TEST(TelemetryMacros, NullSinkIsANoOp) {
   telemetry::TrialTelemetry telemetry;
   const obs::TrialSinks* sinks = nullptr;
   obs::emit(sinks, obs::Event::kProcSpawned, 1, 9);
-  EXPECT_EQ(telemetry.counters.resources.proc_spawns, 0u);
+  const std::size_t spawns = telemetry::counter_index("env/proc/spawns");
+  const std::size_t peak = telemetry::counter_index("env/proc/peak");
+  EXPECT_EQ(telemetry.counters[spawns], 0u);
   const obs::TrialSinks bound{.telemetry = &telemetry};
   sinks = &bound;
   obs::emit(sinks, obs::Event::kProcSpawned, 1, 9);
-  EXPECT_EQ(telemetry.counters.resources.proc_spawns, 1u);
+  EXPECT_EQ(telemetry.counters[spawns], 1u);
   obs::emit(sinks, obs::Event::kProcSpawned, 2, 3);
-  EXPECT_EQ(telemetry.counters.resources.proc_spawns, 2u);
-  EXPECT_EQ(telemetry.counters.resources.peak_procs, 9u);
+  EXPECT_EQ(telemetry.counters[spawns], 2u);
+  EXPECT_EQ(telemetry.counters[peak], 9u);
 }
 
 // --- exporters ------------------------------------------------------------
@@ -205,9 +304,10 @@ TEST(Exporters, ChromeTraceEmitsCompleteEvents) {
 TEST(Exporters, PrometheusSanitizesNamesAndExpandsHistograms) {
   telemetry::MetricsRegistry reg;
   reg.add(reg.counter("env/proc/spawns"), 4);
-  const auto id = reg.histogram("lat", {1, 2});
-  reg.observe(id, 1);
-  reg.observe(id, 99);
+  telemetry::Histogram lat({1, 2});
+  lat.observe(1);
+  lat.observe(99);
+  reg.merge_histogram(reg.histogram("lat", lat.bounds()), lat);
   const auto text = telemetry::to_prometheus(reg.snapshot());
   // Counters get the conventional _total suffix plus HELP/TYPE headers.
   EXPECT_NE(text.find("env_proc_spawns_total 4"), std::string::npos);
@@ -224,8 +324,10 @@ TEST(Exporters, PrometheusOutputPassesLintRules) {
   reg.add(reg.counter("9starts/with-digit"), 1);
   reg.add(reg.counter("already_total"), 2);
   reg.peak(reg.gauge("peak.procs"), 7);
-  const auto snapid = reg.histogram("recovery/latency", {10, 100});
-  reg.observe(snapid, 5);
+  telemetry::Histogram latency({10, 100});
+  latency.observe(5);
+  reg.merge_histogram(reg.histogram("recovery/latency", latency.bounds()),
+                      latency);
   const auto text = telemetry::to_prometheus(reg.snapshot());
 
   // Promtool-style lint: every line is a comment or `name{labels} value`

@@ -11,10 +11,13 @@
 // trial_outcomes_seed99.txt.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "corpus/seeds.hpp"
@@ -26,36 +29,36 @@
 namespace faultstudy::harness {
 namespace {
 
-// Adding a counter field must extend the golden lines below.
-constexpr std::size_t kWord = sizeof(std::uint64_t);
-static_assert(sizeof(telemetry::ResourceCounters) == 27 * kWord);
-static_assert(sizeof(telemetry::RecoveryCounters) == 10 * kWord);
-static_assert(sizeof(telemetry::AppCounters) == 5 * kWord);
-
 constexpr std::uint64_t kTrialSeed = 99;
 
+// The counters print in kCounters order, grouped by metric-name prefix.
+// Adding a counter extends every golden line, so the golden file must be
+// re-blessed along with the new table row.
+constexpr std::pair<std::string_view, std::string_view> kCounterGroups[] = {
+    {"env/", " res="}, {"recovery/", " rec="}, {"app/", " app="}};
+
+constexpr bool every_counter_grouped() {
+  for (const telemetry::CounterDef& def : telemetry::kCounters) {
+    const auto in_group = [&](const auto& group) {
+      return def.name.starts_with(group.first);
+    };
+    if (std::ranges::none_of(kCounterGroups, in_group)) return false;
+  }
+  return true;
+}
+static_assert(every_counter_grouped(),
+              "a counter outside env/, recovery/ and app/ would not print");
+
 void put_counters(std::ostream& out, const telemetry::TrialCounters& c) {
-  const auto& r = c.resources;
-  out << " res=" << r.proc_spawns << ',' << r.proc_spawn_failures << ','
-      << r.proc_kills << ',' << r.procs_marked_hung << ',' << r.peak_procs
-      << ',' << r.fds_acquired << ',' << r.fd_acquire_failures << ','
-      << r.fds_released << ',' << r.peak_fds << ',' << r.disk_writes << ','
-      << r.disk_bytes_written << ',' << r.disk_write_failures << ','
-      << r.disk_truncates << ',' << r.peak_disk_used << ',' << r.dns_lookups
-      << ',' << r.dns_errors << ',' << r.dns_slow_replies << ','
-      << r.dns_reverse_misses << ',' << r.port_binds << ','
-      << r.port_bind_failures << ',' << r.ports_released << ','
-      << r.kernel_resource_denied << ',' << r.sched_draws << ','
-      << r.sched_replays << ',' << r.entropy_reads << ','
-      << r.entropy_blocked << ',' << r.entropy_bits_taken;
-  const auto& v = c.recovery;
-  out << " rec=" << v.attempts << ',' << v.successes << ',' << v.failures
-      << ',' << v.items_rewound << ',' << v.checkpoints << ',' << v.failovers
-      << ',' << v.cold_restarts << ',' << v.rejuvenation_cycles << ','
-      << v.proactive_rejuvenations << ',' << v.retries_sanitized;
-  const auto& a = c.app;
-  out << " app=" << a.requests_served << ',' << a.cache_fills << ','
-      << a.cgi_children << ',' << a.queries_ok << ',' << a.ui_events;
+  for (const auto& [prefix, label] : kCounterGroups) {
+    out << label;
+    std::string_view sep;
+    for (std::size_t i = 0; i < telemetry::kNumCounters; ++i) {
+      if (!telemetry::kCounters[i].name.starts_with(prefix)) continue;
+      out << sep << c[i];
+      sep = ",";
+    }
+  }
 }
 
 /// One trial as one line: the cell, every TrialOutcome field, the trial's
@@ -111,8 +114,8 @@ TEST(TrialGolden, OutcomesMatchParentCommit) {
       std::string(FAULTSTUDY_TEST_BINARY_DIR) + "/TrialGolden.actual.txt";
   std::ofstream out(actual_path);
   out << "# mechanism fault_id outcome fields;"
-         " res=ResourceCounters rec=RecoveryCounters app=AppCounters"
-         " (declaration order); first_failure last\n";
+         " res=env/ rec=recovery/ app=app/ counters (kCounters order);"
+         " first_failure last\n";
   for (const auto& line : actual) out << line << '\n';
 
   std::size_t first = 0;
