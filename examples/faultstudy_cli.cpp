@@ -1,38 +1,52 @@
-// faultstudy — command-line front end for the library.
+// faultstudy — the study's command-line front end.
 //
 //   faultstudy_cli classify             # read a report from stdin, classify
+//   faultstudy_cli taxonomy             # the trigger ontology
 //   faultstudy_cli corpus <app> <file>  # write the synthetic corpus to disk
 //   faultstudy_cli mine <app|file>      # run the mining pipeline, print table
-//   faultstudy_cli simulate <fault> <mechanism>   # one recovery trial
-//   faultstudy_cli matrix               # the full recovery matrix
+//   faultstudy_cli simulate <fault> <mechanism>   # one traced recovery trial
+//   faultstudy_cli matrix               # the recovery matrix and its exports
+//   faultstudy_cli diff <baseline> <candidate>    # compare two snapshots
+//   faultstudy_cli report <out.md>      # the study report plus Figures 1-3
 //
 // `mine` accepts either an application name (generates the calibrated
 // synthetic corpus) or a path to a tracker dump / mbox file written by
-// `corpus` (or by you).
+// `corpus` (or by you). `simulate` always runs traced with a flight
+// recorder: when the trial does not survive it prints the post-mortem
+// (signature, causal chain, env state, flight ring, detector verdicts) and
+// exits 3. `report` also writes figure{1,2,3}_*.svg into the working
+// directory.
 //
 // A global `--threads N` flag (anywhere on the command line) sets the
 // execution lanes for `matrix` and `mine`; results are bit-identical for
 // every value. Default: the FAULTSTUDY_THREADS environment variable, else
 // one lane per hardware thread. `--seed N` overrides the base trial seed.
 //
-// Telemetry:
-//   --telemetry=<path>   metrics snapshot; `.json` extension selects the
-//                        JSON exporter, anything else Prometheus text.
+// Exports. `matrix` runs the study once and attaches only the views the
+// requested outputs need; every output flag may repeat, and each path's
+// extension picks its format, so one run writes every artifact:
+//   --telemetry=<path>   metrics snapshot; `.json` selects the JSON
+//                        exporter, anything else Prometheus text.
 //   --trace=<path>       Chrome trace_event timeline (chrome://tracing,
 //                        Perfetto). matrix/simulate traces use simulated
 //                        ticks and are byte-identical for any --threads;
 //                        mine traces are wall-clock self-profiles.
-//
-// Coverage:
 //   --coverage=<path>    matrix/simulate coverage atlas; `.json` selects
 //                        the atlas JSON, `.html` the heatmap, anything
-//                        else the text summary. Byte-identical for any
-//                        --threads.
+//                        else the text summary.
+//   --forensics=<path>   matrix only: post-mortems of every failed trial;
+//                        `.json` selects the forensic dump, `.html` the
+//                        study explorer, anything else the triage table.
+//   --snapshot=<path>    matrix only: the study snapshot
+//                        (`faultstudy-baseline/1`) a later run diffs
+//                        against.
 //   --baseline=<path>    matrix only: diff the run against a committed
-//                        study snapshot (study_diff writes one) and exit 4
-//                        on fatal drift.
+//                        study snapshot and exit 4 on fatal drift.
+// Every matrix/simulate export is byte-identical for any --threads.
 //
-// Unknown `--` options are rejected with a usage error.
+// Exit codes: 0 ok, 1 I/O error, 2 usage error, 3 a snapshot that does not
+// parse (diff, --baseline) or a simulated trial that did not survive,
+// 4 fatal drift (diff, --baseline). Unknown `--` options are a usage error.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -41,17 +55,22 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/rules.hpp"
 #include "corpus/serialize.hpp"
 #include "corpus/synth.hpp"
+#include "forensics/export.hpp"
+#include "forensics/triage.hpp"
 #include "harness/experiment.hpp"
-#include "core/rules.hpp"
 #include "mining/pipeline.hpp"
 #include "obs/baseline.hpp"
 #include "obs/export.hpp"
 #include "report/study_report.hpp"
+#include "report/svg.hpp"
 #include "report/table.hpp"
+#include "stats/series.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/trial.hpp"
 #include "util/logging.hpp"
@@ -66,17 +85,25 @@ namespace {
 std::size_t g_threads = 0;
 /// Base trial seed; < 0 keeps each command's default.
 long long g_seed = -1;
-std::string g_telemetry_path;
-std::string g_trace_path;
-std::string g_coverage_path;
+std::vector<std::string> g_telemetry_paths;
+std::vector<std::string> g_trace_paths;
+std::vector<std::string> g_coverage_paths;
+std::vector<std::string> g_forensics_paths;
+std::vector<std::string> g_snapshot_paths;
 std::string g_baseline_path;
 
-bool telemetry_wanted() {
-  return !g_telemetry_path.empty() || !g_trace_path.empty();
-}
+/// The repeatable `--flag=PATH` outputs.
+const struct {
+  std::string_view prefix;
+  std::vector<std::string>* paths;
+} kOutputFlags[] = {
+    {"--telemetry=", &g_telemetry_paths}, {"--trace=", &g_trace_paths},
+    {"--coverage=", &g_coverage_paths},   {"--forensics=", &g_forensics_paths},
+    {"--snapshot=", &g_snapshot_paths},
+};
 
-bool coverage_wanted() {
-  return !g_coverage_path.empty() || !g_baseline_path.empty();
+bool telemetry_wanted() {
+  return !g_telemetry_paths.empty() || !g_trace_paths.empty();
 }
 
 int usage() {
@@ -88,8 +115,9 @@ int usage() {
       "  faultstudy_cli mine <apache|gnome|mysql|dump-file>\n"
       "  faultstudy_cli simulate <fault-id> <mechanism>\n"
       "  faultstudy_cli matrix\n"
+      "  faultstudy_cli diff <baseline> <candidate>    (compare snapshots)\n"
       "  faultstudy_cli report <out.md>                (full study report)\n"
-      "options:\n"
+      "options (every PATH flag but --baseline may repeat):\n"
       "  --threads N        execution lanes for matrix/mine (default: "
       "FAULTSTUDY_THREADS, else hardware; results identical for any N)\n"
       "  --seed N           base trial seed for simulate/matrix\n"
@@ -98,56 +126,135 @@ int usage() {
       "  --trace=PATH       write a Chrome trace_event timeline\n"
       "  --coverage=PATH    matrix/simulate: write the coverage atlas "
       "(.json = JSON, .html = heatmap, else text)\n"
+      "  --forensics=PATH   matrix: write the post-mortems (.json = dump, "
+      ".html = explorer, else triage text)\n"
+      "  --snapshot=PATH    matrix: write the study snapshot\n"
       "  --baseline=PATH    matrix: diff against a study snapshot, exit 4 "
       "on fatal drift\n"
       "  --log-level=LEVEL  diagnostic verbosity: debug|info|warn|error|off "
-      "(default warn)\n",
+      "(default warn)\n"
+      "exit codes: 0 ok, 1 io, 2 usage, 3 snapshot parse error or trial "
+      "not survived, 4 drift\n",
       stderr);
   return 2;
 }
 
-bool write_file(const std::string& path, const std::string& payload) {
+/// Writes one output file and reports it on stdout; false on an I/O error.
+bool write_export(const char* label, const std::string& path,
+                  const std::string& payload) {
   std::ofstream out(path, std::ios::binary);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return false;
   }
   out << payload;
+  std::printf("%-9s : wrote %s (%zu bytes)\n", label, path.c_str(),
+              payload.size());
   return true;
 }
 
-/// Writes --telemetry / --trace outputs that were requested; returns 0 or 1.
-int export_telemetry(const telemetry::MetricsSnapshot& snapshot,
-                     const std::vector<telemetry::TraceThread>& threads) {
-  if (!g_telemetry_path.empty()) {
-    const std::string payload = g_telemetry_path.ends_with(".json")
-                                    ? telemetry::to_json(snapshot)
-                                    : telemetry::to_prometheus(snapshot);
-    if (!write_file(g_telemetry_path, payload)) return 1;
-    std::printf("telemetry : wrote %s (%zu bytes)\n", g_telemetry_path.c_str(),
-                payload.size());
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    std::fprintf(stderr, "cannot read %s\n", path.c_str());
+    return std::nullopt;
   }
-  if (!g_trace_path.empty()) {
-    const std::string payload = telemetry::to_chrome_trace(threads);
-    if (!write_file(g_trace_path, payload)) return 1;
-    std::printf("trace     : wrote %s (%zu bytes)\n", g_trace_path.c_str(),
-                payload.size());
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// Reads and parses a study snapshot into `out`. Returns 0, or the exit
+/// code of the failure (1 unreadable, 3 unparsable) after saying why.
+int load_snapshot(const std::string& path, obs::StudySnapshot& out) {
+  const auto text = read_file(path);
+  if (!text.has_value()) return 1;
+  auto parsed = obs::parse_snapshot(*text);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(), parsed.error().c_str());
+    return 3;
   }
+  out = std::move(parsed.value());
   return 0;
 }
 
-/// Writes the --coverage atlas export; the extension picks the serializer
-/// (.json = atlas JSON, .html = heatmap, anything else the text summary).
-int export_coverage(const obs::CoverageAtlas& atlas) {
-  if (g_coverage_path.empty()) return 0;
-  const std::string payload =
-      g_coverage_path.ends_with(".json")   ? obs::to_json(atlas)
-      : g_coverage_path.ends_with(".html") ? obs::render_heatmap_html(atlas)
-                                           : obs::render_text(atlas);
-  if (!write_file(g_coverage_path, payload)) return 1;
-  std::printf("coverage  : wrote %s (%zu bytes)\n", g_coverage_path.c_str(),
-              payload.size());
-  return 0;
+/// Prints the drift report and maps it to the exit code (4 = fatal drift).
+int report_drift(const obs::DriftReport& drift) {
+  std::fputs(obs::render_text(drift).c_str(), stdout);
+  return drift.regressed() ? 4 : 0;
+}
+
+/// Writes the --telemetry and --trace outputs; false on an I/O error.
+bool export_telemetry(const telemetry::MetricsSnapshot& snapshot,
+                      const std::vector<telemetry::TraceThread>& threads) {
+  for (const auto& path : g_telemetry_paths) {
+    if (!write_export("telemetry", path,
+                      path.ends_with(".json")
+                          ? telemetry::to_json(snapshot)
+                          : telemetry::to_prometheus(snapshot))) {
+      return false;
+    }
+  }
+  for (const auto& path : g_trace_paths) {
+    if (!write_export("trace", path, telemetry::to_chrome_trace(threads))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Writes the --coverage outputs; false on an I/O error.
+bool export_coverage(const obs::CoverageAtlas& atlas) {
+  for (const auto& path : g_coverage_paths) {
+    const std::string payload =
+        path.ends_with(".json")   ? obs::to_json(atlas)
+        : path.ends_with(".html") ? obs::render_heatmap_html(atlas)
+                                  : obs::render_text(atlas);
+    if (!write_export("coverage", path, payload)) return false;
+  }
+  return true;
+}
+
+/// The triage table: failure signatures by cluster size.
+std::string render_triage(
+    const forensics::StudyForensics& study,
+    const std::vector<forensics::TriageCluster>& clusters) {
+  report::AsciiTable t({"signature", "count", "failures", "recoveries",
+                        "specimens"});
+  for (const auto& c : clusters) {
+    t.add_row({c.signature, std::to_string(c.count),
+               std::to_string(c.total_failures),
+               std::to_string(c.total_recoveries),
+               std::to_string(c.fault_ids.size())});
+  }
+  return std::to_string(study.failures()) + "/" +
+         std::to_string(study.trials) + " trials failed, " +
+         std::to_string(clusters.size()) + " failure signatures\n\n" +
+         t.to_string();
+}
+
+/// Writes the --forensics outputs; false on an I/O error.
+bool export_forensics(const harness::MatrixResult& matrix,
+                      const forensics::StudyForensics& study) {
+  const auto clusters = forensics::triage(study.postmortems);
+  for (const auto& path : g_forensics_paths) {
+    std::string payload;
+    if (path.ends_with(".json")) {
+      payload = forensics::to_json(study, clusters);
+    } else if (path.ends_with(".html")) {
+      std::vector<forensics::MechanismSuccessRow> rows;
+      for (const auto& r : matrix.reports) {
+        rows.push_back({r.mechanism, r.generic, r.survived_all(),
+                        r.total_all(), r.state_losses});
+      }
+      payload = forensics::render_explorer_html(
+          study, clusters, rows, "Fault-forensics study explorer");
+    } else {
+      payload = render_triage(study, clusters);
+    }
+    if (!write_export("forensics", path, payload)) return false;
+  }
+  return true;
 }
 
 int cmd_taxonomy() {
@@ -164,15 +271,38 @@ int cmd_taxonomy() {
 }
 
 int cmd_report(const std::string& path) {
-  std::printf("running the full study...\n");
-  const auto markdown = report::generate_study_report();
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  std::puts("running the full study (mining + recovery matrix)...");
+  const auto results = report::run_full_study();
+  if (!write_export("report", path, report::render_markdown(results))) {
     return 1;
   }
-  out << markdown;
-  std::printf("wrote %s (%zu bytes)\n", path.c_str(), markdown.size());
+  const struct {
+    const char* file;
+    const char* title;
+    core::AppId app;
+    const std::vector<std::string>* labels;
+  } figures[] = {
+      {"figure1_apache.svg", "Figure 1: Apache faults per release",
+       core::AppId::kApache, &corpus::apache_releases()},
+      {"figure2_gnome.svg", "Figure 2: GNOME faults over time",
+       core::AppId::kGnome, &corpus::gnome_periods()},
+      {"figure3_mysql.svg", "Figure 3: MySQL faults per release",
+       core::AppId::kMysql, &corpus::mysql_releases()},
+  };
+  for (const auto& fig : figures) {
+    const auto series =
+        stats::build_series(results.all_faults, fig.app, *fig.labels);
+    if (!write_export("figure", fig.file,
+                      report::render_svg(series, fig.title))) {
+      return 1;
+    }
+  }
+  std::printf("\nheadline: generic recovery survived %zu/%zu faults; "
+              "app-specific %zu/%zu\n",
+              results.matrix.reports.front().survived_all(),
+              results.matrix.reports.front().total_all(),
+              results.matrix.reports.back().survived_all(),
+              results.matrix.reports.back().total_all());
   return 0;
 }
 
@@ -233,14 +363,7 @@ int cmd_corpus(const std::string& app, const std::string& path) {
   } else {
     return usage();
   }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
-  out << payload;
-  std::printf("wrote %zu bytes to %s\n", payload.size(), path.c_str());
-  return 0;
+  return write_export("corpus", path, payload) ? 0 : 1;
 }
 
 void print_study(const mining::PipelineResult& result) {
@@ -268,23 +391,17 @@ int cmd_mine(const std::string& target) {
         mining::run_mailinglist_pipeline(corpus::make_mysql_list(), options);
   } else {
     // A file: sniff the format.
-    std::ifstream in(target, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", target.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
-    if (text.starts_with("From ")) {
-      const auto list = corpus::mailinglist_from_mbox(text);
+    const auto text = read_file(target);
+    if (!text.has_value()) return 1;
+    if (text->starts_with("From ")) {
+      const auto list = corpus::mailinglist_from_mbox(*text);
       if (!list.ok()) {
         std::fprintf(stderr, "mbox parse error: %s\n", list.error().c_str());
         return 1;
       }
       result = mining::run_mailinglist_pipeline(list.value(), options);
     } else {
-      const auto tracker = corpus::tracker_from_text(text);
+      const auto tracker = corpus::tracker_from_text(*text);
       if (!tracker.ok()) {
         std::fprintf(stderr, "tracker parse error: %s\n",
                      tracker.error().c_str());
@@ -294,11 +411,40 @@ int cmd_mine(const std::string& target) {
     }
   }
   print_study(*result);
-  if (options.telemetry != nullptr) {
-    return export_telemetry(profile.metrics.snapshot(),
-                            {{"mine (wall)", &profile.spans}});
+  if (options.telemetry != nullptr &&
+      !export_telemetry(profile.metrics.snapshot(),
+                        {{"mine (wall)", &profile.spans}})) {
+    return 1;
   }
   return 0;
+}
+
+/// The post-mortem of a failed trial: signature, causal chain, resource
+/// state at the failure, the flight ring's fill and the detector verdicts.
+void print_postmortem(const forensics::PostMortemRecord& pm) {
+  std::printf("signature : %s\n", forensics::failure_signature(pm).c_str());
+  std::printf("\ncausal chain:\n");
+  for (const auto& link : pm.chain) {
+    std::printf("  [%-11s] t=%-8llu %s\n",
+                std::string(to_string(link.stage)).c_str(),
+                static_cast<unsigned long long>(link.at),
+                link.description.c_str());
+  }
+  const auto& s = pm.env_state;
+  std::printf("\nenv at failure: procs %zu/%zu, fds %zu/%zu, disk %llu/%llu "
+              "bytes, entropy %llu bits\n",
+              s.procs_used, s.procs_capacity, s.fds_used, s.fds_capacity,
+              static_cast<unsigned long long>(s.disk_used),
+              static_cast<unsigned long long>(s.disk_capacity),
+              static_cast<unsigned long long>(s.entropy_bits));
+  std::printf("flight ring: %zu events held, %llu overwritten\n",
+              pm.events.size(),
+              static_cast<unsigned long long>(pm.events_dropped));
+  if (pm.analyzed) {
+    std::printf("detectors : %zu race report(s), %zu invariant "
+                "violation(s)\n",
+                pm.race_reports, pm.invariant_violations);
+  }
 }
 
 int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
@@ -326,15 +472,20 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
   // config seed 99; --seed N sets both.
   harness::TrialConfig config;
   if (g_seed >= 0) config.seed = static_cast<std::uint64_t>(g_seed);
+  // Traced, with a flight ring: a failed trial's post-mortem carries the
+  // race-detector and invariant-checker verdicts in its detection stage.
+  harness::TrialObservation observation;
+  forensics::FlightRecorder ring;
   telemetry::TrialTelemetry telem;
   obs::CoverageMap cover;
-  obs::TrialSinks sinks;
+  obs::TrialSinks sinks{.flight = &ring};
   if (telemetry_wanted()) sinks.telemetry = &telem;
-  if (!g_coverage_path.empty()) sinks.coverage = &cover;
+  if (!g_coverage_paths.empty()) sinks.coverage = &cover;
   const auto plan = inject::plan_for(
       *seed, g_seed >= 0 ? static_cast<std::uint64_t>(g_seed) : 42);
   auto mech = factory();
-  const auto outcome = harness::run_trial(plan, *mech, config, nullptr, sinks);
+  const auto outcome =
+      harness::run_trial(plan, *mech, config, &observation, sinks);
   std::printf("simulate  : seed=%llu threads=1\n",
               static_cast<unsigned long long>(config.seed));
   std::printf("fault     : %s (%s, %s)\n", seed->fault_id.c_str(),
@@ -351,8 +502,8 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
   if (sinks.telemetry != nullptr) {
     telemetry::MetricsRegistry registry;
     telemetry::fold_into(telem, mechanism, registry);
-    if (export_telemetry(registry.snapshot(),
-                         {{fault_id + "/" + mechanism, &telem.spans}}) != 0) {
+    if (!export_telemetry(registry.snapshot(),
+                          {{fault_id + "/" + mechanism, &telem.spans}})) {
       return 1;
     }
   }
@@ -360,30 +511,43 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
     obs::CoverageAtlas atlas;
     atlas.begin_study({*seed}, {mechanism});
     atlas.fold_trial(*seed, cover);
-    if (export_coverage(atlas) != 0) return 1;
+    if (!export_coverage(atlas)) return 1;
   }
+  if (outcome.postmortem.has_value()) print_postmortem(*outcome.postmortem);
   return outcome.survived ? 0 : 3;
 }
 
 int cmd_matrix() {
   constexpr int kRepeats = 3;
+  // Read the baseline first: a bad path fails before the study runs.
+  std::optional<obs::StudySnapshot> baseline;
+  if (!g_baseline_path.empty()) {
+    const int rc = load_snapshot(g_baseline_path, baseline.emplace());
+    if (rc != 0) return rc;
+  }
   harness::TrialConfig config;
   config.threads = g_threads;
   if (g_seed >= 0) config.seed = static_cast<std::uint64_t>(g_seed);
   std::printf("matrix: seed=%llu threads=%zu\n",
               static_cast<unsigned long long>(config.seed),
               util::resolve_threads(g_threads));
+  // Attach only the views the requested outputs need. A study snapshot
+  // (written or diffed) carries the atlas and the telemetry counters.
+  const bool study_snapshot =
+      baseline.has_value() || !g_snapshot_paths.empty();
   telemetry::StudyTelemetry study;
-  // A --baseline run is always instrumented: the snapshot's counters
-  // section comes from the telemetry fold.
   telemetry::StudyTelemetry* tp =
-      telemetry_wanted() || !g_baseline_path.empty() ? &study : nullptr;
+      telemetry_wanted() || study_snapshot ? &study : nullptr;
   obs::CoverageAtlas atlas;
-  obs::CoverageAtlas* ap = coverage_wanted() ? &atlas : nullptr;
+  obs::CoverageAtlas* ap =
+      !g_coverage_paths.empty() || study_snapshot ? &atlas : nullptr;
+  forensics::StudyForensics postmortems;
+  forensics::StudyForensics* fp =
+      g_forensics_paths.empty() ? nullptr : &postmortems;
   const auto seeds = corpus::all_seeds();
   const auto matrix =
       harness::run_matrix(seeds, harness::standard_mechanisms(), config,
-                          kRepeats, tp, nullptr, ap);
+                          kRepeats, tp, fp, ap);
   report::AsciiTable t({"mechanism", "EI", "EDN", "EDT", "overall"});
   for (const auto& r : matrix.reports) {
     const auto cell = [&](core::FaultClass c) {
@@ -397,40 +561,48 @@ int cmd_matrix() {
                              static_cast<double>(r.total_all()))});
   }
   std::fputs(t.to_string().c_str(), stdout);
-  // Publish atlas gauges before any snapshot is taken, so both the
-  // telemetry export and the baseline diff see coverage.
+  // Publish atlas gauges before the metrics snapshot is taken, so both the
+  // telemetry export and the study snapshot see coverage.
   if (ap != nullptr && tp != nullptr) obs::export_gauges(atlas, study.metrics);
-  if (export_coverage(atlas) != 0) return 1;
-  int rc = 0;
-  if (!g_baseline_path.empty()) {
-    std::ifstream in(g_baseline_path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", g_baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const auto baseline = obs::parse_snapshot(buf.str());
-    if (!baseline.ok()) {
-      std::fprintf(stderr, "%s: %s\n", g_baseline_path.c_str(),
-                   baseline.error().c_str());
-      return 1;
-    }
-    const auto candidate = obs::build_snapshot(
-        seeds, matrix, atlas, study.metrics.snapshot(), config.seed, kRepeats);
-    const auto drift = obs::diff(baseline.value(), candidate);
-    std::fputs(obs::render_text(drift).c_str(), stdout);
-    if (drift.regressed()) rc = 4;
+  if (!export_coverage(atlas)) return 1;
+  if (fp != nullptr && !export_forensics(matrix, postmortems)) return 1;
+  if (tp == nullptr) return 0;  // every output below needs telemetry
+  const auto metrics = study.metrics.snapshot();
+  std::vector<telemetry::TraceThread> threads;
+  threads.reserve(study.traces.size());
+  for (const auto& [label, tracer] : study.traces) {
+    threads.push_back({label, &tracer});
   }
-  if (tp != nullptr && telemetry_wanted()) {
-    std::vector<telemetry::TraceThread> threads;
-    threads.reserve(study.traces.size());
-    for (const auto& [label, tracer] : study.traces) {
-      threads.push_back({label, &tracer});
-    }
-    if (export_telemetry(study.metrics.snapshot(), threads) != 0) return 1;
+  if (!export_telemetry(metrics, threads)) return 1;
+  if (!study_snapshot) return 0;
+  const auto snapshot = obs::build_snapshot(seeds, matrix, atlas, metrics,
+                                            config.seed, kRepeats);
+  for (const auto& path : g_snapshot_paths) {
+    if (!write_export("snapshot", path, obs::to_json(snapshot))) return 1;
   }
-  return rc;
+  return baseline.has_value() ? report_drift(obs::diff(*baseline, snapshot))
+                              : 0;
+}
+
+int cmd_diff(const std::string& baseline_path,
+             const std::string& candidate_path) {
+  obs::StudySnapshot baseline, candidate;
+  if (const int rc = load_snapshot(baseline_path, baseline); rc != 0) {
+    return rc;
+  }
+  if (const int rc = load_snapshot(candidate_path, candidate); rc != 0) {
+    return rc;
+  }
+  return report_drift(obs::diff(baseline, candidate));
+}
+
+/// A whole argument as a non-negative decimal integer; trailing
+/// characters (`4abc`) make it invalid.
+std::optional<long long> parse_count(const char* text) {
+  char* end = nullptr;
+  const long long n = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || n < 0) return std::nullopt;
+  return n;
 }
 
 }  // namespace
@@ -440,36 +612,26 @@ int main(int argc, char** argv) {
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--threads") {
-      if (i + 1 >= argc) return usage();
-      const long n = std::strtol(argv[++i], nullptr, 10);
-      if (n < 1) return usage();
-      g_threads = static_cast<std::size_t>(n);
+    if (arg == "--threads" || arg == "--seed") {
+      const auto n = i + 1 < argc ? parse_count(argv[++i]) : std::nullopt;
+      if (!n.has_value()) return usage();
+      if (arg == "--seed") {
+        g_seed = *n;
+      } else if (*n < 1) {
+        return usage();
+      } else {
+        g_threads = static_cast<std::size_t>(*n);
+      }
       continue;
     }
-    if (arg == "--seed") {
-      if (i + 1 >= argc) return usage();
-      char* end = nullptr;
-      const long long n = std::strtoll(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || n < 0) return usage();
-      g_seed = n;
-      continue;
+    bool output = false;
+    for (const auto& [prefix, paths] : kOutputFlags) {
+      if (!arg.starts_with(prefix)) continue;
+      if (arg.size() == prefix.size()) return usage();
+      paths->push_back(arg.substr(prefix.size()));
+      output = true;
     }
-    if (arg.starts_with("--telemetry=")) {
-      g_telemetry_path = arg.substr(std::strlen("--telemetry="));
-      if (g_telemetry_path.empty()) return usage();
-      continue;
-    }
-    if (arg.starts_with("--trace=")) {
-      g_trace_path = arg.substr(std::strlen("--trace="));
-      if (g_trace_path.empty()) return usage();
-      continue;
-    }
-    if (arg.starts_with("--coverage=")) {
-      g_coverage_path = arg.substr(std::strlen("--coverage="));
-      if (g_coverage_path.empty()) return usage();
-      continue;
-    }
+    if (output) continue;
     if (arg.starts_with("--baseline=")) {
       g_baseline_path = arg.substr(std::strlen("--baseline="));
       if (g_baseline_path.empty()) return usage();
@@ -497,6 +659,7 @@ int main(int argc, char** argv) {
   if (cmd == "simulate" && args.size() == 3)
     return cmd_simulate(args[1], args[2]);
   if (cmd == "matrix") return cmd_matrix();
+  if (cmd == "diff" && args.size() == 3) return cmd_diff(args[1], args[2]);
   if (cmd == "report" && args.size() == 2) return cmd_report(args[1]);
   return usage();
 }

@@ -14,9 +14,10 @@
 // Prometheus text); --trace writes its sim-tick span timeline as Chrome
 // trace_event JSON. --coverage writes the narrated trial's coverage atlas
 // (.json = atlas JSON, .html = heatmap, else text); --baseline reads a
-// committed study snapshot (study_diff writes one) and prints what it
-// recorded for this specimen next to the trial's own coverage. Unknown
-// `--` options are a usage error.
+// committed study snapshot (`faultstudy_cli matrix --snapshot=` writes
+// one) and prints what it recorded for this specimen next to the trial's
+// own coverage. Unknown `--` options and counts with trailing characters
+// are usage errors.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,7 +27,6 @@
 
 #include "corpus/seeds.hpp"
 #include "harness/experiment.hpp"
-#include "harness/parallel.hpp"
 #include "harness/transcript.hpp"
 #include "obs/baseline.hpp"
 #include "obs/export.hpp"
@@ -34,6 +34,7 @@
 #include "telemetry/trial.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace faultstudy;
 
@@ -62,8 +63,10 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" || arg == "--repeats") {
-      const long n = i + 1 < argc ? std::strtol(argv[++i], nullptr, 10) : -1;
-      if (n < 0) {
+      char* end = nullptr;
+      const long long n =
+          i + 1 < argc ? std::strtoll(argv[++i], &end, 10) : -1;
+      if (end == nullptr || end == argv[i] || *end != '\0' || n < 0) {
         std::fprintf(stderr, "%s needs a non-negative integer\n", arg.c_str());
         return 1;
       }
@@ -235,7 +238,7 @@ int main(int argc, char** argv) {
     // Stability sweep: the narrated trial is one draw; races and timing
     // phases are probabilistic, so re-run the cell across `repeats`
     // differently-seeded trials on the parallel executor.
-    const auto outcomes = harness::parallel_map<harness::TrialOutcome>(
+    const auto outcomes = util::parallel_map<harness::TrialOutcome>(
         repeats, threads, [&](std::size_t r) {
           harness::TrialConfig config;
           config.seed = 1000 + static_cast<std::uint64_t>(r) * 131 +
@@ -253,7 +256,7 @@ int main(int argc, char** argv) {
     std::printf("stability: survived %zu/%zu fault-observing trials "
                 "(%zu of %zu repeats, %zu lanes)\n",
                 wins, observed, observed, repeats,
-                harness::effective_threads(threads));
+                util::resolve_threads(threads));
   }
   return outcome.survived ? 0 : 2;
 }

@@ -121,7 +121,8 @@ void render_forensics(std::string& md, const forensics::StudyForensics& study,
   if (clusters.size() > shown) {
     md += "\n… " + std::to_string(clusters.size() - shown) +
           " smaller clusters omitted; the postmortem explorer "
-          "(examples/postmortem_cli) renders all of them.\n";
+          "(faultstudy_cli matrix --forensics=explorer.html) renders all "
+          "of them.\n";
   }
 }
 
@@ -223,10 +224,6 @@ std::string render_markdown(const StudyResults& r,
   if (options.include_coverage) render_coverage(md, r.coverage);
   if (options.include_telemetry) render_telemetry(md, r.telemetry);
   return md;
-}
-
-std::string generate_study_report(const StudyReportOptions& options) {
-  return render_markdown(run_full_study(options), options);
 }
 
 }  // namespace faultstudy::report

@@ -4,9 +4,9 @@
 // tables 1-3, the discussion aggregates, figure series, and the recovery
 // experiment.
 //
-// This is the library's "reproduce the paper" button; the CLI and the
-// make_report example call it, and the pieces are exposed so callers can
-// render subsets.
+// This is the library's "reproduce the paper" button: `faultstudy_cli
+// report <out.md>` runs it, renders the markdown and writes Figures 1-3 as
+// SVG. The pieces are exposed so callers can render subsets.
 #pragma once
 
 #include <string>
@@ -62,8 +62,5 @@ StudyResults run_full_study(const StudyReportOptions& options = {});
 /// Renders the results as markdown.
 std::string render_markdown(const StudyResults& results,
                             const StudyReportOptions& options = {});
-
-/// Convenience: run + render.
-std::string generate_study_report(const StudyReportOptions& options = {});
 
 }  // namespace faultstudy::report

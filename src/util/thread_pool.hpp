@@ -9,6 +9,13 @@
 // index order after the pool drains. Nothing observable depends on thread
 // timing — only on the indices, which are the same in every run.
 //
+// Callers keep the other half of the contract: a unit of work derives any
+// randomness from its own index (the harness seeds every trial from
+// util::fnv1a(fault_id)), never from a stream shared across indices, and
+// touches no state another index can see. Then the thread count changes
+// wall-clock time and nothing else: a MatrixResult, OracleReport or mined
+// bug list is bit-identical for every lane count.
+//
 // Thread-count resolution (`resolve_threads`): an explicit request wins;
 // otherwise the FAULTSTUDY_THREADS environment variable; otherwise
 // std::thread::hardware_concurrency(). A resolved count of 1 runs the exact

@@ -13,7 +13,6 @@
 #include "corpus/seeds.hpp"
 #include "corpus/synth.hpp"
 #include "harness/experiment.hpp"
-#include "harness/parallel.hpp"
 #include "mining/pipeline.hpp"
 #include "util/thread_pool.hpp"
 

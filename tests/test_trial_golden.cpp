@@ -22,9 +22,9 @@
 
 #include "corpus/seeds.hpp"
 #include "harness/experiment.hpp"
-#include "harness/parallel.hpp"
 #include "telemetry/trial.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace faultstudy::harness {
 namespace {
@@ -98,7 +98,7 @@ std::vector<std::string> read_lines(const std::string& path) {
 TEST(TrialGolden, OutcomesMatchParentCommit) {
   const auto seeds = corpus::all_seeds();
   const auto mechanisms = standard_mechanisms();
-  const auto actual = parallel_map<std::string>(
+  const auto actual = util::parallel_map<std::string>(
       mechanisms.size() * seeds.size(), /*threads=*/0, [&](std::size_t i) {
         return trial_line(mechanisms[i / seeds.size()],
                           seeds[i % seeds.size()]);
