@@ -124,8 +124,9 @@ int main() {
   truth.reserve(candidates.size());
   for (const auto& r : candidates) truth.push_back(r.fault_id);
 
+  // Wall-clock timings go to stderr so stdout stays deterministic.
   report::AsciiTable t({"strategy", "clusters", "pair precision",
-                        "pair recall", "ms"});
+                        "pair recall"});
   const auto run = [&](const char* name, auto&& fn) {
     const auto t0 = std::chrono::steady_clock::now();
     const Clusters clusters = fn();
@@ -133,10 +134,10 @@ int main() {
                         std::chrono::steady_clock::now() - t0)
                         .count() /
                     1000.0;
+    std::fprintf(stderr, "%s: %s ms\n", name, util::fixed(ms, 2).c_str());
     const auto s = score(clusters, truth);
     t.add_row({name, std::to_string(clusters.size()),
-               util::percent(s.precision), util::percent(s.recall),
-               util::fixed(ms, 2)});
+               util::percent(s.precision), util::percent(s.recall)});
   };
 
   run("exact-title", [&] { return exact_title(candidates); });
