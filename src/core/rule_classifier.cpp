@@ -1,16 +1,13 @@
 #include "core/rule_classifier.hpp"
 
 #include <array>
-#include <cstring>
-
-#include "util/strings.hpp"
 
 namespace faultstudy::core {
 
 namespace {
 
 struct Cue {
-  const char* phrase;  // matched case-insensitively as a substring
+  const char* phrase;  // lowercase ASCII; matched case-insensitively
   Trigger trigger;
   double weight;       // specificity: multiword diagnostic phrases score higher
 };
@@ -140,6 +137,21 @@ constexpr Cue kCues[] = {
     {"not reproducible", Trigger::kUnknownTransient, 2.0},
 };
 
+// classify() lowers each field once and searches it for the phrases as
+// written, which equals a case-insensitive match only while no phrase has
+// an uppercase letter or a byte outside ASCII.
+constexpr bool cues_are_lowercase_ascii() {
+  for (const Cue& cue : kCues) {
+    for (const char* p = cue.phrase; *p != '\0'; ++p) {
+      const auto c = static_cast<unsigned char>(*p);
+      if (c >= 0x80 || (c >= 'A' && c <= 'Z')) return false;
+    }
+  }
+  return true;
+}
+static_assert(cues_are_lowercase_ascii(),
+              "cue phrases must be lowercase ASCII");
+
 struct Field {
   const char* name;
   double weight;
@@ -179,11 +191,16 @@ Classification RuleClassifier::classify(const ReportText& report) const {
   std::array<double, kNumTriggers> scores{};
   Classification result;
 
+  std::string lowered;
   for (std::size_t f = 0; f < std::size(kFields); ++f) {
     const std::string& text = field_text(report, f);
     if (text.empty()) continue;
+    lowered.assign(text);
+    for (char& c : lowered) {
+      if (c >= 'A' && c <= 'Z') c += 'a' - 'A';
+    }
     for (const Cue& cue : kCues) {
-      if (util::icontains(text, cue.phrase)) {
+      if (lowered.find(cue.phrase) != std::string::npos) {
         const double w = cue.weight * kFields[f].weight;
         scores[static_cast<std::size_t>(cue.trigger)] += w;
         result.evidence.push_back(

@@ -38,9 +38,15 @@ struct MinedThread {
   std::vector<corpus::MailMessage> replies;
 };
 
-/// Runs keyword match + report-shape narrowing, grouping by thread.
+/// Runs keyword match + report-shape narrowing, grouping by thread. The
+/// keywords are stemmed once per call; the per-message match fans out over
+/// `threads` lanes (resolved via util::resolve_threads; 1 = serial on the
+/// calling thread) and the funnel and thread grouping reduce serially in
+/// message order, so the result is identical for every lane count. A
+/// parallel call must come from a thread that is not itself a pool worker.
 std::vector<MinedThread> mine_threads(const corpus::MailingList& list,
                                       const std::vector<std::string>& keywords,
-                                      KeywordFunnel* funnel = nullptr);
+                                      KeywordFunnel* funnel = nullptr,
+                                      std::size_t threads = 1);
 
 }  // namespace faultstudy::mining

@@ -217,7 +217,8 @@ PipelineResult run_mailinglist_pipeline(const corpus::MailingList& list,
   std::vector<MinedThread> threads;
   {
     TELEM_SPAN(tracer, "mine/keyword");
-    threads = mine_threads(list, study_keywords(), &result.keyword_funnel);
+    threads = mine_threads(list, study_keywords(), &result.keyword_funnel,
+                           options.threads);
   }
 
   std::vector<DedupDoc> docs;

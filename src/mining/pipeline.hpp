@@ -52,10 +52,11 @@ struct PipelineResult {
 struct PipelineOptions {
   DedupParams dedup;
   core::RulePolicy policy;  ///< classification rule policy (paper default)
-  /// Lanes for the per-report/per-cluster fan-out (tokenize, TF-IDF,
-  /// MinHash, classification). 0 = auto (FAULTSTUDY_THREADS env var, else
-  /// hardware_concurrency), 1 = the serial path. The merge is serial in
-  /// cluster order, so the result is identical for every thread count.
+  /// Lanes for the per-message/per-report/per-cluster fan-out (keyword
+  /// match, tokenize, TF-IDF, MinHash, classification). 0 = auto
+  /// (FAULTSTUDY_THREADS env var, else hardware_concurrency), 1 = the serial
+  /// path. Every reduction is serial in index order, so the result is
+  /// identical for every thread count.
   /// Also used for dedup when `dedup.threads` is 0.
   std::size_t threads = 0;
   /// Optional wall-domain self-profile: steady-clock stage spans, funnel

@@ -1,52 +1,12 @@
 #include "text/tokenizer.hpp"
 
-#include <cctype>
-
 namespace faultstudy::text {
-
-namespace {
-bool is_word_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-bool is_joiner(char c) { return c == '.' || c == '-'; }
-}  // namespace
 
 std::vector<std::string> tokenize(std::string_view input,
                                   const TokenizerOptions& options) {
   std::vector<std::string> tokens;
-  std::size_t i = 0;
-  while (i < input.size()) {
-    if (!is_word_char(input[i])) {
-      ++i;
-      continue;
-    }
-    const std::size_t start = i;
-    while (i < input.size()) {
-      if (is_word_char(input[i])) {
-        ++i;
-      } else if (is_joiner(input[i]) && i + 1 < input.size() &&
-                 is_word_char(input[i + 1])) {
-        i += 2;  // joiner plus the character that legitimized it
-      } else {
-        break;
-      }
-    }
-    std::string tok(input.substr(start, i - start));
-    if (options.lowercase) {
-      for (char& c : tok) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    }
-    if (!options.keep_numbers) {
-      bool all_digit_or_punct = true;
-      for (char c : tok) {
-        if (std::isalpha(static_cast<unsigned char>(c))) {
-          all_digit_or_punct = false;
-          break;
-        }
-      }
-      if (all_digit_or_punct) continue;
-    }
-    if (tok.size() >= options.min_length) tokens.push_back(std::move(tok));
-  }
+  for_each_token(input, options,
+                 [&](std::string_view tok) { tokens.emplace_back(tok); });
   return tokens;
 }
 

@@ -5,8 +5,11 @@
 // intact because they carry most of the classification signal.
 #pragma once
 
+#include <array>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace faultstudy::text {
@@ -17,6 +20,83 @@ struct TokenizerOptions {
   /// Drop tokens shorter than this many characters after normalization.
   std::size_t min_length = 2;
 };
+
+namespace detail {
+// The grammar is ASCII, as under the "C" locale: only [A-Za-z0-9_] are word
+// characters, bytes >= 0x80 separate tokens and only A-Z are lowered.
+inline constexpr unsigned char kWord = 1, kAlpha = 2, kUpper = 4;
+inline constexpr auto kCharClass = [] {
+  std::array<unsigned char, 256> t{};
+  for (int c = '0'; c <= '9'; ++c) t[c] = kWord;
+  for (int c = 'a'; c <= 'z'; ++c) t[c] = kWord | kAlpha;
+  for (int c = 'A'; c <= 'Z'; ++c) t[c] = kWord | kAlpha | kUpper;
+  t['_'] = kWord;
+  return t;
+}();
+constexpr unsigned char char_class(char c) {
+  return kCharClass[static_cast<unsigned char>(c)];
+}
+constexpr bool is_joiner(char c) { return c == '.' || c == '-'; }
+}  // namespace detail
+
+/// The token grammar, visited without allocating: calls fn(token) with a
+/// std::string_view of each token `tokenize` would return, in order. The
+/// view is valid only for the duration of that call: a token that needs
+/// lowering is lowered into `scratch`, any other is a view of `input`, so
+/// reusing one scratch buffer across calls keeps a scan allocation-free.
+/// If fn returns bool, returning false stops the scan; the visitor then
+/// returns false, otherwise true.
+template <typename Fn>
+bool for_each_token(std::string_view input, const TokenizerOptions& options,
+                    std::string& scratch, Fn&& fn) {
+  std::size_t i = 0;
+  while (i < input.size()) {
+    if (!(detail::char_class(input[i]) & detail::kWord)) {
+      ++i;
+      continue;
+    }
+    const std::size_t start = i;
+    unsigned char seen = 0;  // union of the token's character classes
+    while (i < input.size()) {
+      const unsigned char cls = detail::char_class(input[i]);
+      if (cls & detail::kWord) {
+        seen |= cls;
+        ++i;
+      } else if (detail::is_joiner(input[i]) && i + 1 < input.size() &&
+                 (detail::char_class(input[i + 1]) & detail::kWord)) {
+        seen |= detail::char_class(input[i + 1]);
+        i += 2;  // joiner plus the character that legitimized it
+      } else {
+        break;
+      }
+    }
+    std::string_view tok = input.substr(start, i - start);
+    if (tok.size() < options.min_length) continue;
+    if (!options.keep_numbers && !(seen & detail::kAlpha)) continue;
+    if (options.lowercase && (seen & detail::kUpper)) {
+      scratch.assign(tok);
+      for (char& c : scratch) {
+        if (detail::char_class(c) & detail::kUpper) c += 'a' - 'A';
+      }
+      tok = scratch;
+    }
+    if constexpr (std::is_same_v<std::invoke_result_t<Fn&, std::string_view>,
+                                 bool>) {
+      if (!fn(tok)) return false;
+    } else {
+      fn(tok);
+    }
+  }
+  return true;
+}
+
+/// for_each_token with a scratch buffer of its own.
+template <typename Fn>
+bool for_each_token(std::string_view input, const TokenizerOptions& options,
+                    Fn&& fn) {
+  std::string scratch;
+  return for_each_token(input, options, scratch, std::forward<Fn>(fn));
+}
 
 /// Splits text into word tokens. A token is a maximal run of [A-Za-z0-9_]
 /// optionally containing internal '.' or '-' when flanked by alphanumerics

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
@@ -13,6 +14,7 @@
 #include "corpus/seeds.hpp"
 #include "corpus/synth.hpp"
 #include "harness/experiment.hpp"
+#include "mining/keyword_search.hpp"
 #include "mining/pipeline.hpp"
 #include "util/thread_pool.hpp"
 
@@ -183,6 +185,17 @@ void expect_same_bugs(const mining::PipelineResult& a,
               b.bugs[i].classification.trigger);
     EXPECT_EQ(a.bugs[i].classification.fault_class,
               b.bugs[i].classification.fault_class);
+    EXPECT_EQ(a.bugs[i].classification.confidence,
+              b.bugs[i].classification.confidence);
+    const auto& ea = a.bugs[i].classification.evidence;
+    const auto& eb = b.bugs[i].classification.evidence;
+    ASSERT_EQ(ea.size(), eb.size()) << a.bugs[i].title;
+    for (std::size_t e = 0; e < ea.size(); ++e) {
+      EXPECT_EQ(ea[e].trigger, eb[e].trigger);
+      EXPECT_EQ(ea[e].phrase, eb[e].phrase);
+      EXPECT_EQ(ea[e].field, eb[e].field);
+      EXPECT_EQ(ea[e].weight, eb[e].weight);
+    }
     EXPECT_EQ(a.bugs[i].truth_fault_id, b.bugs[i].truth_fault_id);
   }
 }
@@ -205,6 +218,35 @@ TEST(DeterministicMining, MailingListPipelineMatchesSerial) {
   wide.threads = 4;
   expect_same_bugs(mining::run_mailinglist_pipeline(list, serial),
                    mining::run_mailinglist_pipeline(list, wide));
+}
+
+TEST(DeterministicMining, MineThreadsMatchesSerial) {
+  const auto list = corpus::make_mysql_list();
+  mining::KeywordFunnel serial_funnel;
+  mining::KeywordFunnel wide_funnel;
+  const auto serial = mining::mine_threads(list, mining::study_keywords(),
+                                           &serial_funnel, 1);
+  const auto wide = mining::mine_threads(list, mining::study_keywords(),
+                                         &wide_funnel, 4);
+  EXPECT_EQ(serial_funnel.total_messages, wide_funnel.total_messages);
+  EXPECT_EQ(serial_funnel.keyword_hits, wide_funnel.keyword_hits);
+  EXPECT_EQ(serial_funnel.report_shaped, wide_funnel.report_shaped);
+  EXPECT_EQ(serial_funnel.threads, wide_funnel.threads);
+  EXPECT_GT(serial_funnel.keyword_hits, serial_funnel.report_shaped);
+  ASSERT_EQ(serial.size(), wide.size());
+  ASSERT_FALSE(serial.empty());
+  const auto reply_ids = [](const mining::MinedThread& t) {
+    std::vector<std::uint64_t> ids;
+    for (const auto& m : t.replies) ids.push_back(m.id);
+    return ids;
+  };
+  std::size_t replies = 0;
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].root.id, wide[i].root.id);
+    EXPECT_EQ(reply_ids(serial[i]), reply_ids(wide[i])) << "thread " << i;
+    replies += serial[i].replies.size();
+  }
+  EXPECT_GT(replies, 0u);
 }
 
 }  // namespace

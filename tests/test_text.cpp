@@ -68,6 +68,71 @@ TEST(Tokenizer, EmptyInput) {
   EXPECT_TRUE(tokenize("!!! ??? ...").empty());
 }
 
+// Edge cases of the token grammar, each with the tokens the tokenizer has
+// always produced for it: joiners at either end, versions, identifiers,
+// one-character tokens, digit-only tokens, mixed case and non-ASCII bytes
+// (which separate tokens).
+struct GrammarCase {
+  std::string_view input;
+  TokenizerOptions options;
+  std::vector<std::string> tokens;
+};
+
+std::vector<GrammarCase> grammar_cases() {
+  TokenizerOptions one_char;
+  one_char.min_length = 1;
+  TokenizerOptions no_numbers;
+  no_numbers.keep_numbers = false;
+  TokenizerOptions keep_case;
+  keep_case.lowercase = false;
+  return {
+      {"a.", {}, {}},
+      {"a.", one_char, {"a"}},
+      {"-x", {}, {}},
+      {"-x", one_char, {"x"}},
+      {"a..b x-", one_char, {"a", "b", "x"}},
+      {"2.0.36", {}, {"2.0.36"}},
+      {"2.0.36 v2.0 1-2", no_numbers, {"v2.0"}},
+      {"va_list _ __x", {}, {"va_list", "__x"}},
+      {"i o a I/O", one_char, {"i", "o", "a", "i", "o"}},
+      {"MiXeD CASE.Tar-GZ", {}, {"mixed", "case.tar-gz"}},
+      {"MiXeD CASE", keep_case, {"MiXeD", "CASE"}},
+      {"caf\xc3\xa9 na\xefve \x80\xff", {}, {"caf", "na", "ve"}},
+      {"\xc3\x89" "COLE ok", one_char, {"cole", "ok"}},
+  };
+}
+
+TEST(Tokenizer, GrammarEdgeCases) {
+  for (const GrammarCase& c : grammar_cases()) {
+    EXPECT_EQ(tokenize(c.input, c.options), c.tokens) << c.input;
+  }
+}
+
+TEST(Tokenizer, ForEachTokenYieldsTokenize) {
+  std::string scratch;  // shared across inputs, as the keyword stage does
+  for (const GrammarCase& c : grammar_cases()) {
+    std::vector<std::string> own, shared;
+    EXPECT_TRUE(for_each_token(c.input, c.options, [&](std::string_view t) {
+      own.emplace_back(t);
+    }));
+    for_each_token(c.input, c.options, scratch,
+                   [&](std::string_view t) { shared.emplace_back(t); });
+    EXPECT_EQ(own, tokenize(c.input, c.options)) << c.input;
+    EXPECT_EQ(shared, own) << c.input;
+  }
+}
+
+TEST(Tokenizer, ForEachTokenStopsWhenVisitorReturnsFalse) {
+  std::vector<std::string> seen;
+  const bool finished =
+      for_each_token("one Two three four", {}, [&](std::string_view t) {
+        seen.emplace_back(t);
+        return t != "two";
+      });
+  EXPECT_FALSE(finished);
+  EXPECT_EQ(seen, (std::vector<std::string>{"one", "two"}));
+}
+
 TEST(Ngrams, Bigrams) {
   const auto grams = ngrams({"race", "condition", "hit"}, 2);
   EXPECT_EQ(grams,
