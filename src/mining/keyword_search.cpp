@@ -37,16 +37,20 @@ class alignas(64) KeywordMatcher {
   }
 
  private:
+  /// True at the first token whose stem is a keyword (the scan stops there).
   bool scan(std::string_view text) {
-    return !text::for_each_token(text, {}, scratch_, [&](std::string_view tok) {
-      return !is_keyword(tok);
-    });
+    return !text::for_each_token(
+        text, {}, scratch_,
+        [&](std::string_view tok) { return !is_keyword(tok); });
   }
 
   bool is_keyword(std::string_view token) {
-    if (const auto it = memo_.find(token); it != memo_.end()) return it->second;
+    if (const auto it = memo_.find(token); it != memo_.end()) {
+      return it->second;
+    }
     const std::string s = text::stem(token);
-    const bool hit = std::find(stems_->begin(), stems_->end(), s) != stems_->end();
+    const bool hit =
+        std::find(stems_->begin(), stems_->end(), s) != stems_->end();
     memo_.emplace(token, hit);
     return hit;
   }
@@ -56,7 +60,8 @@ class alignas(64) KeywordMatcher {
   std::string scratch_;
 };
 
-std::vector<std::string> stem_keywords(const std::vector<std::string>& keywords) {
+std::vector<std::string> stem_keywords(
+    const std::vector<std::string>& keywords) {
   std::vector<std::string> stems;
   stems.reserve(keywords.size());
   for (const auto& kw : keywords) stems.push_back(text::stem(kw));
@@ -101,7 +106,8 @@ std::vector<MinedThread> mine_threads(const corpus::MailingList& list,
   std::vector<KeywordMatcher> matchers(lanes, KeywordMatcher(stems));
   const auto verdicts = util::parallel_map<unsigned char>(
       messages.size(), lanes, [&](std::size_t i) -> unsigned char {
-        KeywordMatcher& matcher = matchers[lanes > 1 ? util::current_lane() : 0];
+        KeywordMatcher& matcher =
+            matchers[lanes > 1 ? util::current_lane() : 0];
         if (!matcher.matches(messages[i])) return kMiss;
         return is_bug_report_shaped(messages[i]) ? kHitAndShaped : kHit;
       });
