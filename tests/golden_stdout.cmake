@@ -11,23 +11,8 @@ endif()
 execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${ACTUAL} ${GOLDEN}
   RESULT_VARIABLE differs)
 if(differs)
-  file(STRINGS ${GOLDEN} golden_lines)
-  file(STRINGS ${ACTUAL} actual_lines)
-  list(LENGTH golden_lines golden_count)
-  list(LENGTH actual_lines actual_count)
-  set(line 0)
-  while(line LESS golden_count AND line LESS actual_count)
-    list(GET golden_lines ${line} g)
-    list(GET actual_lines ${line} a)
-    if(NOT g STREQUAL a)
-      break()
-    endif()
-    math(EXPR line "${line} + 1")
-  endwhile()
-  math(EXPR shown "${line} + 1")
   message(FATAL_ERROR
-    "stdout of ${BINARY} differs from ${GOLDEN} "
-    "(${golden_count} golden lines, ${actual_count} actual); "
-    "first difference at line ${shown}.\n"
-    "Actual output kept in ${ACTUAL}; copy it over the golden to re-bless.")
+    "stdout of ${BINARY} differs from its golden; see\n"
+    "  diff -u ${GOLDEN} ${ACTUAL}\n"
+    "Copy the actual file over the golden to re-bless.")
 endif()
