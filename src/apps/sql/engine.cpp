@@ -79,7 +79,7 @@ std::vector<int> Engine::resolve(const Table& table,
 bool Engine::matches(const Table& table, Slot slot,
                      const std::vector<Predicate>& where,
                      const std::vector<int>& columns, std::string* err) {
-  const Row& row = table.row(slot);
+  const auto row = table.row(slot);
   for (std::size_t i = 0; i < where.size(); ++i) {
     const Predicate& p = where[i];
     if (columns[i] < 0) {
@@ -113,7 +113,8 @@ ExecResult Engine::run_select(const SelectStatement& s) {
   std::string err;
   const std::vector<int> where_columns = resolve(*table, s.where);
   std::vector<Slot> hits;
-  for (Slot slot : table->scan_heap()) {
+  for (Slot slot = 0; slot < table->slot_count(); ++slot) {
+    if (!table->is_live(slot)) continue;
     if (matches(*table, slot, s.where, where_columns, &err)) {
       hits.push_back(slot);
     }
@@ -151,9 +152,9 @@ ExecResult Engine::run_select(const SelectStatement& s) {
       s.limit.has_value() ? static_cast<std::size_t>(std::max<std::int64_t>(0, *s.limit))
                           : hits.size();
   for (std::size_t i = 0; i < hits.size() && i < limit; ++i) {
-    const Row& row = table->row(hits[i]);
+    const auto row = table->row(hits[i]);
     if (s.columns.empty()) {
-      r.rows.push_back(row);
+      r.rows.emplace_back(row.begin(), row.end());
     } else {
       Row projected;
       for (const auto& name : s.columns) {
@@ -224,7 +225,8 @@ ExecResult Engine::run_update(const UpdateStatement& s) {
   // The fixed algorithm (the paper's fix): "first scanning for all matching
   // rows and then updating the found rows".
   std::vector<Slot> hits;
-  for (Slot slot : table->scan_heap()) {
+  for (Slot slot = 0; slot < table->slot_count(); ++slot) {
+    if (!table->is_live(slot)) continue;
     if (matches(*table, slot, s.where, where_columns, &err)) {
       hits.push_back(slot);
     }
@@ -242,7 +244,8 @@ ExecResult Engine::run_delete(const DeleteStatement& s) {
   std::string err;
   const std::vector<int> where_columns = resolve(*table, s.where);
   std::vector<Slot> hits;
-  for (Slot slot : table->scan_heap()) {
+  for (Slot slot = 0; slot < table->slot_count(); ++slot) {
+    if (!table->is_live(slot)) continue;
     if (matches(*table, slot, s.where, where_columns, &err)) {
       hits.push_back(slot);
     }

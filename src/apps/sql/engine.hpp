@@ -19,7 +19,10 @@
 // The engine is value-semantic: a copy captures the full catalog + data +
 // lock state, which is what the Database application's snapshots and its
 // shared catalog image rely on. Copies share row storage until first write
-// (table.hpp), so a copy costs O(tables), not O(rows).
+// (table.hpp), so a copy costs O(tables), not O(rows), and the first write
+// to a table after a copy clones one flat block: a constant number of
+// allocations, however many rows the table holds. Full scans walk the
+// table's slots in place, skipping dead ones.
 #pragma once
 
 #include <map>

@@ -1,14 +1,45 @@
 #include "apps/sql/table.hpp"
 
+#include <algorithm>
+#include <iterator>
+#include <stdexcept>
+#include <string>
+
 namespace faultstudy::apps::sql {
 
-Slot Table::Data::append(Row row) {
-  const auto slot = static_cast<Slot>(rows.size());
-  if (!row.empty()) index.emplace(row[0], slot);
-  rows.push_back(std::move(row));
+namespace {
+bool key_less(const Value& key, const std::pair<Value, Slot>& entry) {
+  return compare(key, entry.first) < 0;
+}
+bool entry_less(const std::pair<Value, Slot>& entry, const Value& key) {
+  return compare(entry.first, key) < 0;
+}
+}  // namespace
+
+template <typename It>
+Slot Table::Data::append(It first, It last) {
+  const auto slot = static_cast<Slot>(dead.size());
+  const std::size_t begin = cells.size();
+  cells.insert(cells.end(), first, last);
+  if (cells.size() > begin) index_add(cells[begin], slot);
   dead.push_back(false);
   ++live_rows;
   return slot;
+}
+
+void Table::Data::index_add(const Value& key, Slot slot) {
+  index.emplace(std::upper_bound(index.begin(), index.end(), key, key_less),
+                key, slot);
+}
+
+void Table::Data::index_remove(const Value& key, Slot slot) {
+  for (auto it = std::lower_bound(index.begin(), index.end(), key, entry_less);
+       it != index.end() && compare(it->first, key) == 0; ++it) {
+    if (it->second == slot) {
+      index.erase(it);
+      return;
+    }
+  }
 }
 
 void Table::detach() {
@@ -21,8 +52,14 @@ void Table::detach() {
 }
 
 Slot Table::insert(Row row) {
+  if (row.size() != width()) {
+    throw std::invalid_argument("row of width " + std::to_string(row.size()) +
+                                " for a table of width " +
+                                std::to_string(width()));
+  }
   detach();
-  return data_->append(std::move(row));
+  return data_->append(std::make_move_iterator(row.begin()),
+                       std::make_move_iterator(row.end()));
 }
 
 void Table::erase(Slot slot) {
@@ -31,57 +68,48 @@ void Table::erase(Slot slot) {
   Data& d = *data_;
   d.dead[slot] = true;
   --d.live_rows;
-  const auto [lo, hi] = d.index.equal_range(d.rows[slot][0]);
-  for (auto it = lo; it != hi; ++it) {
-    if (it->second == slot) {
-      d.index.erase(it);
-      break;
-    }
-  }
+  if (width() > 0) d.index_remove(key_of(slot), slot);
 }
 
 bool Table::is_live(Slot slot) const noexcept {
-  return slot < data_->rows.size() && !data_->dead[slot];
+  return slot < data_->dead.size() && !data_->dead[slot];
+}
+
+std::span<const Value> Table::row(Slot slot) const {
+  if (slot >= slot_count()) {
+    throw std::out_of_range("row slot " + std::to_string(slot) +
+                            " past the table's " +
+                            std::to_string(slot_count()) + " slots");
+  }
+  return {data_->cells.data() + slot * width(), width()};
 }
 
 void Table::update_cell(Slot slot, int column, Value value,
                         bool corrupt_index_on_key_move) {
   if (!is_live(slot)) return;
-  if (column < 0 || static_cast<std::size_t>(column) >= row(slot).size()) {
-    return;
-  }
+  if (column < 0 || static_cast<std::size_t>(column) >= width()) return;
   detach();
   Data& d = *data_;
-  Row& r = d.rows[slot];
+  Value& cell = d.cells[slot * width() + static_cast<std::size_t>(column)];
 
-  if (column == 0 && compare(r[0], value) != 0) {
-    if (!corrupt_index_on_key_move) {
-      // Correct behavior: move the index entry to the new key.
-      const auto [lo, hi] = d.index.equal_range(r[0]);
-      for (auto it = lo; it != hi; ++it) {
-        if (it->second == slot) {
-          d.index.erase(it);
-          break;
-        }
-      }
-    }
-    // The buggy path (mysql-ei-01) skips the erase: the stale entry stays
-    // behind, so the row is now indexed under two keys.
-    d.index.emplace(value, slot);
+  if (column == 0 && compare(cell, value) != 0) {
+    // Correct behavior: move the index entry to the new key. The buggy
+    // path (mysql-ei-01) skips the removal: the stale entry stays behind,
+    // so the row is now indexed under two keys.
+    if (!corrupt_index_on_key_move) d.index_remove(cell, slot);
+    d.index_add(value, slot);
   }
-  r[static_cast<std::size_t>(column)] = std::move(value);
+  cell = std::move(value);
 }
 
-std::vector<Slot> Table::scan_heap() const {
-  std::vector<Slot> out;
-  for (Slot s = 0; s < data_->rows.size(); ++s) {
-    if (!data_->dead[s]) out.push_back(s);
-  }
-  return out;
+bool Table::IndexCursor::done() const noexcept {
+  return pos_ >= block_->index.size();
 }
 
-Table::IndexCursor Table::index_scan() const {
-  return IndexCursor(data_->index.begin(), data_->index.end());
+Slot Table::IndexCursor::slot() const { return block_->index[pos_].second; }
+
+const Value& Table::IndexCursor::key() const {
+  return block_->index[pos_].first;
 }
 
 bool Table::check_index() const {
@@ -89,25 +117,24 @@ bool Table::check_index() const {
   if (d.index.size() != d.live_rows) return false;
   for (const auto& [key, slot] : d.index) {
     if (!is_live(slot)) return false;
-    if (compare(d.rows[slot][0], key) != 0) return false;
+    if (compare(key_of(slot), key) != 0) return false;
   }
   return true;
 }
 
-bool Table::Data::compacted() const {
-  if (live_rows != rows.size() || index.size() != rows.size()) return false;
+bool Table::Data::compacted(std::size_t width) const {
+  if (live_rows != dead.size() || index.size() != dead.size()) return false;
   // A rebuild indexes every row in slot order, so equal keys end up in
   // ascending slot order: the index must run strictly ascending in
   // (key, slot), each entry under its row's current key.
-  const std::pair<const Value, Slot>* prev = nullptr;
-  for (const auto& entry : index) {
-    const auto& [key, slot] = entry;
-    if (compare(rows[slot][0], key) != 0) return false;
-    if (prev != nullptr) {
-      const int order = compare(prev->first, key);
-      if (order > 0 || (order == 0 && prev->second >= slot)) return false;
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    const auto& [key, slot] = index[i];
+    if (compare(cells[slot * width], key) != 0) return false;
+    if (i > 0) {
+      const auto& [prev_key, prev_slot] = index[i - 1];
+      const int order = compare(prev_key, key);
+      if (order > 0 || (order == 0 && prev_slot >= slot)) return false;
     }
-    prev = &entry;
   }
   return true;
 }
@@ -116,15 +143,25 @@ void Table::compact() {
   Data& d = *data_;
   // Nothing to reclaim and nothing to reorder: a rebuild would reproduce
   // this exact state, so keep (and keep sharing) the block.
-  if (d.compacted()) return;
+  if (d.compacted(width())) return;
   // Rebuild from the live rows: moved out of a block this table owns,
   // copied once out of a shared one.
   const bool owned = data_.use_count() == 1;
   auto fresh = std::make_shared<Data>();
-  fresh->rows.reserve(d.live_rows);
+  fresh->cells.reserve(d.live_rows * width());
   fresh->dead.reserve(d.live_rows);
-  for (Slot s = 0; s < d.rows.size(); ++s) {
-    if (!d.dead[s]) fresh->append(owned ? std::move(d.rows[s]) : d.rows[s]);
+  fresh->index.reserve(d.live_rows);
+  for (Slot s = 0; s < d.dead.size(); ++s) {
+    if (d.dead[s]) continue;
+    const auto w = static_cast<std::ptrdiff_t>(width());
+    const auto first = d.cells.begin() + static_cast<std::ptrdiff_t>(s) * w;
+    const auto last = first + w;
+    if (owned) {
+      fresh->append(std::make_move_iterator(first),
+                    std::make_move_iterator(last));
+    } else {
+      fresh->append(first, last);
+    }
   }
   data_ = std::move(fresh);
 }

@@ -1,24 +1,27 @@
 // Table heap + ordered index for the mini SQL engine.
 //
-// The index is an ordered multimap from the first column's value to row
-// slots, scanned through an explicit cursor. The cursor is what makes the
-// paper's mysql-ei-01 bug expressible: an UPDATE that modifies the indexed
-// column *while scanning the index tree* re-encounters rows it moved ahead
-// of the cursor and corrupts the index with duplicates.
+// The index is a vector of (first column's value, row slot) pairs sorted by
+// key, scanned through an explicit cursor. Among equal keys an entry sits
+// after the ones already there, so equal keys run in insertion order. The
+// cursor is what makes the paper's mysql-ei-01 bug expressible: an UPDATE
+// that modifies the indexed column *while scanning the index* re-encounters
+// rows it moved ahead of the cursor and corrupts the index with duplicates.
 //
-// Row storage is copy-on-write. The heap, the dead-slot bitmap, the live
-// count and the index sit in one `Data` block behind a shared pointer, so
-// copying a Table (and with it an Engine, a database snapshot or the
-// catalog image) shares the block instead of copying rows. Every mutator
-// first takes sole ownership, cloning the block if anyone else holds it:
-// a copy costs O(1), the first write after it O(rows of this table).
+// Row storage is flat and copy-on-write. All cells sit row-major in one
+// vector, the schema's width per slot; that vector, the dead-slot bitmap,
+// the live count and the index form one `Data` block behind a shared
+// pointer, so copying a Table (and with it an Engine, a database snapshot
+// or the catalog image) shares the block instead of copying rows. Every
+// mutator first takes sole ownership, cloning the block if anyone else
+// holds it: a copy costs O(1), the first write after it one block copy —
+// a constant number of allocations plus O(cells) value copies.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <optional>
-#include <string>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "apps/sql/ast.hpp"
@@ -29,6 +32,8 @@ namespace faultstudy::apps::sql {
 using Slot = std::uint32_t;
 
 class Table {
+  struct Data;
+
  public:
   Table() = default;
   explicit Table(Schema schema) : schema_(std::move(schema)) {}
@@ -36,14 +41,24 @@ class Table {
   const Schema& schema() const noexcept { return schema_; }
   std::size_t row_count() const noexcept { return data_->live_rows; }
 
-  /// Appends a row (must match the schema arity); indexes column 0.
+  /// Slots ever appended, live or dead. A full scan walks [0, slot_count())
+  /// and skips the slots `is_live` rejects.
+  Slot slot_count() const noexcept {
+    return static_cast<Slot>(data_->dead.size());
+  }
+
+  /// Appends a row and indexes its column 0. Throws std::invalid_argument,
+  /// leaving the table unchanged, unless the row has the schema's width.
   Slot insert(Row row);
 
   /// Marks a slot dead and removes its index entry.
   void erase(Slot slot);
 
   bool is_live(Slot slot) const noexcept;
-  const Row& row(Slot slot) const { return data_->rows.at(slot); }
+
+  /// The cells of a slot, dead or live. Throws std::out_of_range for a slot
+  /// past slot_count(). The span is invalidated by the next write.
+  std::span<const Value> row(Slot slot) const;
 
   /// In-place cell update, maintaining the index when column 0 changes.
   /// If `corrupt_index_on_key_move` is set (the injected mysql-ei-01 bug),
@@ -51,29 +66,30 @@ class Table {
   void update_cell(Slot slot, int column, Value value,
                    bool corrupt_index_on_key_move = false);
 
-  /// All live slots in heap order.
-  std::vector<Slot> scan_heap() const;
-
-  /// Ordered index scan cursor over (key, slot) pairs.
+  /// Ordered index scan cursor over (key, slot) pairs. It holds the block
+  /// it opened on and a position in that block's index, so it survives the
+  /// index reallocating under it and meets entries inserted ahead of it.
+  /// An entry inserted or removed at or behind the position shifts the
+  /// cursor's view by one; the mysql-ei-01 scan stops at its first key
+  /// move, so it never steps past one.
   class IndexCursor {
    public:
-    bool done() const noexcept { return it_ == end_; }
-    Slot slot() const { return it_->second; }
-    const Value& key() const { return it_->first; }
-    void next() { ++it_; }
+    bool done() const noexcept;
+    Slot slot() const;
+    const Value& key() const;
+    void next() noexcept { ++pos_; }
 
    private:
     friend class Table;
-    using Iter = std::multimap<Value, Slot, bool (*)(const Value&, const Value&)>::const_iterator;
-    IndexCursor(Iter it, Iter end) : it_(it), end_(end) {}
-    Iter it_;
-    Iter end_;
+    explicit IndexCursor(const Data* block) : block_(block) {}
+    const Data* block_;
+    std::size_t pos_ = 0;
   };
 
   /// The cursor walks the storage block current at the call. A caller that
   /// mutates the table while scanning must detach() first, or the first
   /// write clones the block and the cursor keeps walking the old copy.
-  IndexCursor index_scan() const;
+  IndexCursor index_scan() const { return IndexCursor(data_.get()); }
 
   /// Takes sole ownership of the row storage, cloning it if it is shared.
   /// Every mutator does this itself.
@@ -92,22 +108,26 @@ class Table {
   void compact();
 
  private:
-  static bool value_less(const Value& a, const Value& b) {
-    return compare(a, b) < 0;
-  }
-
   struct Data {
-    std::vector<Row> rows;
-    std::vector<bool> dead;
+    std::vector<Value> cells;  ///< row-major, width() cells per slot
+    std::vector<bool> dead;    ///< one flag per slot
     std::size_t live_rows = 0;
-    std::multimap<Value, Slot, bool (*)(const Value&, const Value&)> index{
-        &Table::value_less};
+    std::vector<std::pair<Value, Slot>> index;  ///< sorted by key
 
-    Slot append(Row row);
+    /// Appends one slot's cells, copied or moved from [first, last).
+    template <typename It>
+    Slot append(It first, It last);
+    /// Inserts an entry after every entry with an equal key.
+    void index_add(const Value& key, Slot slot);
+    /// Removes the entry for `slot` under `key`, if there is one.
+    void index_remove(const Value& key, Slot slot);
     /// True when compact() would rebuild exactly this state: no dead
     /// slots, every row indexed once, in rebuild order.
-    bool compacted() const;
+    bool compacted(std::size_t width) const;
   };
+
+  std::size_t width() const noexcept { return schema_.columns.size(); }
+  const Value& key_of(Slot slot) const { return data_->cells[slot * width()]; }
 
   Schema schema_;
   std::shared_ptr<Data> data_ = std::make_shared<Data>();

@@ -401,7 +401,11 @@ DbState state_of(const Database& db) {
       continue;
     }
     auto& rows = s.rows.emplace_back();
-    for (sql::Slot slot : t->scan_heap()) rows.push_back(t->row(slot));
+    for (sql::Slot slot = 0; slot < t->slot_count(); ++slot) {
+      if (!t->is_live(slot)) continue;
+      const auto row = t->row(slot);
+      rows.emplace_back(row.begin(), row.end());
+    }
     auto& index = s.index.emplace_back();
     for (auto c = t->index_scan(); !c.done(); c.next()) {
       index.emplace_back(c.key(), c.slot());

@@ -3,6 +3,7 @@
 // copy-on-write row storage that engine copies share.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <utility>
 
 #include "apps/sql/engine.hpp"
@@ -145,13 +146,30 @@ TEST(SqlTable, InsertScanErase) {
 }
 
 TEST(SqlTable, IndexScanOrdered) {
+  // Keys come out ascending; equal keys come out in slot order.
   Table t(Schema{{{"id", ColumnType::kInteger}}});
-  for (std::int64_t v : {5, 1, 9, 3}) t.insert({Value{v}});
-  std::vector<std::int64_t> keys;
+  for (std::int64_t v : {5, 1, 9, 3, 5, 1, 5}) t.insert({Value{v}});
+  std::vector<std::pair<std::int64_t, Slot>> entries;
   for (auto cursor = t.index_scan(); !cursor.done(); cursor.next()) {
-    keys.push_back(std::get<std::int64_t>(cursor.key()));
+    entries.emplace_back(std::get<std::int64_t>(cursor.key()), cursor.slot());
   }
-  EXPECT_EQ(keys, (std::vector<std::int64_t>{1, 3, 5, 9}));
+  EXPECT_EQ(entries,
+            (std::vector<std::pair<std::int64_t, Slot>>{
+                {1, 1}, {1, 5}, {3, 3}, {5, 0}, {5, 4}, {5, 6}, {9, 2}}));
+}
+
+TEST(SqlTable, InsertRejectsWrongArity) {
+  // Cells are stored at the schema's stride, so a row of any other width
+  // must be refused in every build, leaving the table as it was.
+  Table t(Schema{{{"id", ColumnType::kInteger}, {"v", ColumnType::kText}}});
+  t.insert({Value{std::int64_t{1}}, Value{"a"}});
+  EXPECT_THROW(t.insert({Value{std::int64_t{2}}}), std::invalid_argument);
+  EXPECT_THROW(t.insert({Value{std::int64_t{3}}, Value{"b"}, Value{"c"}}),
+               std::invalid_argument);
+  EXPECT_THROW(t.insert({}), std::invalid_argument);
+  EXPECT_EQ(t.row_count(), 1u);
+  EXPECT_EQ(t.index_entries(), 1u);
+  EXPECT_TRUE(t.check_index());
 }
 
 TEST(SqlTable, CorrectKeyUpdateKeepsIndexConsistent) {
@@ -393,7 +411,11 @@ struct TableState {
 
 TableState state_of(const Table& t) {
   TableState s;
-  for (Slot slot : t.scan_heap()) s.rows.push_back(t.row(slot));
+  for (Slot slot = 0; slot < t.slot_count(); ++slot) {
+    if (!t.is_live(slot)) continue;
+    const auto row = t.row(slot);
+    s.rows.emplace_back(row.begin(), row.end());
+  }
   for (auto cursor = t.index_scan(); !cursor.done(); cursor.next()) {
     s.index.emplace_back(cursor.key(), cursor.slot());
   }
@@ -457,22 +479,29 @@ TEST(SqlTable, CompactRestoresSlotOrderAmongEqualKeys) {
 
 TEST(SqlTable, CursorOpenedAfterDetachSeesItsOwnKeyMoves) {
   // The mysql-ei-01 scan contract: a cursor opened on detached storage
-  // walks the block the updates write to, so it meets a key it moved ahead
-  // of itself. The copy keeps the pre-scan index.
+  // walks the block the updates write to, so it meets every key it moved
+  // ahead of itself. Twenty moves on a 40-row table grow the index past
+  // its capacity mid-scan, so the cursor must survive a reallocation. The
+  // copy keeps the pre-scan index.
+  constexpr std::int64_t kRows = 40;
   Table t(Schema{{{"id", ColumnType::kInteger}}});
-  for (std::int64_t id : {1, 2, 3}) t.insert({Value{id}});
+  for (std::int64_t id = 1; id <= kRows; ++id) t.insert({Value{id}});
   const Table copy = t;
   t.detach();
   std::vector<std::int64_t> seen;
   for (auto c = t.index_scan(); !c.done(); c.next()) {
     seen.push_back(std::get<std::int64_t>(c.key()));
-    if (seen.back() == 1) {
-      t.update_cell(c.slot(), 0, Value{std::int64_t{9}},
+    if (seen.back() <= kRows && seen.back() % 2 == 1) {
+      t.update_cell(c.slot(), 0, Value{seen.back() + 100},
                     /*corrupt_index_on_key_move=*/true);
     }
   }
-  EXPECT_EQ(seen, (std::vector<std::int64_t>{1, 2, 3, 9}));
-  EXPECT_EQ(copy.index_entries(), 3u);
+  std::vector<std::int64_t> expected;
+  for (std::int64_t id = 1; id <= kRows; ++id) expected.push_back(id);
+  for (std::int64_t id = 1; id <= kRows; id += 2) expected.push_back(id + 100);
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(t.index_entries(), static_cast<std::size_t>(kRows + kRows / 2));
+  EXPECT_EQ(copy.index_entries(), static_cast<std::size_t>(kRows));
   EXPECT_TRUE(copy.check_index());
 }
 
