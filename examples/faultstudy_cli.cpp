@@ -73,7 +73,6 @@
 #include "stats/series.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/trial.hpp"
-#include "util/logging.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
@@ -131,8 +130,6 @@ int usage() {
       "  --snapshot=PATH    matrix: write the study snapshot\n"
       "  --baseline=PATH    matrix: diff against a study snapshot, exit 4 "
       "on fatal drift\n"
-      "  --log-level=LEVEL  diagnostic verbosity: debug|info|warn|error|off "
-      "(default warn)\n"
       "exit codes: 0 ok, 1 io, 2 usage, 3 snapshot parse error or trial "
       "not survived, 4 drift\n",
       stderr);
@@ -635,13 +632,6 @@ int main(int argc, char** argv) {
     if (arg.starts_with("--baseline=")) {
       g_baseline_path = arg.substr(std::strlen("--baseline="));
       if (g_baseline_path.empty()) return usage();
-      continue;
-    }
-    if (arg.starts_with("--log-level=")) {
-      const auto level =
-          util::parse_log_level(arg.substr(std::strlen("--log-level=")));
-      if (!level.has_value()) return usage();
-      util::set_log_level(*level);
       continue;
     }
     if (arg.starts_with("--")) {

@@ -6,7 +6,7 @@
 //
 //   ./build/examples/recovery_lab [fault-id] [mechanism]
 //       [--repeats R] [--threads N] [--telemetry=PATH] [--trace=PATH]
-//       [--coverage=PATH] [--baseline=PATH] [--log-level=LEVEL]
+//       [--coverage=PATH] [--baseline=PATH]
 //   e.g. ./build/examples/recovery_lab apache-edt-02 process-pairs
 //        ./build/examples/recovery_lab apache-edn-02 cold-restart --threads 4
 //
@@ -32,7 +32,6 @@
 #include "obs/export.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/trial.hpp"
-#include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -89,23 +88,12 @@ int main(int argc, char** argv) {
       baseline_path = arg.substr(std::strlen("--baseline="));
       continue;
     }
-    if (arg.starts_with("--log-level=")) {
-      const auto level =
-          util::parse_log_level(arg.substr(std::strlen("--log-level=")));
-      if (!level.has_value()) {
-        std::fprintf(stderr,
-                     "--log-level wants debug|info|warn|error|off\n");
-        return 1;
-      }
-      util::set_log_level(*level);
-      continue;
-    }
     if (arg.starts_with("--")) {
       std::fprintf(stderr,
                    "unknown option %s\nusage: recovery_lab [fault-id] "
                    "[mechanism] [--repeats R] [--threads N] "
                    "[--telemetry=PATH] [--trace=PATH] [--coverage=PATH] "
-                   "[--baseline=PATH] [--log-level=LEVEL]\n",
+                   "[--baseline=PATH]\n",
                    arg.c_str());
       return 1;
     }

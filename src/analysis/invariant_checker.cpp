@@ -118,8 +118,13 @@ std::vector<InvariantViolation> check_transcript(
 std::string to_string(std::span<const InvariantViolation> violations) {
   std::string out;
   for (const auto& v : violations) {
-    out += "[" + std::string(to_string(v.rule)) + "] at event #" +
-           std::to_string(v.event_index) + ": " + v.detail + '\n';
+    out += '[';
+    out += to_string(v.rule);
+    out += "] at event #";
+    out += std::to_string(v.event_index);
+    out += ": ";
+    out += v.detail;
+    out += '\n';
   }
   return out;
 }

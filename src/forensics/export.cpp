@@ -1,131 +1,25 @@
 #include "forensics/export.hpp"
 
+#include <concepts>
+#include <unordered_map>
+
 #include "util/json.hpp"
 
 namespace faultstudy::forensics {
 namespace {
 
-void append_kv(std::string& out, std::string_view key, std::string_view value,
-               bool comma = true) {
-  out += util::json::quoted(key);
-  out.push_back(':');
-  out += util::json::quoted(value);
-  if (comma) out.push_back(',');
-}
+// Both writers append every piece straight into the one output buffer.
+// JSON keys and HTML markup are literals with nothing to escape, so they go
+// in as they are; only the record's own strings pass through an escaper.
 
-void append_kv_num(std::string& out, std::string_view key, std::uint64_t value,
-                   bool comma = true) {
-  out += util::json::quoted(key);
-  out += ":" + std::to_string(value);
-  if (comma) out.push_back(',');
-}
-
-void append_env_state(std::string& out, const EnvResourceState& s) {
-  out += "{";
-  append_kv_num(out, "procs_used", s.procs_used);
-  append_kv_num(out, "procs_capacity", s.procs_capacity);
-  append_kv_num(out, "fds_used", s.fds_used);
-  append_kv_num(out, "fds_capacity", s.fds_capacity);
-  append_kv_num(out, "disk_used", s.disk_used);
-  append_kv_num(out, "disk_capacity", s.disk_capacity);
-  append_kv_num(out, "entropy_bits", s.entropy_bits);
-  append_kv_num(out, "kernel_resource", s.kernel_resource);
-  append_kv_num(out, "dns_health", s.dns_health);
-  append_kv_num(out, "link_state", s.link_state);
-  append_kv_num(out, "network_card_present", s.network_card_present ? 1 : 0,
-                /*comma=*/false);
-  out += "}";
-}
-
-void append_postmortem(std::string& out, const PostMortemRecord& pm) {
-  out += "{";
-  append_kv(out, "fault_id", pm.fault_id);
-  append_kv(out, "app", core::to_string(pm.app));
-  append_kv(out, "class", core::to_code(pm.fault_class));
-  append_kv(out, "trigger", core::to_string(pm.trigger));
-  append_kv(out, "mechanism", pm.mechanism);
-  append_kv(out, "verdict", to_string(pm.verdict));
-  append_kv_num(out, "repeat", static_cast<std::uint64_t>(pm.repeat));
-  append_kv_num(out, "ended_at", static_cast<std::uint64_t>(pm.ended_at));
-  append_kv_num(out, "failures", pm.failures);
-  append_kv_num(out, "recoveries", pm.recoveries);
-  append_kv(out, "first_failure", pm.first_failure);
-  append_kv(out, "propagation",
-            pm.propagation == FlightCode::kCount ? "direct"
-                                                 : to_string(pm.propagation));
-  out += "\"chain\":[";
-  for (std::size_t i = 0; i < pm.chain.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out += "{";
-    append_kv(out, "stage", to_string(pm.chain[i].stage));
-    append_kv_num(out, "at", static_cast<std::uint64_t>(pm.chain[i].at));
-    append_kv(out, "description", pm.chain[i].description, /*comma=*/false);
-    out += "}";
-  }
-  out += "],\"env_state\":";
-  append_env_state(out, pm.env_state);
-  // Lane ids are deliberately absent: they are the one field that varies
-  // with the thread count (see forensics/recorder.hpp).
-  out += ",\"events\":[";
-  for (std::size_t i = 0; i < pm.events.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out += "{";
-    append_kv(out, "code", to_string(pm.events[i].code));
-    append_kv_num(out, "at", static_cast<std::uint64_t>(pm.events[i].at));
-    append_kv_num(out, "a", pm.events[i].a);
-    append_kv_num(out, "b", pm.events[i].b, /*comma=*/false);
-    out += "}";
-  }
-  out += "],";
-  append_kv_num(out, "events_dropped", pm.events_dropped);
-  append_kv_num(out, "race_reports", pm.race_reports);
-  append_kv_num(out, "invariant_violations", pm.invariant_violations);
-  append_kv_num(out, "analyzed", pm.analyzed ? 1 : 0, /*comma=*/false);
-  out += "}";
-}
-
-}  // namespace
-
-std::string to_json(const StudyForensics& study,
-                    const std::vector<TriageCluster>& clusters) {
-  std::string out = "{";
-  append_kv(out, "schema", "faultstudy-forensics/1");
-  append_kv_num(out, "trials", study.trials);
-  append_kv_num(out, "survived", study.survived);
-  append_kv_num(out, "failures", study.failures());
-  out += "\"postmortems\":[";
-  for (std::size_t i = 0; i < study.postmortems.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    append_postmortem(out, study.postmortems[i]);
-  }
-  out += "],\"triage\":[";
-  for (std::size_t i = 0; i < clusters.size(); ++i) {
-    const TriageCluster& c = clusters[i];
-    if (i > 0) out.push_back(',');
-    out += "{";
-    append_kv(out, "signature", c.signature);
-    append_kv(out, "class", core::to_code(c.fault_class));
-    append_kv(out, "trigger", core::to_string(c.trigger));
-    append_kv(out, "propagation",
-              c.propagation == FlightCode::kCount ? "direct"
-                                                  : to_string(c.propagation));
-    append_kv(out, "mechanism", c.mechanism);
-    append_kv(out, "verdict", to_string(c.verdict));
-    append_kv_num(out, "count", c.count);
-    append_kv_num(out, "total_failures", c.total_failures);
-    append_kv_num(out, "total_recoveries", c.total_recoveries);
-    out += "\"fault_ids\":[";
-    for (std::size_t f = 0; f < c.fault_ids.size(); ++f) {
-      if (f > 0) out.push_back(',');
-      out += util::json::quoted(c.fault_ids[f]);
-    }
-    out += "]}";
-  }
-  out += "]}\n";
-  return out;
-}
-
-namespace {
+/// A string `put` writes as a quoted, escaped JSON string.
+struct Json {
+  std::string_view text;
+};
+/// A string `put` writes HTML-escaped.
+struct Html {
+  std::string_view text;
+};
 
 void append_html_escaped(std::string& out, std::string_view text) {
   for (const char c : text) {
@@ -139,17 +33,129 @@ void append_html_escaped(std::string& out, std::string_view text) {
   }
 }
 
-std::string esc(std::string_view text) {
+void put_part(std::string& out, std::string_view text) { out += text; }
+void put_part(std::string& out, char c) { out.push_back(c); }
+void put_part(std::string& out, Json s) {
+  util::json::append_quoted(out, s.text);
+}
+void put_part(std::string& out, Html s) { append_html_escaped(out, s.text); }
+void put_part(std::string& out, std::unsigned_integral auto value) {
+  util::json::append_uint(out, value);
+}
+void put_part(std::string& out, std::signed_integral auto value) {
+  util::json::append_int(out, value);
+}
+
+/// Appends each part in order: text as it is, integers in decimal (as
+/// std::to_string spells them), Json/Html strings escaped.
+template <typename... Parts>
+void put(std::string& out, const Parts&... parts) {
+  (put_part(out, parts), ...);
+}
+
+std::string_view propagation_name(FlightCode propagation) {
+  return propagation == FlightCode::kCount ? "direct"
+                                           : to_string(propagation);
+}
+
+void append_env_state(std::string& out, const EnvResourceState& s) {
+  put(out, "{\"procs_used\":", s.procs_used);
+  put(out, ",\"procs_capacity\":", s.procs_capacity);
+  put(out, ",\"fds_used\":", s.fds_used);
+  put(out, ",\"fds_capacity\":", s.fds_capacity);
+  put(out, ",\"disk_used\":", s.disk_used);
+  put(out, ",\"disk_capacity\":", s.disk_capacity);
+  put(out, ",\"entropy_bits\":", s.entropy_bits);
+  put(out, ",\"kernel_resource\":", s.kernel_resource);
+  put(out, ",\"dns_health\":", s.dns_health);
+  put(out, ",\"link_state\":", s.link_state);
+  put(out, ",\"network_card_present\":", s.network_card_present ? 1 : 0);
+  out += "}";
+}
+
+void append_postmortem(std::string& out, const PostMortemRecord& pm) {
+  put(out, "{\"fault_id\":", Json{pm.fault_id});
+  put(out, ",\"app\":", Json{core::to_string(pm.app)});
+  put(out, ",\"class\":", Json{core::to_code(pm.fault_class)});
+  put(out, ",\"trigger\":", Json{core::to_string(pm.trigger)});
+  put(out, ",\"mechanism\":", Json{pm.mechanism});
+  put(out, ",\"verdict\":", Json{to_string(pm.verdict)});
+  put(out, ",\"repeat\":", static_cast<std::uint64_t>(pm.repeat));
+  put(out, ",\"ended_at\":", static_cast<std::uint64_t>(pm.ended_at));
+  put(out, ",\"failures\":", pm.failures);
+  put(out, ",\"recoveries\":", pm.recoveries);
+  put(out, ",\"first_failure\":", Json{pm.first_failure});
+  put(out, ",\"propagation\":", Json{propagation_name(pm.propagation)});
+  out += ",\"chain\":[";
+  for (std::size_t i = 0; i < pm.chain.size(); ++i) {
+    const CausalLink& link = pm.chain[i];
+    if (i > 0) out.push_back(',');
+    put(out, "{\"stage\":", Json{to_string(link.stage)}, ",\"at\":",
+        static_cast<std::uint64_t>(link.at), ",\"description\":",
+        Json{link.description}, '}');
+  }
+  out += "],\"env_state\":";
+  append_env_state(out, pm.env_state);
+  // Lane ids are deliberately absent: they are the one field that varies
+  // with the thread count (see forensics/recorder.hpp).
+  out += ",\"events\":[";
+  for (std::size_t i = 0; i < pm.events.size(); ++i) {
+    const FlightEvent& e = pm.events[i];
+    if (i > 0) out.push_back(',');
+    put(out, "{\"code\":", Json{to_string(e.code)}, ",\"at\":",
+        static_cast<std::uint64_t>(e.at), ",\"a\":", e.a, ",\"b\":", e.b, '}');
+  }
+  put(out, "],\"events_dropped\":", pm.events_dropped);
+  put(out, ",\"race_reports\":", pm.race_reports);
+  put(out, ",\"invariant_violations\":", pm.invariant_violations);
+  put(out, ",\"analyzed\":", pm.analyzed ? 1 : 0);
+  out += "}";
+}
+
+}  // namespace
+
+std::string to_json(const StudyForensics& study,
+                    const std::vector<TriageCluster>& clusters) {
   std::string out;
-  out.reserve(text.size());
-  append_html_escaped(out, text);
+  put(out, "{\"schema\":", Json{"faultstudy-forensics/1"});
+  put(out, ",\"trials\":", study.trials);
+  put(out, ",\"survived\":", study.survived);
+  put(out, ",\"failures\":", study.failures());
+  out += ",\"postmortems\":[";
+  for (std::size_t i = 0; i < study.postmortems.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    append_postmortem(out, study.postmortems[i]);
+  }
+  out += "],\"triage\":[";
+  for (std::size_t i = 0; i < clusters.size(); ++i) {
+    const TriageCluster& c = clusters[i];
+    if (i > 0) out.push_back(',');
+    put(out, "{\"signature\":", Json{c.signature});
+    put(out, ",\"class\":", Json{core::to_code(c.fault_class)});
+    put(out, ",\"trigger\":", Json{core::to_string(c.trigger)});
+    put(out, ",\"propagation\":", Json{propagation_name(c.propagation)});
+    put(out, ",\"mechanism\":", Json{c.mechanism});
+    put(out, ",\"verdict\":", Json{to_string(c.verdict)});
+    put(out, ",\"count\":", c.count);
+    put(out, ",\"total_failures\":", c.total_failures);
+    put(out, ",\"total_recoveries\":", c.total_recoveries);
+    out += ",\"fault_ids\":[";
+    for (std::size_t f = 0; f < c.fault_ids.size(); ++f) {
+      if (f > 0) out.push_back(',');
+      put(out, Json{c.fault_ids[f]});
+    }
+    out += "]}";
+  }
+  out += "]}\n";
   return out;
 }
 
+namespace {
+
 void append_tile(std::string& out, std::string_view label,
                  std::uint64_t value) {
-  out += "<div class=tile><div class=tile-value>" + std::to_string(value) +
-         "</div><div class=tile-label>" + esc(label) + "</div></div>\n";
+  put(out, "<div class=tile><div class=tile-value>", value,
+      "</div><div class=tile-label>", Html{label}, "</div></div>\n");
 }
 
 /// Full causal timelines rendered per cluster; the rest are listed by id
@@ -159,54 +165,45 @@ constexpr std::size_t kTimelinesPerCluster = 3;
 constexpr std::size_t kEventsPerTimeline = 48;
 
 void append_timeline(std::string& out, const PostMortemRecord& pm) {
-  out += "<details class=pm><summary><code>" + esc(pm.fault_id) +
-         "</code> · " + esc(pm.mechanism) + " · repeat " +
-         std::to_string(pm.repeat) + " · <span class=verdict>" +
-         esc(to_string(pm.verdict)) + "</span></summary>\n";
+  put(out, "<details class=pm><summary><code>", Html{pm.fault_id},
+      "</code> · ", Html{pm.mechanism}, " · repeat ", pm.repeat,
+      " · <span class=verdict>", Html{to_string(pm.verdict)},
+      "</span></summary>\n");
   out += "<table class=chain><tr><th>stage</th><th>tick</th>"
          "<th>reconstruction</th></tr>\n";
   for (const CausalLink& link : pm.chain) {
-    out += "<tr><td class=stage-" + std::string(to_string(link.stage)) +
-           ">" + esc(to_string(link.stage)) + "</td><td>" +
-           std::to_string(link.at) + "</td><td>" + esc(link.description) +
-           "</td></tr>\n";
+    put(out, "<tr><td class=stage-", to_string(link.stage), '>',
+        Html{to_string(link.stage)}, "</td><td>", link.at, "</td><td>",
+        Html{link.description}, "</td></tr>\n");
   }
   out += "</table>\n";
   const EnvResourceState& s = pm.env_state;
-  out += "<p class=env>env at failure: procs " +
-         std::to_string(s.procs_used) + "/" +
-         std::to_string(s.procs_capacity) + ", fds " +
-         std::to_string(s.fds_used) + "/" + std::to_string(s.fds_capacity) +
-         ", disk " + std::to_string(s.disk_used) + "/" +
-         std::to_string(s.disk_capacity) + " bytes, entropy " +
-         std::to_string(s.entropy_bits) + " bits, dns-health " +
-         std::to_string(s.dns_health) + ", link " +
-         std::to_string(s.link_state) +
-         (s.network_card_present ? "" : ", network card REMOVED") + "</p>\n";
-  out += "<details class=ring><summary>flight recorder (" +
-         std::to_string(pm.events.size()) + " events";
+  put(out, "<p class=env>env at failure: procs ", s.procs_used, '/',
+      s.procs_capacity, ", fds ", s.fds_used, '/', s.fds_capacity, ", disk ",
+      s.disk_used, '/', s.disk_capacity, " bytes, entropy ", s.entropy_bits,
+      " bits, dns-health ", s.dns_health, ", link ", s.link_state,
+      s.network_card_present ? "" : ", network card REMOVED", "</p>\n");
+  put(out, "<details class=ring><summary>flight recorder (", pm.events.size(),
+      " events");
   if (pm.events_dropped > 0) {
-    out += ", " + std::to_string(pm.events_dropped) + " overwritten";
+    put(out, ", ", pm.events_dropped, " overwritten");
   }
   out += ")</summary><table><tr><th>tick</th><th>event</th><th>a</th>"
          "<th>b</th></tr>\n";
   const std::size_t shown = std::min(pm.events.size(), kEventsPerTimeline);
   for (std::size_t i = 0; i < shown; ++i) {
     const FlightEvent& e = pm.events[i];
-    out += "<tr><td>" + std::to_string(e.at) + "</td><td>" +
-           esc(to_string(e.code)) + "</td><td>" + std::to_string(e.a) +
-           "</td><td>" + std::to_string(e.b) + "</td></tr>\n";
+    put(out, "<tr><td>", e.at, "</td><td>", Html{to_string(e.code)},
+        "</td><td>", e.a, "</td><td>", e.b, "</td></tr>\n");
   }
   if (shown < pm.events.size()) {
-    out += "<tr><td colspan=4>… " +
-           std::to_string(pm.events.size() - shown) +
-           " more in the JSON artifact</td></tr>\n";
+    put(out, "<tr><td colspan=4>… ", pm.events.size() - shown,
+        " more in the JSON artifact</td></tr>\n");
   }
   out += "</table></details>\n";
   if (pm.analyzed) {
-    out += "<p class=env>detectors: " + std::to_string(pm.race_reports) +
-           " race report(s), " + std::to_string(pm.invariant_violations) +
-           " invariant violation(s)</p>\n";
+    put(out, "<p class=env>detectors: ", pm.race_reports, " race report(s), ",
+        pm.invariant_violations, " invariant violation(s)</p>\n");
   }
   out += "</details>\n";
 }
@@ -219,7 +216,7 @@ std::string render_explorer_html(
     std::string_view title) {
   std::string out;
   out += "<!DOCTYPE html>\n<html lang=en>\n<head>\n<meta charset=utf-8>\n";
-  out += "<title>" + esc(title) + "</title>\n<style>\n";
+  put(out, "<title>", Html{title}, "</title>\n<style>\n");
   out +=
       "body{font:14px/1.5 system-ui,sans-serif;margin:2rem auto;"
       "max-width:72rem;padding:0 1rem;color:#1a1a1a}\n"
@@ -242,7 +239,7 @@ std::string render_explorer_html(
       ".td-num{text-align:right}\n"
       "#filter{padding:.35rem .5rem;width:20rem;margin:.25rem 0}\n";
   out += "</style>\n</head>\n<body>\n";
-  out += "<h1>" + esc(title) + "</h1>\n";
+  put(out, "<h1>", Html{title}, "</h1>\n");
   out += "<p>Post-mortem study explorer: every failed trial's causal chain "
          "from injected fault to recovery outcome, clustered by failure "
          "signature. Generated deterministically from the simulation — "
@@ -255,22 +252,29 @@ std::string render_explorer_html(
   append_tile(out, "triage clusters", clusters.size());
   out += "</div>\n";
 
+  // One pass over the post-mortems: each signature's first timelines in
+  // study order, and the post-mortem count per mechanism.
+  std::unordered_map<std::string, std::vector<const PostMortemRecord*>>
+      timelines;
+  std::unordered_map<std::string_view, std::size_t> per_mechanism;
+  for (const PostMortemRecord& pm : study.postmortems) {
+    auto& shown = timelines[failure_signature(pm)];
+    if (shown.size() < kTimelinesPerCluster) shown.push_back(&pm);
+    ++per_mechanism[pm.mechanism];
+  }
+
   if (!mechanisms.empty()) {
     out += "<h2>Recovery success drill-down</h2>\n";
     out += "<table><tr><th>mechanism</th><th>generic</th>"
            "<th>cells survived</th><th>state losses</th>"
            "<th>post-mortems</th></tr>\n";
     for (const MechanismSuccessRow& row : mechanisms) {
-      std::size_t pms = 0;
-      for (const PostMortemRecord& pm : study.postmortems) {
-        if (pm.mechanism == row.mechanism) ++pms;
-      }
-      out += "<tr><td>" + esc(row.mechanism) + "</td><td>" +
-             (row.generic ? "yes" : "no") + "</td><td class=td-num>" +
-             std::to_string(row.survived) + "/" + std::to_string(row.total) +
-             "</td><td class=td-num>" + std::to_string(row.state_losses) +
-             "</td><td class=td-num>" + std::to_string(pms) +
-             "</td></tr>\n";
+      const auto pms = per_mechanism.find(row.mechanism);
+      put(out, "<tr><td>", Html{row.mechanism}, "</td><td>",
+          row.generic ? "yes" : "no", "</td><td class=td-num>", row.survived,
+          '/', row.total, "</td><td class=td-num>", row.state_losses,
+          "</td><td class=td-num>",
+          pms == per_mechanism.end() ? 0 : pms->second, "</td></tr>\n");
     }
     out += "</table>\n";
   }
@@ -281,14 +285,13 @@ std::string render_explorer_html(
   out += "<table id=triage><tr><th>signature</th><th>count</th>"
          "<th>failures</th><th>recoveries</th><th>specimens</th></tr>\n";
   for (const TriageCluster& c : clusters) {
-    out += "<tr><td><code>" + esc(c.signature) + "</code></td>"
-           "<td class=td-num>" + std::to_string(c.count) +
-           "</td><td class=td-num>" + std::to_string(c.total_failures) +
-           "</td><td class=td-num>" + std::to_string(c.total_recoveries) +
-           "</td><td>";
+    put(out, "<tr><td><code>", Html{c.signature},
+        "</code></td><td class=td-num>", c.count, "</td><td class=td-num>",
+        c.total_failures, "</td><td class=td-num>", c.total_recoveries,
+        "</td><td>");
     for (std::size_t i = 0; i < c.fault_ids.size(); ++i) {
       if (i > 0) out += " ";
-      out += "<code>" + esc(c.fault_ids[i]) + "</code>";
+      put(out, "<code>", Html{c.fault_ids[i]}, "</code>");
     }
     out += "</td></tr>\n";
   }
@@ -296,19 +299,18 @@ std::string render_explorer_html(
 
   out += "<h2>Causal timelines by cluster</h2>\n";
   for (const TriageCluster& c : clusters) {
-    out += "<h3><code>" + esc(c.signature) + "</code> — " +
-           std::to_string(c.count) + " post-mortem(s)</h3>\n";
-    std::size_t shown = 0;
-    for (const PostMortemRecord& pm : study.postmortems) {
-      if (failure_signature(pm) != c.signature) continue;
-      if (shown >= kTimelinesPerCluster) break;
-      append_timeline(out, pm);
-      ++shown;
+    put(out, "<h3><code>", Html{c.signature}, "</code> — ", c.count,
+        " post-mortem(s)</h3>\n");
+    const auto bucket = timelines.find(c.signature);
+    const std::size_t shown =
+        bucket == timelines.end() ? 0 : bucket->second.size();
+    for (std::size_t i = 0; i < shown; ++i) {
+      append_timeline(out, *bucket->second[i]);
     }
     if (c.count > shown) {
-      out += "<p class=env>… " + std::to_string(c.count - shown) +
-             " more post-mortem(s) in this cluster; see the JSON "
-             "artifact for all of them.</p>\n";
+      put(out, "<p class=env>… ", c.count - shown,
+          " more post-mortem(s) in this cluster; see the JSON "
+          "artifact for all of them.</p>\n");
     }
   }
 

@@ -5,6 +5,13 @@
 // never emit wall-clock time, lane ids, or floating-point formatting traps,
 // so their output is byte-identical for every `--threads` value — the same
 // contract the telemetry exporters honor.
+//
+// Both write in place: keys and markup are literals appended as they are,
+// integers go in through std::to_chars and strings through the JSON or HTML
+// escaper, all into the one output buffer with no per-field temporaries.
+// The explorer buckets post-mortems by failure signature in one pass, so
+// its cost is linear in the post-mortems, not clusters × post-mortems.
+// ExportGolden.MatchesParentCommit pins the bytes of both.
 #pragma once
 
 #include <string>

@@ -63,6 +63,9 @@ void append_prom_header(std::string& out, const std::string& name,
 }  // namespace
 
 std::string to_chrome_trace(const std::vector<TraceThread>& threads) {
+  using util::json::append_int;
+  using util::json::append_quoted;
+  using util::json::append_uint;
   std::string out = "{\"traceEvents\":[";
   bool first = true;
   const auto comma = [&] {
@@ -72,18 +75,25 @@ std::string to_chrome_trace(const std::vector<TraceThread>& threads) {
   for (std::size_t t = 0; t < threads.size(); ++t) {
     const std::size_t tid = t + 1;
     comma();
-    out += "{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(tid) +
-           ",\"name\":\"thread_name\",\"args\":{\"name\":";
-    out += util::json::quoted(threads[t].label);
+    out += "{\"ph\":\"M\",\"pid\":1,\"tid\":";
+    append_uint(out, tid);
+    out += ",\"name\":\"thread_name\",\"args\":{\"name\":";
+    append_quoted(out, threads[t].label);
     out += "}}";
     if (threads[t].tracer == nullptr) continue;
     for (const Span& span : threads[t].tracer->spans()) {
       comma();
-      out += "{\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(tid) +
-             ",\"ts\":" + std::to_string(span.start) +
-             ",\"dur\":" + std::to_string(span.duration) + ",\"name\":";
-      out += util::json::quoted(span.name);
-      out += ",\"args\":{\"depth\":" + std::to_string(span.depth) + "}}";
+      out += "{\"ph\":\"X\",\"pid\":1,\"tid\":";
+      append_uint(out, tid);
+      out += ",\"ts\":";
+      append_int(out, span.start);
+      out += ",\"dur\":";
+      append_int(out, span.duration);
+      out += ",\"name\":";
+      append_quoted(out, span.name);
+      out += ",\"args\":{\"depth\":";
+      append_uint(out, span.depth);
+      out += "}}";
     }
   }
   out += "],\"displayTimeUnit\":\"ms\"}\n";
@@ -120,35 +130,43 @@ std::string to_prometheus(const MetricsSnapshot& snapshot) {
 }
 
 std::string to_json(const MetricsSnapshot& snapshot) {
+  using util::json::append_int;
+  using util::json::append_quoted;
+  using util::json::append_uint;
   std::string out = "{\"counters\":{";
   for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
     if (i > 0) out.push_back(',');
-    out += util::json::quoted(snapshot.counters[i].name);
-    out += ":" + std::to_string(snapshot.counters[i].value);
+    append_quoted(out, snapshot.counters[i].name);
+    out.push_back(':');
+    append_uint(out, snapshot.counters[i].value);
   }
   out += "},\"gauges\":{";
   for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
     if (i > 0) out.push_back(',');
-    out += util::json::quoted(snapshot.gauges[i].name);
-    out += ":" + std::to_string(snapshot.gauges[i].value);
+    append_quoted(out, snapshot.gauges[i].name);
+    out.push_back(':');
+    append_int(out, snapshot.gauges[i].value);
   }
   out += "},\"histograms\":{";
   for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
     const auto& h = snapshot.histograms[i];
     if (i > 0) out.push_back(',');
-    out += util::json::quoted(h.name);
+    append_quoted(out, h.name);
     out += ":{\"bounds\":[";
     for (std::size_t b = 0; b < h.bounds.size(); ++b) {
       if (b > 0) out.push_back(',');
-      out += std::to_string(h.bounds[b]);
+      append_int(out, h.bounds[b]);
     }
     out += "],\"buckets\":[";
     for (std::size_t b = 0; b < h.buckets.size(); ++b) {
       if (b > 0) out.push_back(',');
-      out += std::to_string(h.buckets[b]);
+      append_uint(out, h.buckets[b]);
     }
-    out += "],\"count\":" + std::to_string(h.count) +
-           ",\"sum\":" + std::to_string(h.sum) + "}";
+    out += "],\"count\":";
+    append_uint(out, h.count);
+    out += ",\"sum\":";
+    append_int(out, h.sum);
+    out += "}";
   }
   out += "}}\n";
   return out;

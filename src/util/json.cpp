@@ -1,6 +1,8 @@
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -230,6 +232,39 @@ class Parser {
   std::string error_;
 };
 
+/// The characters `append_escaped` rewrites.
+bool needs_escape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+/// The escape table behind `escape` and `append_quoted`.
+void append_escaped(std::string& out, std::string_view text) {
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+}
+
+template <typename Int>
+void append_digits(std::string& out, Int value) {
+  char digits[20];  // UINT64_MAX: 20 digits; INT64_MIN: a sign and 19
+  out.append(digits, std::to_chars(digits, digits + sizeof digits, value).ptr);
+}
+
 }  // namespace
 
 const Value* Value::find(std::string_view key) const noexcept {
@@ -263,32 +298,27 @@ Result<Value> parse(std::string_view text) {
 std::string escape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  append_escaped(out, text);
   return out;
 }
 
-std::string quoted(std::string_view text) {
-  std::string out(1, '"');
-  out += escape(text);
-  out += '"';
-  return out;
+void append_quoted(std::string& out, std::string_view text) {
+  // Copy the clean prefix in one append; escape from the first special
+  // character on (the library's exports rarely have one).
+  const auto clean = static_cast<std::size_t>(
+      std::find_if(text.begin(), text.end(), needs_escape) - text.begin());
+  out.push_back('"');
+  out.append(text.substr(0, clean));
+  append_escaped(out, text.substr(clean));
+  out.push_back('"');
+}
+
+void append_uint(std::string& out, std::uint64_t value) {
+  append_digits(out, value);
+}
+
+void append_int(std::string& out, std::int64_t value) {
+  append_digits(out, value);
 }
 
 }  // namespace faultstudy::util::json

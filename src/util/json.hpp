@@ -54,7 +54,12 @@ Result<Value> parse(std::string_view text);
 /// Escapes a string for embedding in a JSON document (quotes not included).
 std::string escape(std::string_view text);
 
-/// The escaped string between double quotes: a complete JSON string.
-std::string quoted(std::string_view text);
+/// Appends `text` as a complete JSON string, escaped as `escape` does and
+/// between double quotes. Text with nothing to escape is copied in bulk.
+void append_quoted(std::string& out, std::string_view text);
+
+/// Append the decimal digits of `value`, as std::to_string spells them.
+void append_uint(std::string& out, std::uint64_t value);
+void append_int(std::string& out, std::int64_t value);
 
 }  // namespace faultstudy::util::json

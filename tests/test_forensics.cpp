@@ -15,6 +15,7 @@
 #include "forensics/triage.hpp"
 #include "harness/experiment.hpp"
 #include "obs/bus.hpp"
+#include "util/json.hpp"
 
 namespace faultstudy {
 namespace {
@@ -308,6 +309,46 @@ TEST(Export, JsonCarriesSchemaAndOmitsLanes) {
   const auto json = forensics::to_json(study, forensics::triage(study.postmortems));
   EXPECT_NE(json.find("faultstudy-forensics/1"), std::string::npos);
   EXPECT_EQ(json.find("lane"), std::string::npos);
+}
+
+TEST(ForensicsJson, EscapedStringsRoundTripThroughParse) {
+  // The matrix's own strings are plain ASCII, so this is the test that
+  // reaches the writer's escape path: every JSON-special character, the
+  // control-character edges, and multi-byte UTF-8 passed through verbatim.
+  const std::string nasty = "q\" b\\ n\n t\t \x01 \x1f caf\xc3\xa9";
+  forensics::StudyForensics study;
+  forensics::PostMortemRecord pm;
+  pm.fault_id = "id " + nasty;
+  pm.mechanism = "mech " + nasty;
+  pm.first_failure = "first " + nasty;
+  pm.verdict = TrialVerdict::kRecoveryFailed;
+  pm.chain.push_back({ChainStage::kInjection, 7, "link " + nasty});
+  study.fold_trial(false, std::move(pm));
+  const auto clusters = forensics::triage(study.postmortems);
+  ASSERT_EQ(clusters.size(), 1u);
+
+  const auto parsed =
+      util::json::parse(forensics::to_json(study, clusters));
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  const util::json::Value* pms = parsed.value().find("postmortems");
+  ASSERT_TRUE(pms != nullptr && pms->array.size() == 1u);
+  const util::json::Value& record = pms->array[0];
+  EXPECT_EQ(record.string_or("fault_id", ""), "id " + nasty);
+  EXPECT_EQ(record.string_or("mechanism", ""), "mech " + nasty);
+  EXPECT_EQ(record.string_or("first_failure", ""), "first " + nasty);
+  const util::json::Value* chain = record.find("chain");
+  ASSERT_TRUE(chain != nullptr && chain->array.size() == 1u);
+  EXPECT_EQ(chain->array[0].string_or("description", ""), "link " + nasty);
+  EXPECT_EQ(chain->array[0].int_or("at", -1), 7);
+
+  const util::json::Value* triage = parsed.value().find("triage");
+  ASSERT_TRUE(triage != nullptr && triage->array.size() == 1u);
+  const util::json::Value& cluster = triage->array[0];
+  EXPECT_EQ(cluster.string_or("signature", ""), clusters[0].signature);
+  EXPECT_EQ(cluster.string_or("mechanism", ""), "mech " + nasty);
+  const util::json::Value* ids = cluster.find("fault_ids");
+  ASSERT_TRUE(ids != nullptr && ids->array.size() == 1u);
+  EXPECT_EQ(ids->array[0].str, "id " + nasty);
 }
 
 }  // namespace

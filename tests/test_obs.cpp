@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "corpus/seeds.hpp"
@@ -359,6 +362,44 @@ TEST(UtilJson, EscapeRoundTripsThroughParse) {
   const auto parsed = util::json::parse(doc);
   ASSERT_TRUE(parsed.ok()) << parsed.error();
   EXPECT_EQ(parsed.value().string_or("s", ""), raw);
+}
+
+TEST(Json, AppendQuotedMatchesEscape) {
+  // Clean text takes the bulk-append path; anything from the first special
+  // character on takes the escape table, wherever that character sits.
+  for (const std::string_view text :
+       {"", "plain", "\"lead", "trail\\", "mid\nline", "tab\there",
+        "cr\r", "\x01 and \x1f", "caf\xc3\xa9", "caf\xc3\xa9 \"q\""}) {
+    std::string out = "[";
+    util::json::append_quoted(out, text);
+    EXPECT_EQ(out, "[\"" + util::json::escape(text) + "\"") << text;
+  }
+  std::string out;
+  util::json::append_quoted(out, "a\"b\\c\n\x01\x1f\xc3\xa9");
+  EXPECT_EQ(out, R"("a\"b\\c\n\u0001\u001f)" "\xc3\xa9\"");
+}
+
+TEST(Json, AppendUintMatchesToString) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{9},
+                                std::uint64_t{10}, std::uint64_t{65536},
+                                kMax}) {
+    std::string out = "x";
+    util::json::append_uint(out, v);
+    std::string want = "x";
+    want += std::to_string(v);
+    EXPECT_EQ(out, want);
+  }
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMaxInt = std::numeric_limits<std::int64_t>::max();
+  for (const std::int64_t v : {kMin, std::int64_t{-10}, std::int64_t{-1},
+                               std::int64_t{0}, std::int64_t{9}, kMaxInt}) {
+    std::string out = "x";
+    util::json::append_int(out, v);
+    std::string want = "x";
+    want += std::to_string(v);
+    EXPECT_EQ(out, want);
+  }
 }
 
 }  // namespace

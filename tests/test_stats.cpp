@@ -154,7 +154,8 @@ std::vector<SeriesPoint> series_from(std::vector<std::array<std::size_t, 3>> row
   for (const auto& row : rows) {
     SeriesPoint p;
     p.bucket = b++;
-    p.label = "b" + std::to_string(p.bucket);
+    p.label = "b";
+    p.label += std::to_string(p.bucket);
     p.counts.counts = row;
     out.push_back(p);
   }

@@ -310,11 +310,11 @@ TEST(MinHash, LshFindsSimilarPair) {
   params.band_size = 2;
   const MinHasher h(params);
   std::vector<std::string> base;
-  for (int i = 0; i < 30; ++i) base.push_back("w" + std::to_string(i));
+  for (int i = 0; i < 30; ++i) base.emplace_back("w") += std::to_string(i);
   auto near_dup = base;
   near_dup[0] = "changed";
   std::vector<std::string> other;
-  for (int i = 0; i < 30; ++i) other.push_back("x" + std::to_string(i));
+  for (int i = 0; i < 30; ++i) other.emplace_back("x") += std::to_string(i);
 
   const std::vector<Signature> sigs = {h.signature(base), h.signature(near_dup),
                                        h.signature(other)};
