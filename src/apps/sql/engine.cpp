@@ -94,6 +94,42 @@ bool Engine::matches(const Table& table, Slot slot,
   return true;
 }
 
+std::vector<Slot> Engine::find_hits(const Table& table,
+                                    const std::vector<Predicate>& where,
+                                    std::string& err) {
+  const std::vector<int> columns = resolve(table, where);
+  std::vector<Slot> hits;
+  const bool resolved =
+      std::find(columns.begin(), columns.end(), -1) == columns.end();
+  std::size_t bound = 0;
+  while (bound < where.size() &&
+         (columns[bound] != 0 || where[bound].op == CompareOp::kNe)) {
+    ++bound;
+  }
+  if (resolved && bound < where.size()) {
+    // The bounding predicate's key range holds every hit (table.hpp).
+    // Sorting restores slot order; the dedupe and the re-check drop stale
+    // entries and apply the other predicates.
+    const auto range =
+        table.index_range(where[bound].op, where[bound].literal);
+    hits.reserve(range.size());
+    for (const auto& entry : range) hits.push_back(entry.second);
+    std::sort(hits.begin(), hits.end());
+    hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
+    std::erase_if(hits, [&](Slot slot) {
+      return !table.is_live(slot) ||
+             !matches(table, slot, where, columns, nullptr);
+    });
+    return hits;
+  }
+  for (Slot slot = 0; slot < table.slot_count(); ++slot) {
+    if (!table.is_live(slot)) continue;
+    if (matches(table, slot, where, columns, &err)) hits.push_back(slot);
+    if (!err.empty()) break;
+  }
+  return hits;
+}
+
 ExecResult Engine::run_select(const SelectStatement& s) {
   const Table* table = find_table(s.table);
   if (table == nullptr) return error("unknown table " + s.table);
@@ -111,15 +147,8 @@ ExecResult Engine::run_select(const SelectStatement& s) {
   }
 
   std::string err;
-  const std::vector<int> where_columns = resolve(*table, s.where);
-  std::vector<Slot> hits;
-  for (Slot slot = 0; slot < table->slot_count(); ++slot) {
-    if (!table->is_live(slot)) continue;
-    if (matches(*table, slot, s.where, where_columns, &err)) {
-      hits.push_back(slot);
-    }
-    if (!err.empty()) return error(err);
-  }
+  std::vector<Slot> hits = find_hits(*table, s.where, err);
+  if (!err.empty()) return error(err);
 
   if (s.count_star) {
     if (flags_.count_on_empty_crash && hits.empty()) {
@@ -130,6 +159,10 @@ ExecResult Engine::run_select(const SelectStatement& s) {
     return r;
   }
 
+  const std::size_t limit =
+      s.limit.has_value()
+          ? static_cast<std::size_t>(std::max<std::int64_t>(0, *s.limit))
+          : hits.size();
   if (s.order_by.has_value()) {
     // --- mysql-ei-02: "a query which selects zero records and has an
     // 'order by' clause will cause the server to crash ... missing
@@ -140,17 +173,24 @@ ExecResult Engine::run_select(const SelectStatement& s) {
     }
     const int col = table->schema().find(s.order_by->column);
     if (col < 0) return error("unknown column " + s.order_by->column);
-    std::stable_sort(hits.begin(), hits.end(), [&](Slot a, Slot b) {
+    // Hits arrive in slot order, so ties by slot (for DESC too) are what a
+    // stable sort on the value gives. Only the kept rows need sorting.
+    const auto before = [&](Slot a, Slot b) {
       const int cmp = compare(table->row(a)[static_cast<std::size_t>(col)],
                               table->row(b)[static_cast<std::size_t>(col)]);
-      return s.order_by->descending ? cmp > 0 : cmp < 0;
-    });
+      if (cmp != 0) return s.order_by->descending ? cmp > 0 : cmp < 0;
+      return a < b;
+    };
+    const auto kept = hits.begin() + static_cast<std::ptrdiff_t>(
+                                         std::min(limit, hits.size()));
+    if (kept == hits.end()) {
+      std::sort(hits.begin(), hits.end(), before);
+    } else {
+      std::partial_sort(hits.begin(), kept, hits.end(), before);
+    }
   }
 
   ExecResult r;
-  const std::size_t limit =
-      s.limit.has_value() ? static_cast<std::size_t>(std::max<std::int64_t>(0, *s.limit))
-                          : hits.size();
   for (std::size_t i = 0; i < hits.size() && i < limit; ++i) {
     const auto row = table->row(hits[i]);
     if (s.columns.empty()) {
@@ -187,7 +227,6 @@ ExecResult Engine::run_update(const UpdateStatement& s) {
   const int col = table->schema().find(s.column);
   if (col < 0) return error("unknown column " + s.column);
   std::string err;
-  const std::vector<int> where_columns = resolve(*table, s.where);
 
   if (flags_.update_index_scan_bug && col == 0) {
     // --- mysql-ei-01, the buggy path: drive the update through the index
@@ -198,6 +237,7 @@ ExecResult Engine::run_update(const UpdateStatement& s) {
     // ownership before opening it, or the first write would clone the
     // (snapshot-shared) rows and the scan would never meet its own moves.
     table->detach();
+    const std::vector<int> where_columns = resolve(*table, s.where);
     std::int64_t touched = 0;
     for (auto cursor = table->index_scan(); !cursor.done(); cursor.next()) {
       const Slot slot = cursor.slot();
@@ -224,14 +264,8 @@ ExecResult Engine::run_update(const UpdateStatement& s) {
 
   // The fixed algorithm (the paper's fix): "first scanning for all matching
   // rows and then updating the found rows".
-  std::vector<Slot> hits;
-  for (Slot slot = 0; slot < table->slot_count(); ++slot) {
-    if (!table->is_live(slot)) continue;
-    if (matches(*table, slot, s.where, where_columns, &err)) {
-      hits.push_back(slot);
-    }
-    if (!err.empty()) return error(err);
-  }
+  const std::vector<Slot> hits = find_hits(*table, s.where, err);
+  if (!err.empty()) return error(err);
   for (Slot slot : hits) table->update_cell(slot, col, s.value);
   ExecResult r;
   r.affected = static_cast<std::int64_t>(hits.size());
@@ -242,15 +276,8 @@ ExecResult Engine::run_delete(const DeleteStatement& s) {
   Table* table = find_table(s.table);
   if (table == nullptr) return error("unknown table " + s.table);
   std::string err;
-  const std::vector<int> where_columns = resolve(*table, s.where);
-  std::vector<Slot> hits;
-  for (Slot slot = 0; slot < table->slot_count(); ++slot) {
-    if (!table->is_live(slot)) continue;
-    if (matches(*table, slot, s.where, where_columns, &err)) {
-      hits.push_back(slot);
-    }
-    if (!err.empty()) return error(err);
-  }
+  const std::vector<Slot> hits = find_hits(*table, s.where, err);
+  if (!err.empty()) return error(err);
   for (Slot slot : hits) table->erase(slot);
   ExecResult r;
   r.affected = static_cast<std::int64_t>(hits.size());

@@ -21,8 +21,9 @@
 // shared catalog image rely on. Copies share row storage until first write
 // (table.hpp), so a copy costs O(tables), not O(rows), and the first write
 // to a table after a copy clones one flat block: a constant number of
-// allocations, however many rows the table holds. Full scans walk the
-// table's slots in place, skipping dead ones.
+// allocations, however many rows the table holds. A WHERE bounding column
+// 0 with =, <, <=, > or >= re-checks the index's key range; any other
+// WHERE walks the slots in place. Hits come out in slot order either way.
 #pragma once
 
 #include <map>
@@ -99,6 +100,11 @@ class Engine {
   static bool matches(const Table& table, Slot slot,
                       const std::vector<Predicate>& where,
                       const std::vector<int>& columns, std::string* error);
+  /// The live slots satisfying `where`, ascending. Sets `err` (the hits
+  /// are then meaningless) when a row reaches an unknown column.
+  static std::vector<Slot> find_hits(const Table& table,
+                                     const std::vector<Predicate>& where,
+                                     std::string& err);
 
   std::map<std::string, Table> tables_;
   std::string locked_table_;

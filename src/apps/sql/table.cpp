@@ -16,6 +16,15 @@ bool entry_less(const std::pair<Value, Slot>& entry, const Value& key) {
 }
 }  // namespace
 
+Table::Data::Data(const Data& other) : live_rows(other.live_rows) {
+  cells.reserve(other.cells.capacity());
+  dead.reserve(other.dead.capacity());
+  index.reserve(other.index.capacity());
+  cells = other.cells;
+  dead = other.dead;
+  index = other.index;
+}
+
 template <typename It>
 Slot Table::Data::append(It first, It last) {
   const auto slot = static_cast<Slot>(dead.size());
@@ -75,24 +84,23 @@ bool Table::is_live(Slot slot) const noexcept {
   return slot < data_->dead.size() && !data_->dead[slot];
 }
 
-std::span<const Value> Table::row(Slot slot) const {
-  if (slot >= slot_count()) {
-    throw std::out_of_range("row slot " + std::to_string(slot) +
-                            " past the table's " +
-                            std::to_string(slot_count()) + " slots");
-  }
-  return {data_->cells.data() + slot * width(), width()};
+void Table::throw_past_end(Slot slot) const {
+  throw std::out_of_range("row slot " + std::to_string(slot) +
+                          " past the table's " +
+                          std::to_string(slot_count()) + " slots");
 }
 
 void Table::update_cell(Slot slot, int column, Value value,
                         bool corrupt_index_on_key_move) {
   if (!is_live(slot)) return;
   if (column < 0 || static_cast<std::size_t>(column) >= width()) return;
+  const std::size_t at = slot * width() + static_cast<std::size_t>(column);
+  if (compare(data_->cells[at], value) == 0) return;  // keep sharing
   detach();
   Data& d = *data_;
-  Value& cell = d.cells[slot * width() + static_cast<std::size_t>(column)];
+  Value& cell = d.cells[at];
 
-  if (column == 0 && compare(cell, value) != 0) {
+  if (column == 0) {
     // Correct behavior: move the index entry to the new key. The buggy
     // path (mysql-ei-01) skips the removal: the stale entry stays behind,
     // so the row is now indexed under two keys.
@@ -100,6 +108,29 @@ void Table::update_cell(Slot slot, int column, Value value,
     d.index_add(value, slot);
   }
   cell = std::move(value);
+}
+
+std::span<const std::pair<Value, Slot>> Table::index_range(
+    CompareOp op, const Value& key) const {
+  const auto& index = data_->index;
+  const auto lower =
+      std::lower_bound(index.begin(), index.end(), key, entry_less);
+  const auto upper = std::upper_bound(lower, index.end(), key, key_less);
+  switch (op) {
+    case CompareOp::kEq:
+      return {lower, upper};
+    case CompareOp::kLt:
+      return {index.begin(), lower};
+    case CompareOp::kLe:
+      return {index.begin(), upper};
+    case CompareOp::kGt:
+      return {upper, index.end()};
+    case CompareOp::kGe:
+      return {lower, index.end()};
+    case CompareOp::kNe:
+      break;
+  }
+  return index;
 }
 
 bool Table::IndexCursor::done() const noexcept {

@@ -6,15 +6,21 @@
 // cursor is what makes the paper's mysql-ei-01 bug expressible: an UPDATE
 // that modifies the indexed column *while scanning the index* re-encounters
 // rows it moved ahead of the cursor and corrupts the index with duplicates.
+// Even then every live row keeps an entry under its current key: insert,
+// every key move (the corrupting one too) and compact add one, and only a
+// fixed key move or an erase of that row removes one. Stale entries only
+// add candidates, so a key range's slots, deduplicated and re-checked, are
+// exactly the live rows in that range (index_range).
 //
 // Row storage is flat and copy-on-write. All cells sit row-major in one
 // vector, the schema's width per slot; that vector, the dead-slot bitmap,
 // the live count and the index form one `Data` block behind a shared
 // pointer, so copying a Table (and with it an Engine, a database snapshot
 // or the catalog image) shares the block instead of copying rows. Every
-// mutator first takes sole ownership, cloning the block if anyone else
-// holds it: a copy costs O(1), the first write after it one block copy —
-// a constant number of allocations plus O(cells) value copies.
+// mutator that changes something first takes sole ownership, cloning the
+// block if anyone else holds it: a copy costs O(1), the first write after
+// it one block copy — a constant number of allocations plus O(cells) value
+// copies.
 #pragma once
 
 #include <cstddef>
@@ -58,13 +64,23 @@ class Table {
 
   /// The cells of a slot, dead or live. Throws std::out_of_range for a slot
   /// past slot_count(). The span is invalidated by the next write.
-  std::span<const Value> row(Slot slot) const;
+  std::span<const Value> row(Slot slot) const {
+    if (slot >= slot_count()) throw_past_end(slot);
+    return {data_->cells.data() + slot * width(), width()};
+  }
 
-  /// In-place cell update, maintaining the index when column 0 changes.
-  /// If `corrupt_index_on_key_move` is set (the injected mysql-ei-01 bug),
-  /// the OLD index entry is left behind, creating duplicate index values.
+  /// In-place cell update, maintaining the index when column 0 changes; a
+  /// no-op when the cell already holds `value`. If
+  /// `corrupt_index_on_key_move` is set (the injected mysql-ei-01 bug), the
+  /// OLD index entry is left behind, creating duplicate index values.
   void update_cell(Slot slot, int column, Value value,
                    bool corrupt_index_on_key_move = false);
+
+  /// The index entries whose key k satisfies `k op key` (all of them for
+  /// kNe). Stale entries included: dedupe the slots, drop dead ones and
+  /// re-check the rows. The span is invalidated by the next write.
+  std::span<const std::pair<Value, Slot>> index_range(CompareOp op,
+                                                      const Value& key) const;
 
   /// Ordered index scan cursor over (key, slot) pairs. It holds the block
   /// it opened on and a position in that block's index, so it survives the
@@ -109,6 +125,11 @@ class Table {
 
  private:
   struct Data {
+    Data() = default;
+    /// Keeps the source's capacity: the write that forced the clone must
+    /// not reallocate what was just copied.
+    Data(const Data& other);
+
     std::vector<Value> cells;  ///< row-major, width() cells per slot
     std::vector<bool> dead;    ///< one flag per slot
     std::size_t live_rows = 0;
@@ -128,6 +149,7 @@ class Table {
 
   std::size_t width() const noexcept { return schema_.columns.size(); }
   const Value& key_of(Slot slot) const { return data_->cells[slot * width()]; }
+  [[noreturn]] void throw_past_end(Slot slot) const;
 
   Schema schema_;
   std::shared_ptr<Data> data_ = std::make_shared<Data>();

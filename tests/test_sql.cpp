@@ -461,6 +461,18 @@ TEST(SqlTable, NoOpWritesChangeNothing) {
   EXPECT_EQ(state_of(copy), state_of(original));
 }
 
+TEST(SqlTable, SameValueWriteKeepsStorageShared) {
+  const Table original = small_table();
+  const TableState before = state_of(original);
+  Table copy = original;
+  copy.update_cell(0, 1, Value{"x"});              // the cell's own value
+  copy.update_cell(0, 0, Value{std::int64_t{3}});  // the row's own key
+  EXPECT_EQ(copy.row(0).data(), original.row(0).data());
+  copy.update_cell(0, 1, Value{"y"});
+  EXPECT_NE(copy.row(0).data(), original.row(0).data());
+  EXPECT_EQ(state_of(original), before);
+}
+
 TEST(SqlTable, CompactRestoresSlotOrderAmongEqualKeys) {
   // Moving slot 0's key onto slot 2's puts slot 0 after slot 2 in the
   // index; a rebuild indexes in slot order again, and compact() must do
