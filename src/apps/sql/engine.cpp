@@ -183,11 +183,7 @@ ExecResult Engine::run_select(const SelectStatement& s) {
     };
     const auto kept = hits.begin() + static_cast<std::ptrdiff_t>(
                                          std::min(limit, hits.size()));
-    if (kept == hits.end()) {
-      std::sort(hits.begin(), hits.end(), before);
-    } else {
-      std::partial_sort(hits.begin(), kept, hits.end(), before);
-    }
+    std::partial_sort(hits.begin(), kept, hits.end(), before);
   }
 
   ExecResult r;

@@ -1,6 +1,7 @@
 #include "apps/sql/table.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <iterator>
 #include <stdexcept>
 #include <string>
@@ -112,6 +113,7 @@ void Table::update_cell(Slot slot, int column, Value value,
 
 std::span<const std::pair<Value, Slot>> Table::index_range(
     CompareOp op, const Value& key) const {
+  assert(op != CompareOp::kNe);
   const auto& index = data_->index;
   const auto lower =
       std::lower_bound(index.begin(), index.end(), key, entry_less);

@@ -76,9 +76,10 @@ class Table {
   void update_cell(Slot slot, int column, Value value,
                    bool corrupt_index_on_key_move = false);
 
-  /// The index entries whose key k satisfies `k op key` (all of them for
-  /// kNe). Stale entries included: dedupe the slots, drop dead ones and
-  /// re-check the rows. The span is invalidated by the next write.
+  /// The index entries whose key k satisfies `k op key`; `op` is `=`, `<`,
+  /// `<=`, `>` or `>=` (`!=` is no range). Stale entries included: dedupe
+  /// the slots, drop dead ones and re-check the rows. The span is
+  /// invalidated by the next write.
   std::span<const std::pair<Value, Slot>> index_range(CompareOp op,
                                                       const Value& key) const;
 
