@@ -1,10 +1,11 @@
-// Exact gate on the study's export writers: the five exports of the
+// Exact gate on the study's export writers: the eight exports of the
 // attached seed-99 matrix (forensics JSON, explorer HTML, Chrome trace,
-// metrics JSON, Prometheus text) must keep the byte count and FNV-1a digest
-// they had when this gate was written, at one lane and at four. The
-// lane-identity tests only compare a run with another run of the same
-// build; this one compares with the committed constants, so a writer
-// rewrite that shifts one byte in every lane count still fails here.
+// metrics JSON, Prometheus text, atlas JSON, heatmap HTML, study snapshot)
+// must keep the byte count and FNV-1a digest they had when this gate was
+// written, at one lane and at four. The lane-identity tests only compare a
+// run with another run of the same build; this one compares with the
+// committed constants, so a writer rewrite that shifts one byte in every
+// lane count still fails here.
 //
 // The views are attached and exported exactly as `faultstudy_cli matrix`
 // does with every output flag, so the sizes below are also the sizes of
@@ -22,6 +23,7 @@
 #include "forensics/triage.hpp"
 #include "harness/experiment.hpp"
 #include "obs/atlas.hpp"
+#include "obs/baseline.hpp"
 #include "obs/export.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/trial.hpp"
@@ -43,18 +45,22 @@ constexpr ExportDigest kGolden[] = {
     {"trace.json", 1454978, 0xffeb5d803d5d9243ULL},
     {"metrics.json", 3944, 0xb91386923ef65ad0ULL},
     {"metrics.prom", 24787, 0xfe78bd7a0d5a19c6ULL},
+    {"atlas.json", 22903, 0x601ac4e52203ed0bULL},
+    {"atlas.html", 14454, 0xdf49adebe5f33592ULL},
+    {"snapshot.json", 16472, 0xfb4c86b09fff4f57ULL},
 };
 
-/// Runs the attached matrix and renders the five exports in kGolden order.
+/// Runs the attached matrix and renders the eight exports in kGolden order.
 std::vector<std::string> render_exports(std::size_t threads) {
   harness::TrialConfig config;
   config.threads = threads;
   telemetry::StudyTelemetry telemetry;
   forensics::StudyForensics study;
   obs::CoverageAtlas atlas;
+  const auto seeds = corpus::all_seeds();
   const auto matrix =
-      harness::run_matrix(corpus::all_seeds(), harness::standard_mechanisms(),
-                          config, 3, &telemetry, &study, &atlas);
+      harness::run_matrix(seeds, harness::standard_mechanisms(), config, 3,
+                          &telemetry, &study, &atlas);
   obs::export_gauges(atlas, telemetry.metrics);
 
   const auto clusters = forensics::triage(study.postmortems);
@@ -72,7 +78,10 @@ std::vector<std::string> render_exports(std::size_t threads) {
           forensics::render_explorer_html(study, clusters, rows,
                                           "Fault-forensics study explorer"),
           telemetry::to_chrome_trace(traces), telemetry::to_json(metrics),
-          telemetry::to_prometheus(metrics)};
+          telemetry::to_prometheus(metrics), obs::to_json(atlas),
+          obs::render_heatmap_html(atlas),
+          obs::to_json(obs::build_snapshot(seeds, matrix, atlas, metrics,
+                                           config.seed, 3))};
 }
 
 TEST(ExportGolden, MatchesParentCommit) {
