@@ -1,14 +1,10 @@
 // Shared plumbing for the reproduction benches: run the mining pipeline for
 // one application, print the funnel, the paper-style table, and the
-// paper-vs-measured comparison, plus the machine-readable BENCH_*.json
-// writer the perf gates use.
+// paper-vs-measured comparison.
 #pragma once
 
 #include <cstdio>
-#include <fstream>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "core/aggregate.hpp"
 #include "corpus/synth.hpp"
@@ -17,73 +13,6 @@
 #include "report/table.hpp"
 
 namespace faultstudy::bench {
-
-/// Collects named measurements from a perf binary and writes them as
-/// BENCH_<name>.json, one flat rows array so CI diffs and dashboards can
-/// consume every bench the same way:
-///
-///   {"schema":"faultstudy-bench/1","bench":"telemetry","rows":[
-///     {"name":"matrix_bare","value":123.40,"unit":"ms"},...]}
-class BenchJson {
- public:
-  explicit BenchJson(std::string bench) : bench_(std::move(bench)) {}
-
-  void add(std::string name, double value, std::string unit) {
-    rows_.push_back(Row{std::move(name), value, std::move(unit)});
-  }
-
-  std::string to_string() const {
-    std::string out = "{\"schema\":\"faultstudy-bench/1\",\"bench\":\"";
-    append_escaped(out, bench_);
-    out += "\",\"rows\":[";
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      if (i > 0) out += ',';
-      out += "{\"name\":\"";
-      append_escaped(out, rows_[i].name);
-      char value[64];
-      std::snprintf(value, sizeof(value), "%.6g", rows_[i].value);
-      out += "\",\"value\":";
-      out += value;
-      out += ",\"unit\":\"";
-      append_escaped(out, rows_[i].unit);
-      out += "\"}";
-    }
-    out += "]}\n";
-    return out;
-  }
-
-  /// Writes BENCH_<bench>.json into the working directory (or `path` when
-  /// given) and reports the destination on stdout.
-  bool write(const std::string& path = "") const {
-    const std::string dest = path.empty() ? "BENCH_" + bench_ + ".json" : path;
-    std::ofstream out(dest, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", dest.c_str());
-      return false;
-    }
-    out << to_string();
-    std::printf("bench json: wrote %s (%zu rows)\n", dest.c_str(),
-                rows_.size());
-    return true;
-  }
-
- private:
-  struct Row {
-    std::string name;
-    double value = 0.0;
-    std::string unit;
-  };
-
-  static void append_escaped(std::string& out, const std::string& text) {
-    for (const char c : text) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-  }
-
-  std::string bench_;
-  std::vector<Row> rows_;
-};
 
 struct PaperCounts {
   std::size_t ei = 0, edn = 0, edt = 0;

@@ -78,17 +78,16 @@ class Parser {
   }
 
   Result<Value> expect_literal() {
+    Value v;
     if (current().kind == TokenKind::kInteger) {
-      Value v = current().number;
-      advance();
-      return v;
+      v = current().number;
+    } else if (current().kind == TokenKind::kString) {
+      v = current().text;
+    } else {
+      return Err{"expected literal, got '" + current().text + "'"};
     }
-    if (current().kind == TokenKind::kString) {
-      Value v = current().text;
-      advance();
-      return v;
-    }
-    return Err{"expected literal, got '" + current().text + "'"};
+    advance();
+    return v;
   }
 
   Result<Statement> parse_statement() {

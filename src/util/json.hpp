@@ -1,10 +1,11 @@
 // A minimal JSON reader for the library's own machine-readable artifacts
-// (BENCH_*.json, baselines/study_baseline.json, telemetry snapshots).
+// (baselines/study_baseline.json and other study snapshots, the forensics
+// and atlas exports, telemetry snapshots).
 //
 // This is a reader for documents the library itself writes: strict JSON,
 // no comments, UTF-8 passed through verbatim. Numbers keep both an integer
-// and a double view because every deterministic artifact is integer-valued
-// while bench timings are not.
+// and a double view: every deterministic artifact is integer-valued, but
+// strict JSON also allows fractions and exponents.
 #pragma once
 
 #include <cstdint>

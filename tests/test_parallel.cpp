@@ -117,8 +117,11 @@ void expect_same_matrix(const harness::MatrixResult& a,
 }
 
 TEST(DeterministicMatrix, FourLanesMatchSerialAcrossSeeds) {
-  // A corpus slice keeps the sweep fast; the full-corpus identity is
-  // exercised by bench/perf_parallel and the TSan CI job.
+  // A corpus slice keeps the sweep fast. The full corpus is checked at one
+  // and four lanes by CoverageAtlas.FoldIsIdenticalForOneAndFourLanes,
+  // ExportGolden.MatchesParentCommit and
+  // ObservationBus.AttachedSinksDoNotChangeMatrix, and the tsan-parallel CI
+  // job runs this suite with four lanes under ThreadSanitizer.
   auto seeds = corpus::apache_seeds();
   seeds.resize(16);
 
