@@ -3,7 +3,13 @@
 // taxonomy oracle cross-check.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <random>
 #include <span>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 
 #include "analysis/invariant_checker.hpp"
 #include "analysis/race_detector.hpp"
@@ -205,6 +211,317 @@ TEST(RaceDetectorTest, ReportCarriesHistoryAndRenders) {
   EXPECT_NE(text.find("the racy store"), std::string::npos);
   EXPECT_NE(text.find("the racy rival"), std::string::npos);
   EXPECT_NE(text.find("events leading here"), std::string::npos);
+}
+
+// The detector keeps only (trace index, thread, clock) per access and
+// rebuilds a report's two sides from the trace once it reports. This
+// reference is the eager algorithm it replaced, which built every side at
+// access time; both must agree on every field of every report and on its
+// rendering, over random traces that exercise fork/join, nested and
+// out-of-order unlocks, notes, and histories longer than history_depth.
+namespace {
+
+struct RefSide {
+  std::size_t event_index = 0;
+  env::ThreadId thread = 0;
+  TraceOp op = TraceOp::kRead;
+  std::string note;
+  std::vector<env::ObjectId> locks_held;
+  std::vector<std::size_t> history;
+};
+
+struct RefReport {
+  env::ObjectId object = 0;
+  RefSide first;
+  RefSide second;
+};
+
+std::vector<RefReport> eager_reference(std::span<const TraceEvent> trace,
+                                       const analysis::RaceDetectorOptions& o) {
+  struct ThreadState {
+    VectorClock vc;
+    std::vector<env::ObjectId> locks_held;
+    std::vector<std::size_t> history;
+  };
+  struct Access {
+    RefSide record;
+    std::uint32_t clock = 0;
+  };
+  struct VarState {
+    std::optional<Access> last_write;
+    std::unordered_map<env::ThreadId, Access> reads;
+  };
+  const auto pair_key = [](env::ObjectId object, env::ThreadId a,
+                           env::ThreadId b) {
+    if (a > b) std::swap(a, b);
+    return (static_cast<std::uint64_t>(object) << 40) |
+           (static_cast<std::uint64_t>(a) << 20) | b;
+  };
+
+  std::vector<RefReport> reports;
+  std::unordered_map<env::ThreadId, ThreadState> threads;
+  std::unordered_map<env::ObjectId, VectorClock> locks;
+  std::unordered_map<env::ObjectId, VarState> vars;
+  std::unordered_set<std::uint64_t> reported;
+
+  const auto make_record = [&](std::size_t index, const TraceEvent& event,
+                               const ThreadState& state) {
+    RefSide record;
+    record.event_index = index;
+    record.thread = event.thread;
+    record.op = event.op;
+    record.note = std::string(event.note);
+    record.locks_held = state.locks_held;
+    record.history = state.history;
+    if (record.history.size() > o.history_depth) {
+      record.history.erase(
+          record.history.begin(),
+          record.history.end() - static_cast<std::ptrdiff_t>(o.history_depth));
+    }
+    return record;
+  };
+  const auto report_pair = [&](env::ObjectId object, const Access& earlier,
+                               const RefSide& later) {
+    if (reports.size() >= o.max_reports) return;
+    if (o.dedupe_pairs &&
+        !reported.insert(pair_key(object, earlier.record.thread, later.thread))
+             .second) {
+      return;
+    }
+    reports.push_back({object, earlier.record, later});
+  };
+
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const TraceEvent& event = trace[i];
+    if (event.op == TraceOp::kFork || event.op == TraceOp::kJoin) {
+      threads.try_emplace(event.object);
+    }
+    ThreadState& self = threads[event.thread];
+    switch (event.op) {
+      case TraceOp::kLock:
+        self.vc.join(locks[event.object]);
+        self.locks_held.push_back(event.object);
+        break;
+      case TraceOp::kUnlock: {
+        locks[event.object] = self.vc;
+        self.vc.bump(event.thread);
+        auto& held = self.locks_held;
+        for (auto it = held.rbegin(); it != held.rend(); ++it) {
+          if (*it == event.object) {
+            held.erase(std::next(it).base());
+            break;
+          }
+        }
+        break;
+      }
+      case TraceOp::kFork:
+        threads.find(event.object)->second.vc.join(self.vc);
+        self.vc.bump(event.thread);
+        break;
+      case TraceOp::kJoin:
+        self.vc.join(threads.find(event.object)->second.vc);
+        break;
+      case TraceOp::kRead:
+      case TraceOp::kWrite: {
+        self.vc.bump(event.thread);
+        VarState& var = vars[event.object];
+        const RefSide record = make_record(i, event, self);
+        if (var.last_write.has_value() &&
+            var.last_write->record.thread != event.thread &&
+            !self.vc.ordered_before_me(var.last_write->record.thread,
+                                       var.last_write->clock)) {
+          report_pair(event.object, *var.last_write, record);
+        }
+        if (event.op == TraceOp::kWrite) {
+          for (const auto& [thread, read] : var.reads) {
+            if (thread == event.thread) continue;
+            if (!self.vc.ordered_before_me(thread, read.clock)) {
+              report_pair(event.object, read, record);
+            }
+          }
+          var.reads.clear();
+          var.last_write = Access{record, self.vc.get(event.thread)};
+        } else {
+          var.reads[event.thread] = Access{record, self.vc.get(event.thread)};
+        }
+        break;
+      }
+    }
+    self.history.push_back(i);
+    if (self.history.size() > o.history_depth * 2) {
+      self.history.erase(self.history.begin());
+    }
+  }
+  return reports;
+}
+
+void render_reference_side(std::string& out, const char* label,
+                           const RefSide& side,
+                           std::span<const TraceEvent> trace) {
+  out += "  ";
+  out += label;
+  out += ": ";
+  out += env::to_string(side.op);
+  out += " by thread " + std::to_string(side.thread) + " at event #" +
+         std::to_string(side.event_index);
+  if (!side.note.empty()) out += " (" + side.note + ")";
+  out += "\n    locks held: ";
+  if (side.locks_held.empty()) {
+    out += "none";
+  } else {
+    for (std::size_t i = 0; i < side.locks_held.size(); ++i) {
+      if (i != 0) out += ", ";
+      out += env::object_name(side.locks_held[i]);
+    }
+  }
+  out += "\n    events leading here:\n";
+  for (const std::size_t index : side.history) {
+    if (index >= trace.size()) continue;
+    const auto& event = trace[index];
+    out += "      #" + std::to_string(index) + " " +
+           std::string(env::to_string(event.op)) + " " +
+           std::string(env::object_name(event.object));
+    if (!event.note.empty()) out += " — " + std::string(event.note);
+    out += '\n';
+  }
+}
+
+std::string render_reference(const RefReport& report,
+                             std::span<const TraceEvent> trace) {
+  std::string out = "RACE on ";
+  out += env::object_name(report.object);
+  out += " (object " + std::to_string(report.object) + ")\n";
+  render_reference_side(out, "first ", report.first, trace);
+  render_reference_side(out, "second", report.second, trace);
+  return out;
+}
+
+/// A random trace over 2-4 worker threads (ids 1..n) and the parent (0):
+/// the parent forks some workers up front and may fork or join others
+/// midway; every thread reads and writes three shared variables, takes
+/// nested locks from a pool of three and sometimes releases them out of
+/// order or releases one it does not hold.
+TraceLog random_trace(std::mt19937_64& rng) {
+  const auto draw = [&rng](std::uint64_t n) { return rng() % n; };
+  static constexpr const char* kNotes[] = {"load the slot", "store the slot",
+                                           "walk the list", "free an entry"};
+  TraceLog log;
+  log.enable();
+  const auto workers = static_cast<env::ThreadId>(2 + draw(3));
+  std::vector<bool> forked(workers + 1, false);
+  std::vector<std::vector<env::ObjectId>> held(workers + 1);
+  env::Tick at = 0;
+  for (env::ThreadId t = 1; t <= workers; ++t) {
+    if (draw(2) == 0) {
+      log.record(0, TraceOp::kFork, t, at++);
+      forked[t] = true;
+    }
+  }
+  const std::size_t length = 4 + draw(60);
+  for (std::size_t step = 0; step < length; ++step) {
+    const auto thread = static_cast<env::ThreadId>(draw(workers + 1));
+    const char* note = draw(2) == 0 ? kNotes[draw(std::size(kNotes))] : "";
+    switch (draw(10)) {
+      case 0:
+      case 1:
+      case 2:
+        log.record(thread, TraceOp::kRead, 1 + static_cast<env::ObjectId>(
+                                                   draw(3)),
+                   at++, note);
+        break;
+      case 3:
+      case 4:
+      case 5:
+        log.record(thread, TraceOp::kWrite, 1 + static_cast<env::ObjectId>(
+                                                    draw(3)),
+                   at++, note);
+        break;
+      case 6: {
+        const auto lock = 100 + static_cast<env::ObjectId>(draw(3));
+        held[thread].push_back(lock);
+        log.record(thread, TraceOp::kLock, lock, at++);
+        break;
+      }
+      case 7: {
+        auto& locks = held[thread];
+        if (locks.empty() || draw(8) == 0) {
+          log.record(thread, TraceOp::kUnlock,
+                     100 + static_cast<env::ObjectId>(draw(3)), at++);
+          break;
+        }
+        const std::size_t pick =
+            draw(3) == 0 ? draw(locks.size()) : locks.size() - 1;
+        log.record(thread, TraceOp::kUnlock, locks[pick], at++);
+        locks.erase(locks.begin() + static_cast<std::ptrdiff_t>(pick));
+        break;
+      }
+      case 8: {
+        const auto child = 1 + static_cast<env::ThreadId>(draw(workers));
+        if (!forked[child]) {
+          log.record(0, TraceOp::kFork, child, at++);
+          forked[child] = true;
+        }
+        break;
+      }
+      default: {
+        const auto child = 1 + static_cast<env::ThreadId>(draw(workers));
+        log.record(0, TraceOp::kJoin, child, at++);
+        break;
+      }
+    }
+  }
+  return log;
+}
+
+}  // namespace
+
+TEST(RaceDetectorTest, LazySidesMatchEagerReference) {
+  const analysis::RaceDetectorOptions option_sets[] = {
+      {},
+      {.history_depth = 2},
+      {.history_depth = 0},
+      {.max_reports = 3, .history_depth = 3},
+      {.history_depth = 5, .dedupe_pairs = false},
+  };
+  std::size_t reports_seen = 0;
+  std::size_t long_histories = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const TraceLog log = random_trace(rng);
+    const std::span<const TraceEvent> trace(log.events());
+    const auto& options = option_sets[seed % std::size(option_sets)];
+    const auto want = eager_reference(trace, options);
+    const auto got = RaceDetector(options).analyze(trace);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t r = 0; r < got.size(); ++r) {
+      EXPECT_EQ(got[r].object, want[r].object);
+      for (const auto& [lazy, eager] :
+           {std::pair{&got[r].first, &want[r].first},
+            std::pair{&got[r].second, &want[r].second}}) {
+        EXPECT_EQ(lazy->event_index, eager->event_index);
+        EXPECT_EQ(lazy->thread, eager->thread);
+        EXPECT_EQ(lazy->op, eager->op);
+        EXPECT_EQ(lazy->note, eager->note);
+        EXPECT_EQ(lazy->locks_held, eager->locks_held);
+        EXPECT_EQ(lazy->history, eager->history);
+        const auto prior = std::count_if(
+            trace.begin(),
+            trace.begin() + static_cast<std::ptrdiff_t>(eager->event_index),
+            [&](const TraceEvent& e) { return e.thread == eager->thread; });
+        if (static_cast<std::size_t>(prior) > options.history_depth) {
+          ++long_histories;
+        }
+      }
+      EXPECT_EQ(analysis::to_string(got[r], trace),
+                render_reference(want[r], trace));
+    }
+    reports_seen += got.size();
+  }
+  // The sweep must exercise what it claims to: plenty of reports, and
+  // sides whose thread had more history than the detector keeps.
+  EXPECT_GT(reports_seen, 1000u);
+  EXPECT_GT(long_histories, 1000u);
 }
 
 // ------------------------------------- structural interleaving coverage --
