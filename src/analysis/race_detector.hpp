@@ -8,6 +8,11 @@
 // the locks each side held, which is how the report distinguishes "no lock
 // at all" from "two different locks" when describing the bug.
 //
+// Per access the scan keeps only the trace index, the thread and that
+// thread's clock. Locksets and per-thread histories are not tracked while
+// scanning: once the scan has found its reports, one replay of the trace
+// up to the last cited access rebuilds both sides of each report.
+//
 // Because detection keys on the synchronization *structure* rather than on
 // whether this execution's interleaving landed in the hazard gap, a racy
 // program is flagged on every traced racy operation — exactly the oracle
@@ -19,6 +24,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/vector_clock.hpp"
@@ -32,7 +38,7 @@ struct AccessRecord {
   std::size_t event_index = 0;  ///< index into the analyzed trace
   env::ThreadId thread = 0;
   env::TraceOp op = env::TraceOp::kRead;
-  std::string note;
+  std::string_view note;  ///< the trace event's note (static storage)
   /// Locks held by the thread at the access, innermost last.
   std::vector<env::ObjectId> locks_held;
   /// Indices of the thread's preceding trace events, oldest first.

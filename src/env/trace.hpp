@@ -16,7 +16,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "env/clock.hpp"
@@ -47,8 +47,9 @@ struct TraceEvent {
   TraceOp op = TraceOp::kRead;
   ObjectId object = 0;
   Tick at = 0;
-  /// Human label for reports, e.g. "recompute signal mask".
-  std::string note;
+  /// Human label for reports, e.g. "recompute signal mask". Record sites
+  /// pass string literals; the view must outlive every copy of the trace.
+  std::string_view note;
 };
 
 /// Append-only event log owned by the Environment. Disabled by default;
@@ -59,9 +60,9 @@ class TraceLog {
   bool enabled() const noexcept { return enabled_; }
 
   void record(ThreadId thread, TraceOp op, ObjectId object, Tick at,
-              std::string note = {}) {
+              std::string_view note = {}) {
     if (!enabled_) return;
-    events_.push_back({thread, op, object, at, std::move(note)});
+    events_.push_back({thread, op, object, at, note});
   }
 
   const std::vector<TraceEvent>& events() const noexcept { return events_; }

@@ -1,6 +1,10 @@
 #include "forensics/export.hpp"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <concepts>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "util/json.hpp"
@@ -53,6 +57,107 @@ void put(std::string& out, const Parts&... parts) {
   (put_part(out, parts), ...);
 }
 
+// --- the JSON size bound ----------------------------------------------------
+//
+// to_json reserves its output once, from an upper bound computed from the
+// records: ring events and the records' own strings exactly (they are
+// most of the bytes), everything else at its widest. The frame constants
+// below bound the keys, punctuation, enum names and numbers of one record,
+// link or cluster.
+
+using util::json::quoted_size;
+
+/// Decimal digits the writer can print for one integer.
+constexpr std::size_t kNumberMax = 20;
+/// A record's keys, punctuation, enum names and numbers: about 430 bytes
+/// of literals, five enum names of under 32 bytes and 19 numbers.
+constexpr std::size_t kRecordFrameMax = 448 + 5 * 32 + 19 * kNumberMax;
+/// A chain link's keys, punctuation, stage name and tick.
+constexpr std::size_t kLinkFrameMax = 64 + kNumberMax;
+/// A triage cluster's keys, punctuation, enum names and three counts.
+constexpr std::size_t kClusterFrameMax = 256 + 4 * 32 + 3 * kNumberMax;
+/// The document's schema, totals and array brackets.
+constexpr std::size_t kDocumentFrameMax = 128 + 3 * kNumberMax;
+
+std::size_t decimal_width(std::uint64_t value) {
+  std::size_t width = 1;
+  for (; value >= 10; value /= 10) ++width;
+  return width;
+}
+
+constexpr auto kNumFlightCodes = static_cast<std::size_t>(FlightCode::kCount);
+
+/// Longest event prefix the writer supports; every FlightCode name is far
+/// shorter.
+constexpr std::size_t kPrefixMax = 64;
+
+/// `{"code":"<name>","at":` for one FlightCode: a ring event is this
+/// prefix and three numbers, written in one append.
+struct EventPrefix {
+  std::array<char, kPrefixMax> text{};
+  std::size_t size = 0;
+};
+
+const std::array<EventPrefix, kNumFlightCodes>& event_prefixes() {
+  static const auto prefixes = [] {
+    std::array<EventPrefix, kNumFlightCodes> out;
+    for (std::size_t c = 0; c < kNumFlightCodes; ++c) {
+      std::string prefix = "{\"code\":";
+      util::json::append_quoted(prefix, to_string(static_cast<FlightCode>(c)));
+      prefix += ",\"at\":";
+      if (prefix.size() > kPrefixMax) {
+        throw std::length_error("flight code name too long: " + prefix);
+      }
+      std::copy(prefix.begin(), prefix.end(), out[c].text.begin());
+      out[c].size = prefix.size();
+    }
+    return out;
+  }();
+  return prefixes;
+}
+
+constexpr std::string_view kEventA = ",\"a\":";
+constexpr std::string_view kEventB = ",\"b\":";
+
+/// Exact bytes of one ring event, its leading comma included.
+std::size_t event_size(const FlightEvent& e) {
+  return 1 + event_prefixes()[static_cast<std::size_t>(e.code)].size +
+         decimal_width(static_cast<std::uint64_t>(e.at)) + kEventA.size() +
+         decimal_width(e.a) + kEventB.size() + decimal_width(e.b) + 1;
+}
+
+std::size_t json_size_bound(const PostMortemRecord& pm) {
+  std::size_t bytes = kRecordFrameMax + quoted_size(pm.fault_id) +
+                      quoted_size(pm.mechanism) +
+                      quoted_size(pm.first_failure);
+  for (const CausalLink& link : pm.chain) {
+    bytes += 1 + kLinkFrameMax + quoted_size(link.description);
+  }
+  for (const FlightEvent& e : pm.events) bytes += event_size(e);
+  return bytes;
+}
+
+/// Appends `,` (unless first) and one ring event as a single append.
+void append_event(std::string& out, const FlightEvent& e, bool first) {
+  const EventPrefix& prefix =
+      event_prefixes()[static_cast<std::size_t>(e.code)];
+  char buf[1 + kPrefixMax + kEventA.size() + kEventB.size() +
+           3 * kNumberMax + 1];
+  const auto number = [](char* at, std::uint64_t value) {
+    return std::to_chars(at, at + kNumberMax, value).ptr;
+  };
+  char* p = buf;
+  if (!first) *p++ = ',';
+  p = std::copy_n(prefix.text.begin(), std::min(prefix.size, kPrefixMax), p);
+  p = number(p, static_cast<std::uint64_t>(e.at));
+  p = std::copy(kEventA.begin(), kEventA.end(), p);
+  p = number(p, e.a);
+  p = std::copy(kEventB.begin(), kEventB.end(), p);
+  p = number(p, e.b);
+  *p++ = '}';
+  out.append(buf, p);
+}
+
 std::string_view propagation_name(FlightCode propagation) {
   return propagation == FlightCode::kCount ? "direct"
                                            : to_string(propagation);
@@ -96,14 +201,9 @@ void append_postmortem(std::string& out, const PostMortemRecord& pm) {
   }
   out += "],\"env_state\":";
   append_env_state(out, pm.env_state);
-  // Lane ids are deliberately absent: they are the one field that varies
-  // with the thread count (see forensics/recorder.hpp).
   out += ",\"events\":[";
   for (std::size_t i = 0; i < pm.events.size(); ++i) {
-    const FlightEvent& e = pm.events[i];
-    if (i > 0) out.push_back(',');
-    put(out, "{\"code\":", Json{to_string(e.code)}, ",\"at\":",
-        static_cast<std::uint64_t>(e.at), ",\"a\":", e.a, ",\"b\":", e.b, '}');
+    append_event(out, pm.events[i], i == 0);
   }
   put(out, "],\"events_dropped\":", pm.events_dropped);
   put(out, ",\"race_reports\":", pm.race_reports);
@@ -114,9 +214,24 @@ void append_postmortem(std::string& out, const PostMortemRecord& pm) {
 
 }  // namespace
 
+std::size_t json_size_bound(const StudyForensics& study,
+                            const std::vector<TriageCluster>& clusters) {
+  std::size_t bytes = kDocumentFrameMax;
+  for (const PostMortemRecord& pm : study.postmortems) {
+    bytes += 1 + json_size_bound(pm);
+  }
+  for (const TriageCluster& c : clusters) {
+    bytes += 1 + kClusterFrameMax + quoted_size(c.signature) +
+             quoted_size(c.mechanism);
+    for (const std::string& id : c.fault_ids) bytes += 1 + quoted_size(id);
+  }
+  return bytes;
+}
+
 std::string to_json(const StudyForensics& study,
                     const std::vector<TriageCluster>& clusters) {
   std::string out;
+  out.reserve(json_size_bound(study, clusters));
   put(out, "{\"schema\":", Json{"faultstudy-forensics/1"});
   put(out, ",\"trials\":", study.trials);
   put(out, ",\"survived\":", study.survived);

@@ -2,7 +2,7 @@
 // and a self-contained HTML study explorer for humans.
 //
 // Both renderers walk deterministic collections in deterministic order and
-// never emit wall-clock time, lane ids, or floating-point formatting traps,
+// never emit wall-clock time or floating-point formatting traps,
 // so their output is byte-identical for every `--threads` value — the same
 // contract the telemetry exporters honor.
 //
@@ -14,6 +14,7 @@
 // ExportGolden.MatchesParentCommit pins the bytes of both.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,9 +35,15 @@ struct MechanismSuccessRow {
 };
 
 /// Full forensic dump: study totals, every post-mortem (chain, env state,
-/// ring events — lane ids omitted), and the triage clusters.
+/// ring events), and the triage clusters. Written into one buffer reserved
+/// from json_size_bound, so it is never regrown.
 std::string to_json(const StudyForensics& study,
                     const std::vector<TriageCluster>& clusters);
+
+/// An upper bound on to_json's output size, computed from the records:
+/// each ring event exactly, every other record part at its widest.
+std::size_t json_size_bound(const StudyForensics& study,
+                            const std::vector<TriageCluster>& clusters);
 
 /// Self-contained HTML study explorer: summary tiles, the triage table,
 /// recovery success drill-down, and per-specimen causal timelines grouped

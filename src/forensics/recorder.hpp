@@ -4,8 +4,8 @@
 // The recorder is the always-on half of the forensics layer (DESIGN.md §10):
 // injection arming, environment resource transitions, application state
 // changes, recovery actions, and detector verdicts are appended as small
-// fixed-size records stamped with the simulated clock and the executor lane
-// that wrote them. When the ring is full the oldest events are overwritten —
+// fixed-size records stamped with the simulated clock. When the ring is
+// full the oldest events are overwritten —
 // a post-mortem cares about the window leading up to the failure, not the
 // full history — and the drop count is kept so exports can say what was
 // lost.
@@ -15,10 +15,10 @@
 // bus row names a FlightCode.
 //
 // Determinism contract: a trial is single-threaded and the ring is owned by
-// exactly one trial, so event order and sim-clock stamps are bit-identical
-// for every `--threads` value. The lane id is the one live-diagnostic field
-// that is NOT deterministic across thread counts; every serialized forensic
-// artifact (post-mortem JSON, the HTML explorer) therefore omits it.
+// one trial at a time (a matrix lane clears and reuses its ring between
+// trials), so event order and sim-clock stamps are bit-identical for every
+// `--threads` value. A record holds nothing else: no executor lane, no
+// wall time.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "env/clock.hpp"
-#include "util/thread_pool.hpp"
 
 namespace faultstudy::forensics {
 
@@ -95,9 +94,6 @@ std::string_view to_string(TrialVerdict verdict) noexcept;
 
 struct FlightEvent {
   FlightCode code = FlightCode::kTrialStart;
-  /// Executor lane that recorded the event (live diagnostics only; omitted
-  /// from every serialized artifact — see the determinism contract above).
-  std::uint32_t lane = 0;
   env::Tick at = 0;
   std::uint64_t a = 0;
   std::uint64_t b = 0;
@@ -124,7 +120,6 @@ class FlightRecorder {
               std::uint64_t b = 0) noexcept {
     FlightEvent& slot = ring_[total_ % ring_.size()];
     slot.code = code;
-    slot.lane = static_cast<std::uint32_t>(util::current_lane());
     slot.at = clock_ != nullptr ? clock_->now() : 0;
     slot.a = a;
     slot.b = b;

@@ -1,12 +1,17 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <mutex>
 #include <optional>
+#include <string_view>
+#include <unordered_map>
 
 #include "analysis/invariant_checker.hpp"
 #include "analysis/race_detector.hpp"
 #include "core/rules.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 #include "recovery/app_specific.hpp"
 #include "recovery/process_pairs.hpp"
 #include "recovery/progressive.hpp"
@@ -100,6 +105,40 @@ std::string_view verdict_label(forensics::TrialVerdict verdict) noexcept {
   return "?";
 }
 
+/// "recovery/<mechanism>", built once per distinct mechanism name and kept
+/// for the life of the process, because span names need static storage
+/// (telemetry/span.hpp). It cannot be a view into the mechanism: several
+/// mechanisms return member strings from name(). A repeat lookup takes one
+/// lock and allocates nothing.
+std::string_view recovery_span_name(std::string_view mechanism) {
+  static std::mutex mutex;
+  static std::unordered_map<std::string, std::string, util::StringHash,
+                            std::equal_to<>>
+      names;
+  const std::lock_guard lock(mutex);
+  auto it = names.find(mechanism);
+  if (it == names.end()) {
+    std::string name = "recovery/";
+    name += mechanism;
+    it = names.emplace(std::string(mechanism), std::move(name)).first;
+  }
+  return it->second;
+}
+
+/// The views a matrix lane's trials write into. A lane runs one trial at a
+/// time and resets these before each, so after its first trial a lane
+/// records without allocating (the span buffer and the ring keep their
+/// capacity). One per thread, hence one per lane of any pool.
+struct LaneViews {
+  telemetry::TrialTelemetry telemetry;
+  forensics::FlightRecorder ring;
+};
+
+LaneViews& lane_views() {
+  thread_local LaneViews views;
+  return views;
+}
+
 }  // namespace
 
 TrialOutcome run_trial(const inject::InjectionPlan& plan,
@@ -125,12 +164,11 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
   if (sinks.any()) environment.bind_sinks(&sinks);
   if (sinks.flight != nullptr) sinks.flight->bind_clock(&environment.clock());
   telemetry::SpanTracer* tracer = nullptr;
-  std::string recovery_span_name;
+  std::string_view recovery_span;
   if (sinks.telemetry != nullptr) {
     tracer = &sinks.telemetry->spans;
     tracer->bind_sim(&environment.clock());
-    recovery_span_name = "recovery/";
-    recovery_span_name += mechanism.name();
+    recovery_span = recovery_span_name(mechanism.name());
   }
 
   const apps::Workload workload =
@@ -246,7 +284,7 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
     const env::Tick recovery_start = environment.now();
     recovery::RecoveryAction action;
     {
-      TELEM_SPAN(tracer, recovery_span_name);
+      TELEM_SPAN(tracer, recovery_span);
       action = mechanism.recover(*app, environment);
     }
     environment.emit(obs::Event::kRecoveryDone,
@@ -331,10 +369,6 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
     int survived = 0;
     int observed = 0;
     bool lost_state = false;
-    /// Per-cell telemetry aggregate (counters and histograms summed over
-    /// repeats; the spans kept are the first repeat's). Heap-allocated so
-    /// the untelemetered path pays one pointer per cell, nothing more.
-    std::unique_ptr<telemetry::TrialTelemetry> telem;
     /// Per-repeat forensic fold data, in repeat order: whether the trial
     /// survived and (iff it did not) its post-mortem.
     struct TrialFate {
@@ -342,37 +376,42 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
       std::optional<forensics::PostMortemRecord> postmortem;
     };
     std::vector<TrialFate> fates;
-    /// Coverage summed over the cell's repeats (every repeat hits the same
-    /// map). Heap-allocated for the same reason as `telem`.
-    std::unique_ptr<obs::CoverageMap> probes;
   };
   const std::size_t cell_count = mechanisms.size() * seeds.size();
+  // The attached views' per-cell results live in one slot per cell, sized
+  // only for the views attached: telemetry summed over the cell's repeats
+  // (the spans kept are the first repeat's), and coverage, which every
+  // repeat hits in place.
+  std::vector<telemetry::TrialTelemetry> cell_telemetry(
+      telemetry != nullptr ? cell_count : 0);
+  std::vector<obs::CoverageMap> cell_probes(coverage != nullptr ? cell_count
+                                                                : 0);
   auto cells = util::parallel_map<CellVotes>(
       cell_count, config.threads, [&](std::size_t cell) {
         const NamedMechanism& nm = mechanisms[cell / seeds.size()];
         const corpus::SeedFault& seed = seeds[cell % seeds.size()];
-        // Only the views the caller attached are built; a bare matrix runs
-        // every trial with the bus unbound. One ring serves all repeats.
+        // Only the views the caller attached are bound; a bare matrix runs
+        // every trial with the bus unbound.
         CellVotes votes;
-        std::optional<forensics::FlightRecorder> ring;
-        if (forensics != nullptr) ring.emplace();
-        if (coverage != nullptr) {
-          votes.probes = std::make_unique<obs::CoverageMap>();
-        }
+        LaneViews* lane =
+            telemetry != nullptr || forensics != nullptr ? &lane_views()
+                                                         : nullptr;
         for (int r = 0; r < repeats; ++r) {
           TrialConfig tc = config;
           tc.seed = config.seed + static_cast<std::uint64_t>(r) * 7919 +
                     util::fnv1a(seed.fault_id);
           const auto plan = inject::plan_for(seed, tc.seed);
           auto mechanism = nm.make();
-          std::optional<telemetry::TrialTelemetry> trial_telem;
           obs::TrialSinks sinks;
-          if (telemetry != nullptr) sinks.telemetry = &trial_telem.emplace();
-          if (ring.has_value()) {
-            ring->clear();
-            sinks.flight = &*ring;
+          if (telemetry != nullptr) {
+            lane->telemetry.reset();
+            sinks.telemetry = &lane->telemetry;
           }
-          sinks.coverage = votes.probes.get();
+          if (forensics != nullptr) {
+            lane->ring.clear();
+            sinks.flight = &lane->ring;
+          }
+          if (coverage != nullptr) sinks.coverage = &cell_probes[cell];
           TrialOutcome outcome =
               run_trial(plan, *mechanism, tc, nullptr, sinks);
           if (forensics != nullptr) {
@@ -380,16 +419,11 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
             votes.fates.push_back(
                 {outcome.survived, std::move(outcome.postmortem)});
           }
-          if (trial_telem.has_value()) {
-            if (votes.telem == nullptr) {
-              votes.telem = std::make_unique<telemetry::TrialTelemetry>(
-                  std::move(*trial_telem));
+          if (telemetry != nullptr) {
+            if (r == 0) {
+              cell_telemetry[cell] = lane->telemetry;
             } else {
-              telemetry::merge(votes.telem->counters, trial_telem->counters);
-              votes.telem->recovery_latency_ticks.merge(
-                  trial_telem->recovery_latency_ticks);
-              votes.telem->item_latency_ticks.merge(
-                  trial_telem->item_latency_ticks);
+              cell_telemetry[cell].merge(lane->telemetry);
             }
           }
           if (outcome.failure_observed) {
@@ -409,21 +443,27 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
     MechanismReport report;
     report.mechanism = mechanisms[m].name;
     report.generic = mechanisms[m].make()->is_generic();
+    // Registry ids are resolved once per mechanism, not once per cell.
+    std::optional<telemetry::FoldIds> fold_ids;
+    if (telemetry != nullptr) fold_ids.emplace(mechanisms[m].name);
     for (std::size_t s = 0; s < seeds.size(); ++s) {
-      CellVotes& votes = cells[m * seeds.size() + s];
+      const std::size_t cell = m * seeds.size() + s;
+      CellVotes& votes = cells[cell];
       for (auto& fate : votes.fates) {
         forensics->fold_trial(fate.survived, std::move(fate.postmortem));
       }
-      if (votes.probes != nullptr) {
-        coverage->fold_cell(m, s, *votes.probes,
+      if (coverage != nullptr) {
+        coverage->fold_cell(m, s, cell_probes[cell],
                             static_cast<std::uint64_t>(repeats),
                             static_cast<std::uint64_t>(votes.observed),
                             static_cast<std::uint64_t>(votes.survived));
       }
-      if (votes.telem != nullptr) {
-        telemetry->fold_trial(mechanisms[m].name,
-                              mechanisms[m].name + "/" + seeds[s].fault_id,
-                              std::move(*votes.telem),
+      if (telemetry != nullptr) {
+        std::string label = mechanisms[m].name;
+        label += '/';
+        label += seeds[s].fault_id;
+        telemetry->fold_trial(*fold_ids, std::move(label),
+                              std::move(cell_telemetry[cell]),
                               /*keep_trace=*/true);
       }
       if (votes.observed == 0) {

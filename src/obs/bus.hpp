@@ -20,7 +20,7 @@
 //
 // Determinism contract: a trial is single-threaded and owns its sinks, so
 // every view is simulation state and bit-identical for every `--threads`
-// value (the ring's lane stamp excepted, which no export serializes).
+// value. No view records which lane ran the trial.
 #pragma once
 
 #include <algorithm>
@@ -127,7 +127,7 @@ struct EventRow {
   std::size_t add_a = kNoCounter;   ///< += a
   std::size_t add_b = kNoCounter;   ///< += b
   std::size_t peak_b = kNoCounter;  ///< = max(counter, b)
-  telemetry::Histogram telemetry::TrialTelemetry::*observe_a = nullptr;
+  telemetry::TickHistogram telemetry::TrialTelemetry::*observe_a = nullptr;
   forensics::FlightCode flight = forensics::FlightCode::kCount;
   Site site = Site::kCount;
   ProbeKind probe = ProbeKind::kSite;

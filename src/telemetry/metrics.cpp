@@ -48,8 +48,30 @@ Histogram Histogram::from_buckets(std::vector<std::int64_t> bounds,
   return h;
 }
 
+void TickHistogram::observe(std::int64_t value) noexcept {
+  const auto it = std::lower_bound(kTickBounds.begin(), kTickBounds.end(),
+                                   value);
+  ++counts_[static_cast<std::size_t>(it - kTickBounds.begin())];
+  ++count_;
+  sum_ += value;
+}
+
+void TickHistogram::merge(const TickHistogram& other) noexcept {
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    counts_[i] += other.counts_[i];
+  }
+  count_ += other.count_;
+  sum_ += other.sum_;
+}
+
+Histogram TickHistogram::to_histogram() const {
+  return Histogram::from_buckets(
+      default_tick_bounds(),
+      std::vector<std::uint64_t>(counts_.begin(), counts_.end()), sum_);
+}
+
 std::vector<std::int64_t> default_tick_bounds() {
-  return {0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384};
+  return {kTickBounds.begin(), kTickBounds.end()};
 }
 
 std::vector<std::int64_t> default_micros_bounds() {
@@ -58,30 +80,32 @@ std::vector<std::int64_t> default_micros_bounds() {
 }
 
 CounterId MetricsRegistry::counter(std::string_view name) {
-  const auto it = counter_ids_.find(std::string(name));
+  const auto it = counter_ids_.find(name);
   if (it != counter_ids_.end()) return {it->second};
   const auto index = static_cast<std::uint32_t>(counters_.size());
   counters_.push_back({std::string(name)});
-  counter_ids_.emplace(std::string(name), index);
+  counter_ids_.emplace(counters_.back().name, index);
   return {index};
 }
 
 GaugeId MetricsRegistry::gauge(std::string_view name) {
-  const auto it = gauge_ids_.find(std::string(name));
+  const auto it = gauge_ids_.find(name);
   if (it != gauge_ids_.end()) return {it->second};
   const auto index = static_cast<std::uint32_t>(gauges_.size());
   gauges_.push_back({std::string(name)});
-  gauge_ids_.emplace(std::string(name), index);
+  gauge_ids_.emplace(gauges_.back().name, index);
   return {index};
 }
 
 HistogramId MetricsRegistry::histogram(std::string_view name,
-                                       std::vector<std::int64_t> bounds) {
-  const auto it = histogram_ids_.find(std::string(name));
+                                       std::span<const std::int64_t> bounds) {
+  const auto it = histogram_ids_.find(name);
   if (it != histogram_ids_.end()) return {it->second};
   const auto index = static_cast<std::uint32_t>(histograms_.size());
-  histograms_.push_back({std::string(name), Histogram(std::move(bounds))});
-  histogram_ids_.emplace(std::string(name), index);
+  histograms_.push_back(
+      {std::string(name),
+       Histogram(std::vector<std::int64_t>(bounds.begin(), bounds.end()))});
+  histogram_ids_.emplace(histograms_.back().name, index);
   return {index};
 }
 

@@ -5,7 +5,8 @@
 // applied to metrics): a registry has one writer. Per-trial views are
 // folded into the study registry serially, in index order, after the
 // sweep drains. Registration (counter/gauge/histogram) interns a name into
-// an id and is the only operation that allocates. Counter and histogram
+// an id and is the only operation that allocates; looking up a name that
+// is already registered allocates nothing. Counter and histogram
 // merges are sums and gauge merges are maxima, so folded values are
 // identical for every thread count.
 //
@@ -14,12 +15,17 @@
 // byte for byte across runs.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
+
+#include "util/strings.hpp"
 
 namespace faultstudy::telemetry {
 
@@ -69,7 +75,36 @@ class Histogram {
   std::int64_t sum_ = 0;
 };
 
-/// Recovery/item latencies in simulated ticks.
+/// Inclusive upper bucket edges for recovery/item latencies in simulated
+/// ticks.
+inline constexpr std::array<std::int64_t, 14> kTickBounds = {
+    0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384};
+
+/// A Histogram over kTickBounds kept in fixed arrays, so observing,
+/// merging and resetting never allocate. A trial records its latencies
+/// here; to_histogram() builds the registry form when the trial is folded.
+class TickHistogram {
+ public:
+  void observe(std::int64_t value) noexcept;
+  void merge(const TickHistogram& other) noexcept;
+  void reset() noexcept { *this = TickHistogram{}; }
+
+  /// Equal to Histogram(default_tick_bounds()) fed the same values.
+  Histogram to_histogram() const;
+
+  std::uint64_t count() const noexcept { return count_; }
+  std::int64_t sum() const noexcept { return sum_; }
+  bool empty() const noexcept { return count_ == 0; }
+
+  bool operator==(const TickHistogram&) const = default;
+
+ private:
+  std::array<std::uint64_t, kTickBounds.size() + 1> counts_{};
+  std::uint64_t count_ = 0;
+  std::int64_t sum_ = 0;
+};
+
+/// kTickBounds as a Histogram's bounds.
 std::vector<std::int64_t> default_tick_bounds();
 /// Wall-clock self-profiling latencies in microseconds.
 std::vector<std::int64_t> default_micros_bounds();
@@ -112,8 +147,9 @@ class MetricsRegistry {
   // --- registration (returns the existing id on re-use) ---
   CounterId counter(std::string_view name);
   GaugeId gauge(std::string_view name);
+  /// `bounds` is copied only when `name` is new.
   HistogramId histogram(std::string_view name,
-                        std::vector<std::int64_t> bounds);
+                        std::span<const std::int64_t> bounds);
 
   // --- writers ---
   void add(CounterId id, std::uint64_t n = 1) noexcept;
@@ -144,12 +180,16 @@ class MetricsRegistry {
     Histogram histogram;
   };
 
+  /// Name -> index, looked up by string_view without building a string.
+  using IdMap = std::unordered_map<std::string, std::uint32_t,
+                                   util::StringHash, std::equal_to<>>;
+
   std::vector<CounterMetric> counters_;
   std::vector<GaugeMetric> gauges_;
   std::vector<HistMetric> histograms_;
-  std::unordered_map<std::string, std::uint32_t> counter_ids_;
-  std::unordered_map<std::string, std::uint32_t> gauge_ids_;
-  std::unordered_map<std::string, std::uint32_t> histogram_ids_;
+  IdMap counter_ids_;
+  IdMap gauge_ids_;
+  IdMap histogram_ids_;
 };
 
 }  // namespace faultstudy::telemetry

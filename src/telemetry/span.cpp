@@ -14,11 +14,7 @@ std::int64_t SpanTracer::now() const noexcept {
 
 std::size_t SpanTracer::open(std::string_view name) {
   const std::size_t index = spans_.size();
-  Span span;
-  span.name = std::string(name);
-  span.start = now();
-  span.depth = depth_++;
-  spans_.push_back(std::move(span));
+  spans_.push_back({.name = name, .start = now(), .depth = depth_++});
   return index;
 }
 

@@ -9,13 +9,17 @@
 //     measurements and therefore never participate in determinism checks.
 //
 // A tracer is single-writer: one trial (or one pipeline stage driver) owns
-// it. Parallel sweeps give every trial its own tracer in a per-index slot
-// and the fold appends them in index order, per the PR 2 contract.
+// it. A parallel matrix gives each lane one tracer, reset between trials,
+// and each cell keeps a copy of its first repeat's spans in a per-index
+// slot; the fold appends those in index order.
+//
+// Span names are views, never copies: a name must have static storage
+// duration (a string literal, or a name interned for the life of the
+// process), so opening a span never allocates for its name.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -24,7 +28,7 @@
 namespace faultstudy::telemetry {
 
 struct Span {
-  std::string name;
+  std::string_view name;  ///< static storage, see above
   std::int64_t start = 0;     ///< ticks (sim) or microseconds (wall)
   std::int64_t duration = 0;  ///< same unit as start
   std::uint32_t depth = 0;    ///< nesting level at open, 0 = root
@@ -58,15 +62,22 @@ class SpanTracer {
   std::int64_t now() const noexcept;
 
   /// Opens a span and returns its index; close() stamps the duration.
+  /// `name` must have static storage duration.
   std::size_t open(std::string_view name);
   void close(std::size_t index) noexcept;
 
   const std::vector<Span>& spans() const noexcept { return spans_; }
   bool empty() const noexcept { return spans_.empty(); }
-  void clear() noexcept {
+  /// Back to a fresh, unbound tracer; the span buffer keeps its capacity.
+  void reset() noexcept {
     spans_.clear();
     depth_ = 0;
+    sim_ = nullptr;
+    wall_ = false;
+    wall_epoch_ = {};
   }
+
+  bool operator==(const SpanTracer&) const = default;
 
  private:
   const env::VirtualClock* sim_ = nullptr;

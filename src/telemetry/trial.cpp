@@ -5,39 +5,69 @@
 
 namespace faultstudy::telemetry {
 
-TrialTelemetry::TrialTelemetry()
-    : recovery_latency_ticks(default_tick_bounds()),
-      item_latency_ticks(default_tick_bounds()) {}
+void TrialTelemetry::merge(const TrialTelemetry& other) noexcept {
+  telemetry::merge(counters, other.counters);
+  recovery_latency_ticks.merge(other.recovery_latency_ticks);
+  item_latency_ticks.merge(other.item_latency_ticks);
+}
 
-void fold_into(const TrialTelemetry& trial, std::string_view mechanism,
+void TrialTelemetry::reset() noexcept {
+  counters.fill(0);
+  recovery_latency_ticks.reset();
+  item_latency_ticks.reset();
+  spans.reset();
+}
+
+FoldIds::FoldIds(std::string_view mechanism)
+    : mechanism_(mechanism.empty() ? "trial" : mechanism) {
+  counters_.fill(kUnresolved);
+}
+
+void fold_into(const TrialTelemetry& trial, FoldIds& ids,
                MetricsRegistry& registry) {
-  const std::string mech(mechanism.empty() ? "trial" : mechanism);
   constexpr std::string_view kRecovery = "recovery/";
   for (std::size_t i = 0; i < kNumCounters; ++i) {
     const CounterDef& def = kCounters[i];
     const std::uint64_t value = trial.counters[i];
     if (def.fold == Fold::kSum && value == 0) continue;
-    std::string name(def.name);
-    if (name.starts_with(kRecovery)) name.insert(kRecovery.size(), mech + '/');
+    std::uint32_t& id = ids.counters_[i];
+    if (id == FoldIds::kUnresolved) {
+      std::string name(def.name);
+      if (name.starts_with(kRecovery)) {
+        name.insert(kRecovery.size(), ids.mechanism_ + '/');
+      }
+      id = def.fold == Fold::kPeak ? registry.gauge(name).index
+                                   : registry.counter(name).index;
+    }
     if (def.fold == Fold::kPeak) {
-      registry.peak(registry.gauge(name), static_cast<std::int64_t>(value));
+      registry.peak({id}, static_cast<std::int64_t>(value));
     } else {
-      registry.add(registry.counter(name), value);
+      registry.add({id}, value);
     }
   }
 
-  if (!trial.recovery_latency_ticks.empty()) {
-    const HistogramId id =
-        registry.histogram("recovery/" + mech + "/latency_ticks",
-                           trial.recovery_latency_ticks.bounds());
-    registry.merge_histogram(id, trial.recovery_latency_ticks);
-  }
-  if (!trial.item_latency_ticks.empty()) {
-    const HistogramId id =
-        registry.histogram("trial/" + mech + "/item_latency_ticks",
-                           trial.item_latency_ticks.bounds());
-    registry.merge_histogram(id, trial.item_latency_ticks);
-  }
+  const auto merge = [&](const TickHistogram& h,
+                         std::optional<HistogramId>& id,
+                         std::string_view prefix, std::string_view suffix) {
+    if (h.empty()) return;
+    if (!id.has_value()) {
+      std::string name(prefix);
+      name += ids.mechanism_;
+      name += suffix;
+      id = registry.histogram(name, kTickBounds);
+    }
+    registry.merge_histogram(*id, h.to_histogram());
+  };
+  merge(trial.recovery_latency_ticks, ids.recovery_latency_, "recovery/",
+        "/latency_ticks");
+  merge(trial.item_latency_ticks, ids.item_latency_, "trial/",
+        "/item_latency_ticks");
+}
+
+void fold_into(const TrialTelemetry& trial, std::string_view mechanism,
+               MetricsRegistry& registry) {
+  FoldIds ids(mechanism);
+  fold_into(trial, ids, registry);
 }
 
 void fold_pool_stats(const util::PoolStats& stats, std::string_view prefix,
@@ -87,12 +117,11 @@ void fold_pool_stats(const util::PoolStats& stats, std::string_view prefix,
               static_cast<std::int64_t>(micros)));
 }
 
-void StudyTelemetry::fold_trial(std::string_view mechanism,
-                                std::string_view trace_label,
+void StudyTelemetry::fold_trial(FoldIds& ids, std::string trace_label,
                                 TrialTelemetry&& trial, bool keep_trace) {
-  fold_into(trial, mechanism, metrics);
+  fold_into(trial, ids, metrics);
   if (keep_trace && !trial.spans.empty()) {
-    traces.emplace_back(std::string(trace_label), std::move(trial.spans));
+    traces.emplace_back(std::move(trace_label), std::move(trial.spans));
   }
 }
 

@@ -1,13 +1,17 @@
 // Per-trial and per-study telemetry aggregates.
 //
 // TrialTelemetry is the single-threaded sink one trial writes into: plain
-// counters, tick histograms, and a sim-domain span tracer. A parallel matrix
-// sweep allocates one TrialTelemetry per cell in a per-index slot and folds
-// them into a StudyTelemetry serially in index order, so the aggregate is
-// bit-identical for every thread count.
+// counters, fixed-array tick histograms, and a sim-domain span tracer, so
+// recording a trial allocates nothing beyond the span buffer's growth. A
+// parallel matrix sweep gives each lane one TrialTelemetry, reset between
+// trials, and keeps each cell's sum in a per-index slot; the slots are
+// folded into a StudyTelemetry serially in index order, so the aggregate
+// is bit-identical for every thread count.
 #pragma once
 
-#include <memory>
+#include <array>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -23,12 +27,41 @@ namespace faultstudy::telemetry {
 /// Everything one trial records: the telemetry view of the observation bus
 /// (obs::TrialSinks), which run_trial binds to the trial's clock.
 struct TrialTelemetry {
-  TrialTelemetry();
-
   TrialCounters counters{};
-  Histogram recovery_latency_ticks;  ///< env ticks per recovery attempt
-  Histogram item_latency_ticks;      ///< env ticks per workload item
-  SpanTracer spans;                  ///< sim domain
+  TickHistogram recovery_latency_ticks;  ///< env ticks per recovery attempt
+  TickHistogram item_latency_ticks;      ///< env ticks per workload item
+  SpanTracer spans;                      ///< sim domain
+
+  /// Folds a repeat trial of the same matrix cell in: counters by their
+  /// Fold, histograms summed. Spans are not merged; a cell keeps its first
+  /// repeat's.
+  void merge(const TrialTelemetry& other) noexcept;
+
+  /// Back to a freshly constructed TrialTelemetry, keeping the span
+  /// buffer's capacity, so one lane's telemetry serves trial after trial.
+  void reset() noexcept;
+
+  bool operator==(const TrialTelemetry&) const = default;
+};
+
+/// The registry ids fold_into resolves for one mechanism's metrics. A
+/// metric is registered (and its name built) the first time a fold exports
+/// it, exactly when a fresh fold_into would register it; later folds of
+/// the same mechanism bump the cached id. Bound to one registry.
+class FoldIds {
+ public:
+  explicit FoldIds(std::string_view mechanism);
+
+ private:
+  friend void fold_into(const TrialTelemetry& trial, FoldIds& ids,
+                        MetricsRegistry& registry);
+
+  static constexpr std::uint32_t kUnresolved = UINT32_MAX;
+
+  std::string mechanism_;
+  std::array<std::uint32_t, kNumCounters> counters_;
+  std::optional<HistogramId> recovery_latency_;
+  std::optional<HistogramId> item_latency_;
 };
 
 /// Registers and bumps registry metrics from one trial's aggregates, one
@@ -36,6 +69,9 @@ struct TrialTelemetry {
 /// `env/...` and `app/...` metrics; recovery counters and latency histograms
 /// fold under `recovery/<mechanism>/...` so per-mechanism behavior stays
 /// visible. Sums are registered only when non-zero, peaks always.
+void fold_into(const TrialTelemetry& trial, FoldIds& ids,
+               MetricsRegistry& registry);
+/// The same for a single trial, resolving every id afresh.
 void fold_into(const TrialTelemetry& trial, std::string_view mechanism,
                MetricsRegistry& registry);
 
@@ -46,10 +82,11 @@ struct StudyTelemetry {
   MetricsRegistry metrics;
   std::vector<std::pair<std::string, SpanTracer>> traces;
 
-  /// Folds one trial. `trace_label` names the trace thread in the Chrome
-  /// export (e.g. "rollback_retry/web-fd-leak"); pass keep_trace = false to
-  /// fold metrics only.
-  void fold_trial(std::string_view mechanism, std::string_view trace_label,
+  /// Folds one trial of the mechanism `ids` belongs to (ids bound to
+  /// `metrics`). `trace_label` names the trace thread in the Chrome export
+  /// (e.g. "rollback_retry/web-fd-leak"); pass keep_trace = false to fold
+  /// metrics only.
+  void fold_trial(FoldIds& ids, std::string trace_label,
                   TrialTelemetry&& trial, bool keep_trace);
 };
 

@@ -313,6 +313,18 @@ void append_quoted(std::string& out, std::string_view text) {
   out.push_back('"');
 }
 
+std::size_t quoted_size(std::string_view text) noexcept {
+  std::size_t bytes = 2 + text.size();
+  for (const char c : text) {
+    if (!needs_escape(c)) continue;
+    // A two-byte escape (\" \\ \n \r \t) or a six-byte \u00XX.
+    const bool short_escape =
+        c == '"' || c == '\\' || c == '\n' || c == '\r' || c == '\t';
+    bytes += short_escape ? 1 : 5;
+  }
+  return bytes;
+}
+
 void append_uint(std::string& out, std::uint64_t value) {
   append_digits(out, value);
 }

@@ -8,6 +8,7 @@
 // strict JSON also allows fractions and exponents.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -58,6 +59,9 @@ std::string escape(std::string_view text);
 /// Appends `text` as a complete JSON string, escaped as `escape` does and
 /// between double quotes. Text with nothing to escape is copied in bulk.
 void append_quoted(std::string& out, std::string_view text);
+
+/// The number of bytes append_quoted writes for `text`.
+std::size_t quoted_size(std::string_view text) noexcept;
 
 /// Append the decimal digits of `value`, as std::to_string spells them.
 void append_uint(std::string& out, std::uint64_t value);

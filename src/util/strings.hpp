@@ -3,6 +3,8 @@
 // requires it.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,5 +42,15 @@ std::string fixed(double v, int digits);
 
 /// Formats a proportion as a percentage string, e.g. 0.1234 -> "12.3%".
 std::string percent(double fraction, int digits = 1);
+
+/// Transparent string hash: with std::equal_to<> it lets an unordered
+/// container keyed by std::string be searched with a std::string_view (or
+/// a literal) without building a std::string.
+struct StringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 }  // namespace faultstudy::util

@@ -41,8 +41,7 @@ std::size_t resolve_threads(std::size_t requested = 0) noexcept;
 /// The executing thread's lane index: 0 for a thread that is not a pool
 /// worker (including every sweep's calling thread), 1..N-1 for workers of
 /// the pool they belong to. Stable for the life of the thread, so it can
-/// index per-lane slots (PoolStats::lanes) and stamp flight-recorder
-/// events with the lane that wrote them.
+/// index per-lane slots (PoolStats::lanes).
 std::size_t current_lane() noexcept;
 
 /// Wall-clock self-profiling for a pool, sharded one cache line per lane so

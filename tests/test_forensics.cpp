@@ -4,6 +4,8 @@
 // must serialize byte-identically for threads=1 and threads=4.
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -252,8 +254,15 @@ TEST(StudyForensics, FullCorpusPostMortemsAreLaneIdentical) {
   // Serialized artifacts are byte-identical across lane counts.
   const auto clusters_serial = forensics::triage(serial.study.postmortems);
   const auto clusters_wide = forensics::triage(wide.study.postmortems);
-  EXPECT_EQ(forensics::to_json(serial.study, clusters_serial),
-            forensics::to_json(wide.study, clusters_wide));
+  const std::string json = forensics::to_json(serial.study, clusters_serial);
+  EXPECT_EQ(json, forensics::to_json(wide.study, clusters_wide));
+
+  // The writer reserves once from its size bound: the bound must cover the
+  // output, and stay close to it (ring events are counted exactly).
+  const std::size_t bound =
+      forensics::json_size_bound(serial.study, clusters_serial);
+  EXPECT_GE(bound, json.size());
+  EXPECT_LT(bound, json.size() * 5 / 4);
 
   std::vector<forensics::MechanismSuccessRow> rows;
   for (const auto& report : serial.matrix.reports) {
@@ -303,7 +312,6 @@ TEST(Export, JsonCarriesSchemaAndOmitsLanes) {
   pm.verdict = TrialVerdict::kRecoveryFailed;
   forensics::FlightEvent ev;
   ev.code = FlightCode::kItemFailed;
-  ev.lane = 3;  // live diagnostic only: must not appear in the JSON
   pm.events.push_back(ev);
   study.fold_trial(false, std::move(pm));
   const auto json = forensics::to_json(study, forensics::triage(study.postmortems));
@@ -349,6 +357,60 @@ TEST(ForensicsJson, EscapedStringsRoundTripThroughParse) {
   const util::json::Value* ids = cluster.find("fault_ids");
   ASSERT_TRUE(ids != nullptr && ids->array.size() == 1u);
   EXPECT_EQ(ids->array[0].str, "id " + nasty);
+}
+
+TEST(ForensicsJson, SizeBoundCoversWidestRecords) {
+  // Records at the bound's worst case: every number at its widest, every
+  // enum value (so every name length), strings made of characters that
+  // escape to six bytes, and every flight code in the ring.
+  const std::string escapes(7, '\x01');
+  forensics::StudyForensics study;
+  study.trials = SIZE_MAX;
+  study.survived = SIZE_MAX;
+  for (std::size_t i = 0; i < 40; ++i) {
+    forensics::PostMortemRecord pm;
+    pm.fault_id = escapes;
+    pm.app = static_cast<core::AppId>(i % 3);
+    pm.fault_class = static_cast<core::FaultClass>(i % 3);
+    pm.trigger = static_cast<core::Trigger>(i % core::kNumTriggers);
+    pm.mechanism = escapes;
+    pm.verdict = static_cast<TrialVerdict>(
+        i % static_cast<std::size_t>(TrialVerdict::kCount));
+    pm.repeat = i % 2 == 0 ? INT_MIN : INT_MAX;
+    pm.ended_at = INT64_MAX;
+    pm.failures = pm.recoveries = SIZE_MAX;
+    pm.first_failure = escapes;
+    pm.propagation = static_cast<FlightCode>(
+        i % (static_cast<std::size_t>(FlightCode::kCount) + 1));
+    for (std::size_t c = 0; c < static_cast<std::size_t>(ChainStage::kCount);
+         ++c) {
+      pm.chain.push_back({static_cast<ChainStage>(c), INT64_MAX, escapes});
+    }
+    pm.env_state = {SIZE_MAX,   SIZE_MAX,   SIZE_MAX, SIZE_MAX,
+                    UINT64_MAX, UINT64_MAX, UINT64_MAX, SIZE_MAX,
+                    UINT8_MAX,  UINT8_MAX,  false};
+    for (std::size_t c = 0; c < static_cast<std::size_t>(FlightCode::kCount);
+         ++c) {
+      pm.events.push_back(
+          {static_cast<FlightCode>(c), INT64_MAX, UINT64_MAX, UINT64_MAX});
+      pm.events.push_back({static_cast<FlightCode>(c), 0, 0, 0});
+    }
+    pm.events_dropped = UINT64_MAX;
+    pm.race_reports = pm.invariant_violations = SIZE_MAX;
+    pm.analyzed = true;
+    study.postmortems.push_back(std::move(pm));
+  }
+  auto clusters = forensics::triage(study.postmortems);
+  for (auto& c : clusters) {
+    c.count = c.total_failures = c.total_recoveries = SIZE_MAX;
+  }
+  EXPECT_GE(forensics::json_size_bound(study, clusters),
+            forensics::to_json(study, clusters).size());
+
+  // An empty study is covered too.
+  const forensics::StudyForensics empty;
+  EXPECT_GE(forensics::json_size_bound(empty, {}),
+            forensics::to_json(empty, {}).size());
 }
 
 }  // namespace

@@ -379,6 +379,16 @@ TEST(Json, AppendQuotedMatchesEscape) {
   EXPECT_EQ(out, R"("a\"b\\c\n\u0001\u001f)" "\xc3\xa9\"");
 }
 
+TEST(Json, QuotedSizeMatchesAppendQuoted) {
+  for (const std::string_view text :
+       {"", "plain", "\"lead", "trail\\", "mid\nline", "tab\there",
+        "cr\r", "\x01 and \x1f", "caf\xc3\xa9", "a\"b\\c\n\x01\x1f\xc3\xa9"}) {
+    std::string out;
+    util::json::append_quoted(out, text);
+    EXPECT_EQ(util::json::quoted_size(text), out.size()) << text;
+  }
+}
+
 TEST(Json, AppendUintMatchesToString) {
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{9},

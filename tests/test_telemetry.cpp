@@ -73,6 +73,50 @@ TEST(Histogram, FromBucketsReconstructsCounts) {
   EXPECT_EQ(h.buckets(), (std::vector<std::uint64_t>{2, 0, 5}));
 }
 
+/// -1, then every tick bound and the value just past it: 0, 1, 2, 3, 4, 5,
+/// 8, 9, ..., 4096, 4097, 16384, 16385.
+std::vector<std::int64_t> tick_edge_values() {
+  std::vector<std::int64_t> values = {-1};
+  for (const std::int64_t bound : telemetry::kTickBounds) {
+    if (values.back() != bound) values.push_back(bound);
+    values.push_back(bound + 1);
+  }
+  return values;
+}
+
+TEST(TickHistogram, FoldsToTheDefaultTickHistogram) {
+  telemetry::TickHistogram ticks;
+  telemetry::Histogram reference(telemetry::default_tick_bounds());
+  for (const std::int64_t v : tick_edge_values()) {
+    ticks.observe(v);
+    reference.observe(v);
+  }
+  EXPECT_EQ(ticks.count(), reference.count());
+  EXPECT_EQ(ticks.sum(), reference.sum());
+  EXPECT_EQ(ticks.to_histogram(), reference);
+  EXPECT_EQ(telemetry::TickHistogram{}.to_histogram(),
+            telemetry::Histogram(telemetry::default_tick_bounds()));
+}
+
+TEST(TickHistogram, MergeAndResetMatchTheDefaultTickHistogram) {
+  // Odd and even positions observed apart and merged equal one histogram
+  // fed everything, as Histogram::merge gives; a reset one is a fresh one.
+  const auto values = tick_edge_values();
+  telemetry::TickHistogram even;
+  telemetry::TickHistogram odd;
+  telemetry::Histogram even_ref(telemetry::default_tick_bounds());
+  telemetry::Histogram odd_ref(telemetry::default_tick_bounds());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    (i % 2 == 0 ? even : odd).observe(values[i]);
+    (i % 2 == 0 ? even_ref : odd_ref).observe(values[i]);
+  }
+  even.merge(odd);
+  even_ref.merge(odd_ref);
+  EXPECT_EQ(even.to_histogram(), even_ref);
+  even.reset();
+  EXPECT_EQ(even, telemetry::TickHistogram{});
+}
+
 // --- registry -------------------------------------------------------------
 
 TEST(MetricsRegistry, RegistrationInternsNames) {
@@ -231,6 +275,67 @@ env/disk/peak_used)";
   snap = silent.snapshot();
   EXPECT_TRUE(snap.counters.empty());
   EXPECT_EQ(names(snap.gauges), sorted_lines(kGaugeNames));
+}
+
+/// Telemetry of real trials: `count` specimens under process-pairs.
+std::vector<telemetry::TrialTelemetry> trial_telemetry(std::size_t count) {
+  const auto seeds = corpus::all_seeds();
+  const auto factory = harness::standard_mechanisms().front().make;
+  std::vector<telemetry::TrialTelemetry> trials(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto plan = inject::plan_for(seeds[i * 7 % seeds.size()], 7 + i);
+    auto mechanism = factory();
+    harness::run_trial(plan, *mechanism, {}, nullptr,
+                       {.telemetry = &trials[i]});
+  }
+  return trials;
+}
+
+TEST(TelemetryFold, CachedIdsMatchFreshFolds) {
+  // One FoldIds across many trials registers each metric when a fresh
+  // fold_into would: a silent first trial registers only the peaks, and a
+  // counter first moved by a later trial appears only then.
+  std::vector<telemetry::TrialTelemetry> trials = trial_telemetry(12);
+  trials.insert(trials.begin(), telemetry::TrialTelemetry{});
+  telemetry::MetricsRegistry cached;
+  telemetry::MetricsRegistry fresh;
+  telemetry::FoldIds ids("process-pairs");
+  for (const auto& trial : trials) {
+    telemetry::fold_into(trial, ids, cached);
+    telemetry::fold_into(trial, "process-pairs", fresh);
+    EXPECT_EQ(cached.snapshot(), fresh.snapshot());
+  }
+  EXPECT_FALSE(cached.snapshot().histograms.empty());
+}
+
+TEST(TrialTelemetry, ResetLaneTelemetryEqualsAFreshOne) {
+  // A matrix lane reuses one TrialTelemetry: after a trial and a reset it
+  // must equal a fresh one (keeping its span buffer), and a trial recorded
+  // into it must equal the same trial recorded into a fresh one.
+  const auto seeds = corpus::all_seeds();
+  const auto plan = inject::plan_for(seeds.front(), 7);
+  const auto factory = harness::standard_mechanisms().front().make;
+  const auto record = [&](telemetry::TrialTelemetry& into) {
+    auto mechanism = factory();
+    harness::run_trial(plan, *mechanism, {}, nullptr, {.telemetry = &into});
+  };
+
+  telemetry::TrialTelemetry lane;
+  record(lane);
+  ASSERT_FALSE(lane.spans.empty());
+  ASSERT_GT(lane.item_latency_ticks.count(), 0u);
+  const std::size_t capacity = lane.spans.spans().capacity();
+  lane.reset();
+  EXPECT_EQ(lane, telemetry::TrialTelemetry{});
+  EXPECT_EQ(lane.spans.spans().capacity(), capacity);
+
+  record(lane);
+  telemetry::TrialTelemetry fresh;
+  record(fresh);
+  EXPECT_EQ(lane.counters, fresh.counters);
+  EXPECT_EQ(lane.recovery_latency_ticks, fresh.recovery_latency_ticks);
+  EXPECT_EQ(lane.item_latency_ticks, fresh.item_latency_ticks);
+  EXPECT_EQ(lane.spans.spans(), fresh.spans.spans());
 }
 
 // --- spans ----------------------------------------------------------------
