@@ -52,9 +52,9 @@ void rebuild_sides(std::vector<RaceReport>& reports,
     sides.push_back(&r.second);
   }
   std::sort(sides.begin(), sides.end(),
-                   [](const AccessRecord* a, const AccessRecord* b) {
-                     return a->event_index < b->event_index;
-                   });
+            [](const AccessRecord* a, const AccessRecord* b) {
+              return a->event_index < b->event_index;
+            });
 
   struct Replay {
     std::vector<env::ObjectId> locks_held;  ///< innermost last

@@ -46,9 +46,10 @@ void fold_into(const TrialTelemetry& trial, FoldIds& ids,
     }
   }
 
-  const auto merge = [&](const TickHistogram& h,
-                         std::optional<HistogramId>& id,
-                         std::string_view prefix, std::string_view suffix) {
+  const auto fold_histogram = [&](const TickHistogram& h,
+                                  std::optional<HistogramId>& id,
+                                  std::string_view prefix,
+                                  std::string_view suffix) {
     if (h.empty()) return;
     if (!id.has_value()) {
       std::string name(prefix);
@@ -58,10 +59,10 @@ void fold_into(const TrialTelemetry& trial, FoldIds& ids,
     }
     registry.merge_histogram(*id, h.to_histogram());
   };
-  merge(trial.recovery_latency_ticks, ids.recovery_latency_, "recovery/",
-        "/latency_ticks");
-  merge(trial.item_latency_ticks, ids.item_latency_, "trial/",
-        "/item_latency_ticks");
+  fold_histogram(trial.recovery_latency_ticks, ids.recovery_latency_,
+                 "recovery/", "/latency_ticks");
+  fold_histogram(trial.item_latency_ticks, ids.item_latency_, "trial/",
+                 "/item_latency_ticks");
 }
 
 void fold_into(const TrialTelemetry& trial, std::string_view mechanism,
