@@ -1,7 +1,15 @@
 // Unit tests for the simulated operating environment.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "env/environment.hpp"
+#include "telemetry/trial.hpp"
+#include "util/rng.hpp"
 
 namespace faultstudy::env {
 namespace {
@@ -368,6 +376,233 @@ TEST(Environment, Hostname) {
   EXPECT_EQ(e.hostname(), "production-host");
   e.set_hostname("renamed");
   EXPECT_EQ(e.hostname(), "renamed");
+}
+
+// ------------------------------------------- env tables vs a reference model
+
+/// The process, descriptor and port tables as plain ordered maps: the
+/// behaviour the tables' own storage must reproduce, call for call,
+/// including the counters each call's events add to a bound telemetry.
+struct ReferenceTables {
+  std::size_t proc_capacity = 0;
+  std::map<Pid, std::pair<std::string, bool>> procs;  // owner, hung
+  Pid next_pid = 100;
+  std::size_t fd_capacity = 0;
+  std::size_t fds_used = 0;
+  std::map<std::string, std::size_t> fds;
+  std::map<int, std::string> ports;
+  telemetry::TrialCounters counters{};
+
+  std::optional<Pid> spawn(const std::string& owner) {
+    if (procs.size() >= proc_capacity) {
+      ++counters[telemetry::counter_index("env/proc/spawn_failures")];
+      return std::nullopt;
+    }
+    const Pid pid = next_pid++;
+    procs[pid] = {owner, false};
+    ++counters[telemetry::counter_index("env/proc/spawns")];
+    auto& peak = counters[telemetry::counter_index("env/proc/peak")];
+    peak = std::max<std::uint64_t>(peak, procs.size());
+    return pid;
+  }
+  bool kill(Pid pid) {
+    if (procs.erase(pid) == 0) return false;
+    counters[telemetry::counter_index("env/proc/kills")] += 1;
+    return true;
+  }
+  bool mark_hung(Pid pid) {
+    auto it = procs.find(pid);
+    if (it == procs.end()) return false;
+    it->second.second = true;
+    ++counters[telemetry::counter_index("env/proc/marked_hung")];
+    return true;
+  }
+  std::size_t kill_owned_by(const std::string& owner) {
+    const std::size_t killed = std::erase_if(
+        procs, [&](const auto& entry) { return entry.second.first == owner; });
+    counters[telemetry::counter_index("env/proc/kills")] += killed;
+    return killed;
+  }
+  std::size_t count_owned_by(const std::string& owner, bool hung_only) const {
+    std::size_t n = 0;
+    for (const auto& [pid, p] : procs) {
+      if (p.first == owner && (!hung_only || p.second)) ++n;
+    }
+    return n;
+  }
+  std::vector<Pid> owned_by(const std::string& owner) const {
+    std::vector<Pid> out;
+    for (const auto& [pid, p] : procs) {
+      if (p.first == owner) out.push_back(pid);
+    }
+    return out;
+  }
+
+  bool acquire(const std::string& owner, std::size_t n) {
+    if (fd_capacity - fds_used < n) {
+      ++counters[telemetry::counter_index("env/fd/acquire_failures")];
+      return false;
+    }
+    fds[owner] += n;
+    fds_used += n;
+    counters[telemetry::counter_index("env/fd/acquired")] += n;
+    auto& peak = counters[telemetry::counter_index("env/fd/peak")];
+    peak = std::max<std::uint64_t>(peak, fds_used);
+    return true;
+  }
+  void release(const std::string& owner, std::size_t n) {
+    auto it = fds.find(owner);
+    if (it == fds.end()) return;
+    const std::size_t freed = std::min(n, it->second);
+    it->second -= freed;
+    fds_used -= freed;
+    counters[telemetry::counter_index("env/fd/released")] += freed;
+  }
+  std::size_t release_all(const std::string& owner) {
+    auto it = fds.find(owner);
+    if (it == fds.end()) return 0;
+    const std::size_t freed = it->second;
+    fds_used -= freed;
+    it->second = 0;
+    counters[telemetry::counter_index("env/fd/released")] += freed;
+    return freed;
+  }
+  std::size_t held_by(const std::string& owner) const {
+    auto it = fds.find(owner);
+    return it == fds.end() ? 0 : it->second;
+  }
+
+  bool bind_port(int port, const std::string& owner) {
+    const bool bound = ports.emplace(port, owner).second;
+    ++counters[bound ? telemetry::counter_index("env/net/port_binds")
+                     : telemetry::counter_index("env/net/port_bind_failures")];
+    return bound;
+  }
+  void release_port(int port, const std::string& owner) {
+    auto it = ports.find(port);
+    if (it == ports.end() || it->second != owner) return;
+    ports.erase(it);
+    counters[telemetry::counter_index("env/net/ports_released")] += 1;
+  }
+  std::size_t release_ports_of(const std::string& owner) {
+    const std::size_t released = std::erase_if(
+        ports, [&](const auto& entry) { return entry.second == owner; });
+    counters[telemetry::counter_index("env/net/ports_released")] += released;
+    return released;
+  }
+  std::string port_owner(int port) const {
+    auto it = ports.find(port);
+    return it == ports.end() ? std::string() : it->second;
+  }
+};
+
+TEST(EnvTables, FlatTablesMatchReferenceModel) {
+  const std::vector<std::string> owners = {"apache", "mysqld", "gnome-session",
+                                           "apache-child",
+                                           "gnome-session-child"};
+  const std::vector<int> ports = {80, 3306, 8080, 6000};
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    util::Rng rng(seed);
+    const std::size_t proc_capacity = 1 + rng.below(12);
+    const std::size_t fd_capacity = rng.below(40);
+    ProcessTable procs(proc_capacity);
+    FdTable fds(fd_capacity);
+    Network net;
+    telemetry::TrialTelemetry telemetry;
+    obs::TrialSinks sinks;
+    sinks.telemetry = &telemetry;
+    procs.bind_sinks(&sinks);
+    fds.bind_sinks(&sinks);
+    net.bind_sinks(&sinks);
+    ReferenceTables ref;
+    ref.proc_capacity = proc_capacity;
+    ref.fd_capacity = fd_capacity;
+
+    for (int step = 0; step < 200; ++step) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      const std::string& owner =
+          owners[static_cast<std::size_t>(rng.below(owners.size()))];
+      // Mostly a live pid, sometimes a dead or never-issued one.
+      Pid pid = ref.next_pid + static_cast<Pid>(rng.below(3));
+      if (!ref.procs.empty() && rng.chance(0.8)) {
+        auto it = ref.procs.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(
+                             rng.below(ref.procs.size())));
+        pid = it->first;
+      } else if (rng.chance(0.5)) {
+        pid = 100 + static_cast<Pid>(rng.below(ref.next_pid - 100 + 1));
+      }
+      const int port = ports[static_cast<std::size_t>(rng.below(ports.size()))];
+      const std::size_t n = static_cast<std::size_t>(rng.below(9));
+      switch (rng.below(13)) {
+        case 0:
+        case 1:
+          ASSERT_EQ(procs.spawn(owner), ref.spawn(owner));
+          break;
+        case 2:
+          ASSERT_EQ(procs.kill(pid), ref.kill(pid));
+          break;
+        case 3:
+          ASSERT_EQ(procs.mark_hung(pid), ref.mark_hung(pid));
+          break;
+        case 4:
+          ASSERT_EQ(procs.kill_owned_by(owner), ref.kill_owned_by(owner));
+          break;
+        case 5:
+        case 6:
+          ASSERT_EQ(fds.acquire(owner, n), ref.acquire(owner, n));
+          break;
+        case 7:
+          fds.release(owner, n);
+          ref.release(owner, n);
+          break;
+        case 8:
+          ASSERT_EQ(fds.release_all(owner), ref.release_all(owner));
+          break;
+        case 9:
+        case 10:
+          ASSERT_EQ(net.bind_port(port, owner), ref.bind_port(port, owner));
+          break;
+        case 11:
+          net.release_port(port, owner);
+          ref.release_port(port, owner);
+          break;
+        default:
+          ASSERT_EQ(net.release_ports_of(owner), ref.release_ports_of(owner));
+          break;
+      }
+
+      // Every query, after every op.
+      ASSERT_EQ(procs.used(), ref.procs.size());
+      ASSERT_EQ(procs.available(), proc_capacity - ref.procs.size());
+      ASSERT_EQ(procs.full(), ref.procs.size() >= proc_capacity);
+      for (const std::string& o : owners) {
+        ASSERT_EQ(procs.count_owned_by(o), ref.count_owned_by(o, false)) << o;
+        ASSERT_EQ(procs.count_hung_owned_by(o), ref.count_owned_by(o, true))
+            << o;
+        std::vector<Pid> owned = procs.owned_by(o);
+        std::sort(owned.begin(), owned.end());
+        ASSERT_EQ(owned, ref.owned_by(o)) << o;
+        ASSERT_EQ(fds.held_by(o), ref.held_by(o)) << o;
+      }
+      const Process* found = procs.find(pid);
+      const auto expected = ref.procs.find(pid);
+      ASSERT_EQ(found != nullptr, expected != ref.procs.end());
+      if (found != nullptr) {
+        ASSERT_EQ(found->pid, pid);
+        ASSERT_EQ(found->owner, expected->second.first);
+        ASSERT_EQ(found->hung, expected->second.second);
+      }
+      ASSERT_EQ(fds.used(), ref.fds_used);
+      ASSERT_EQ(fds.available(), fd_capacity - ref.fds_used);
+      for (const int p : ports) {
+        ASSERT_EQ(net.port_bound(p), ref.ports.contains(p)) << p;
+        ASSERT_EQ(std::string(net.port_owner(p)), ref.port_owner(p)) << p;
+      }
+      ASSERT_EQ(telemetry.counters, ref.counters);
+    }
+  }
 }
 
 }  // namespace
