@@ -1,5 +1,7 @@
 #include "apps/app.hpp"
 
+#include <charconv>
+
 #include "core/rules.hpp"
 #include "env/interleave.hpp"
 
@@ -18,16 +20,18 @@ constexpr const char* kSuspectFile = "/home/user/attachment.dat";
 BaseApp::BaseApp(core::AppId id, std::string name, std::size_t base_fds,
                  std::size_t worker_pool)
     : base_fds_(base_fds), worker_pool_(worker_pool), id_(id),
-      name_(std::move(name)) {}
+      name_(std::move(name)) {
+  workers_.reserve(worker_pool_);
+}
 
 bool BaseApp::base_start(env::Environment& e) {
   state_ = BaseState{};
   state_.captured_hostname = e.hostname();
-  if (!e.fds().acquire(std::string(name_), base_fds_)) return false;
+  if (!e.fds().acquire(name_, base_fds_)) return false;
   state_.fd_footprint = base_fds_;
   workers_.clear();
   for (std::size_t i = 0; i < worker_pool_; ++i) {
-    auto pid = e.processes().spawn(std::string(name_));
+    auto pid = e.processes().spawn(name_);
     if (!pid.has_value()) {
       base_stop(e);
       return false;
@@ -40,9 +44,9 @@ bool BaseApp::base_start(env::Environment& e) {
 }
 
 void BaseApp::base_stop(env::Environment& e) {
-  e.fds().release_all(std::string(name_));
-  e.processes().kill_owned_by(std::string(name_));
-  e.network().release_ports_of(std::string(name_));
+  e.fds().release_all(name_);
+  e.processes().kill_owned_by(name_);
+  e.network().release_ports_of(name_);
   workers_.clear();
   state_.fd_footprint = 0;
   if (running_) e.emit(obs::Event::kAppStopped);
@@ -55,16 +59,16 @@ bool BaseApp::base_restore(const BaseState& state, env::Environment& e) {
   // back exactly as checkpointed (leaks included); child processes do not —
   // they were killed as part of recovery and only the configured worker
   // pool is respawned.
-  e.fds().release_all(std::string(name_));
-  e.processes().kill_owned_by(std::string(name_));
+  e.fds().release_all(name_);
+  e.processes().kill_owned_by(name_);
   state_ = state;
-  if (!e.fds().acquire(std::string(name_), state_.fd_footprint)) {
+  if (!e.fds().acquire(name_, state_.fd_footprint)) {
     running_ = false;
     return false;  // environment cannot supply the checkpointed footprint
   }
   workers_.clear();
   for (std::size_t i = 0; i < worker_pool_; ++i) {
-    auto pid = e.processes().spawn(std::string(name_));
+    auto pid = e.processes().spawn(name_);
     if (!pid.has_value()) {
       running_ = false;
       return false;
@@ -81,15 +85,15 @@ void BaseApp::base_rejuvenate(env::Environment& e) {
   // kill children (reclaiming slots and ports), drop leaked descriptors
   // back to the configured baseline, forget accumulated bloat, and re-read
   // environmental facts the app caches (the hostname).
-  e.processes().kill_owned_by(std::string(name_));
-  e.network().release_ports_of(std::string(name_));
+  e.processes().kill_owned_by(name_);
+  e.network().release_ports_of(name_);
   workers_.clear();
   for (std::size_t i = 0; i < worker_pool_; ++i) {
-    auto pid = e.processes().spawn(std::string(name_));
+    auto pid = e.processes().spawn(name_);
     if (pid.has_value()) workers_.push_back(*pid);
   }
-  e.fds().release_all(std::string(name_));
-  if (e.fds().acquire(std::string(name_), base_fds_)) {
+  e.fds().release_all(name_);
+  if (e.fds().acquire(name_, base_fds_)) {
     state_.fd_footprint = base_fds_;
   } else {
     state_.fd_footprint = 0;
@@ -107,7 +111,7 @@ std::size_t BaseApp::reclaim_idle_descriptors(env::Environment& e,
   const auto freed = static_cast<std::size_t>(
       static_cast<double>(idle) * fraction + 0.5);
   if (freed == 0) return 0;
-  e.fds().release(std::string(name()), freed);
+  e.fds().release(name_, freed);
   state_.fd_footprint -= freed;
   return freed;
 }
@@ -123,6 +127,15 @@ void BaseApp::emit_synchronized_trace(env::Environment& e,
   shape.b_note = b_note;
   env::emit_two_thread_trace(e.trace(), e.now(), shape,
                              /*b_position=*/shape.a_steps / 2);
+}
+
+std::string_view BaseApp::cache_path(std::string_view stem, int id) {
+  path_.assign(cache_prefix_);
+  path_ += stem;
+  char digits[16];
+  const auto end = std::to_chars(digits, digits + sizeof digits, id).ptr;
+  path_.append(digits, end);
+  return path_;
 }
 
 bool BaseApp::generic_race_armed() const noexcept {
@@ -157,7 +170,7 @@ std::optional<StepResult> BaseApp::check_fault(const WorkItem& item,
                                                env::Environment& e) {
   if (!fault_.has_value()) return std::nullopt;
   const auto& f = *fault_;
-  const std::string owner(name_);
+  const std::string_view owner = name_;
 
   using core::Trigger;
   switch (f.trigger) {
@@ -215,8 +228,7 @@ std::optional<StepResult> BaseApp::check_fault(const WorkItem& item,
             cache_quota_) {
           return fail("disk cache full, cannot store temporary files");
         }
-        e.disk().append(cache_prefix_ + "/obj" + std::to_string(item.id),
-                        item.write_bytes);
+        e.disk().append(cache_path("/obj", item.id), item.write_bytes);
       }
       return std::nullopt;
 

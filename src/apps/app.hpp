@@ -196,6 +196,10 @@ class BaseApp : public SimApp {
   void emit_synchronized_trace(env::Environment& e, env::ObjectId shared,
                                const char* b_note) const;
 
+  /// `cache_prefix_ + stem + id`, built in a buffer reused across calls;
+  /// valid until the next call.
+  std::string_view cache_path(std::string_view stem, int id);
+
   /// True when the armed fault is the race `check_fault` realizes
   /// generically (used to pick buggy vs fixed trace shape).
   bool generic_race_armed() const noexcept;
@@ -212,6 +216,8 @@ class BaseApp : public SimApp {
   std::uint64_t cache_quota_ = 0;
 
  private:
+  std::string path_;  ///< cache_path()'s buffer
+
   /// kUnknownTransient's hidden condition: environmental, so deliberately
   /// NOT part of BaseState / the snapshot. Cleared once it has fired.
   bool unknown_condition_pending_ = true;

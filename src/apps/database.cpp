@@ -1,7 +1,9 @@
 #include "apps/database.hpp"
 
+#include <functional>
 #include <map>
 #include <mutex>
+#include <unordered_map>
 
 #include "env/interleave.hpp"
 #include "util/strings.hpp"
@@ -44,6 +46,33 @@ const sql::Engine& catalog_image(std::size_t orders_rows) {
     it = images.emplace(orders_rows, build_catalog(orders_rows)).first;
   }
   return it->second;
+}
+
+/// The parsed form of `sql`, parsed on first use and kept for the life of
+/// the process, shared by every Database on every lane. Entries are never
+/// erased or written, so a returned reference stays valid and readers need
+/// no lock once they hold it. Parsing runs outside the lock; when two lanes
+/// race on a new op, the first insert wins and the other parse is dropped.
+/// An op that fails to parse is not cached (it fails the same way every
+/// time): nullptr, with the parser's message in `error`.
+const std::vector<sql::Statement>* cached_statements(std::string_view sql,
+                                                     std::string& error) {
+  static std::mutex mu;
+  static std::unordered_map<std::string, const std::vector<sql::Statement>,
+                            util::StringHash, std::equal_to<>>
+      cache;
+  {
+    const std::lock_guard lock(mu);
+    if (auto it = cache.find(sql); it != cache.end()) return &it->second;
+  }
+  auto parsed = sql::parse(sql);
+  if (!parsed.ok()) {
+    error = parsed.error();
+    return nullptr;
+  }
+  const std::lock_guard lock(mu);
+  return &cache.try_emplace(std::string(sql), std::move(parsed).value())
+              .first->second;
 }
 
 }  // namespace
@@ -93,16 +122,13 @@ void Database::create_catalog() {
   engine_.set_fault_flags(flags);
 }
 
-sql::ExecResult Database::execute(const std::string& sql) {
-  auto it = statements_.find(sql);
-  if (it == statements_.end()) {
-    auto parsed = sql::parse(sql);
-    if (!parsed.ok()) {
-      return {sql::ExecStatus::kError, parsed.error(), {}, 0};
-    }
-    it = statements_.emplace(sql, std::move(parsed).value()).first;
+sql::ExecResult Database::execute(std::string_view sql) {
+  std::string error;
+  const auto* statements = cached_statements(sql, error);
+  if (statements == nullptr) {
+    return {sql::ExecStatus::kError, std::move(error), {}, 0};
   }
-  return engine_.execute(it->second);
+  return engine_.execute(*statements);
 }
 
 bool Database::start(env::Environment& e) {

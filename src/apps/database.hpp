@@ -13,11 +13,13 @@
 // shares its row storage (sql/table.hpp), and re-applies the armed fault
 // flags.
 //
-// Statement cache. Each Database keeps the parsed form of every SQL op it
-// has run, keyed by the op's text, so a repeated workload item skips lexing
-// and parsing. Ops that fail to parse are not cached (they fail the same
-// way every time). Apps are built per trial, so the cache holds at most one
-// workload's distinct ops; it is not application state and is not part of
+// Statement cache. The parsed form of every SQL op any Database has run is
+// kept for the life of the process in one immutable cache, keyed by the
+// op's text and shared by every Database on every lane, like the catalog
+// image. Apps are built per trial, so a per-Database cache re-parsed each
+// workload's ops every trial; the shared one parses each distinct op once
+// per process. Ops that fail to parse are not cached (they fail the same
+// way every time). The cache is not application state and is not part of
 // a snapshot.
 //
 // Five study faults are implemented as real engine-level code bugs and are
@@ -30,8 +32,7 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
-#include <vector>
+#include <string_view>
 
 #include "apps/app.hpp"
 #include "apps/sql/engine.hpp"
@@ -60,7 +61,7 @@ class Database final : public BaseApp {
 
   /// Runs one SQL op through the statement cache (parsed on first use).
   /// handle() runs every non-CONNECT item this way.
-  sql::ExecResult execute(const std::string& sql);
+  sql::ExecResult execute(std::string_view sql);
 
   std::uint64_t rows(const std::string& table) const;
   std::uint64_t queries_executed() const noexcept { return queries_; }
@@ -73,7 +74,6 @@ class Database final : public BaseApp {
   DatabaseConfig config_;
   sql::Engine engine_;
   std::uint64_t queries_ = 0;
-  std::unordered_map<std::string, std::vector<sql::Statement>> statements_;
 };
 
 }  // namespace faultstudy::apps

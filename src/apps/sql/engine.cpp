@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 namespace faultstudy::apps::sql {
 
@@ -56,14 +57,20 @@ ExecResult Engine::run(const Statement& statement) {
       statement.node);
 }
 
-Table* Engine::find_table(const std::string& name) {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second;
+std::vector<Engine::NamedTable>::const_iterator Engine::lower_bound(
+    std::string_view name) const {
+  return std::lower_bound(
+      tables_.begin(), tables_.end(), name,
+      [](const NamedTable& t, std::string_view n) { return t.first < n; });
 }
 
-const Table* Engine::find_table(const std::string& name) const {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second;
+Table* Engine::find_table(std::string_view name) {
+  return const_cast<Table*>(std::as_const(*this).find_table(name));
+}
+
+const Table* Engine::find_table(std::string_view name) const {
+  const auto it = lower_bound(name);
+  return it == tables_.end() || it->first != name ? nullptr : &it->second;
 }
 
 std::vector<int> Engine::resolve(const Table& table,
@@ -187,12 +194,14 @@ ExecResult Engine::run_select(const SelectStatement& s) {
   }
 
   ExecResult r;
+  r.rows.reserve(std::min(limit, hits.size()));
   for (std::size_t i = 0; i < hits.size() && i < limit; ++i) {
     const auto row = table->row(hits[i]);
     if (s.columns.empty()) {
       r.rows.emplace_back(row.begin(), row.end());
     } else {
       Row projected;
+      projected.reserve(s.columns.size());
       for (const auto& name : s.columns) {
         const int col = table->schema().find(name);
         if (col < 0) return error("unknown column " + name);
@@ -281,8 +290,11 @@ ExecResult Engine::run_delete(const DeleteStatement& s) {
 }
 
 ExecResult Engine::run_create(const CreateStatement& s) {
-  if (tables_.contains(s.table)) return error("table exists: " + s.table);
-  tables_.emplace(s.table, Table(s.schema));
+  const auto it = lower_bound(s.table);
+  if (it != tables_.end() && it->first == s.table) {
+    return error("table exists: " + s.table);
+  }
+  tables_.emplace(it, s.table, Table(s.schema));
   return {};
 }
 

@@ -18,17 +18,19 @@
 //
 // The engine is value-semantic: a copy captures the full catalog + data +
 // lock state, which is what the Database application's snapshots and its
-// shared catalog image rely on. Copies share row storage until first write
-// (table.hpp), so a copy costs O(tables), not O(rows), and the first write
+// shared catalog image rely on. The catalog is one vector of tables sorted
+// by name, and tables share their schema and rows until first write
+// (table.hpp), so a copy allocates that one vector, and assigning over an
+// engine with as many tables allocates nothing. The first write
 // to a table after a copy clones one flat block: a constant number of
 // allocations, however many rows the table holds. A WHERE bounding column
 // 0 with =, <, <=, > or >= re-checks the index's key range; any other
 // WHERE walks the slots in place. Hits come out in slot order either way.
 #pragma once
 
-#include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "apps/sql/parser.hpp"
@@ -77,8 +79,8 @@ class Engine {
   /// Direct statement execution (parser bypass, used by tests).
   ExecResult run(const Statement& statement);
 
-  Table* find_table(const std::string& name);
-  const Table* find_table(const std::string& name) const;
+  Table* find_table(std::string_view name);
+  const Table* find_table(std::string_view name) const;
   std::size_t table_count() const noexcept { return tables_.size(); }
 
   bool holds_lock() const noexcept { return !locked_table_.empty(); }
@@ -106,7 +108,12 @@ class Engine {
                                      const std::vector<Predicate>& where,
                                      std::string& err);
 
-  std::map<std::string, Table> tables_;
+  using NamedTable = std::pair<std::string, Table>;
+  /// The first table whose name is not less than `name`.
+  std::vector<NamedTable>::const_iterator lower_bound(
+      std::string_view name) const;
+
+  std::vector<NamedTable> tables_;  ///< sorted by name
   std::string locked_table_;
   SqlFaultFlags flags_;
 };

@@ -16,7 +16,9 @@
 // vector, the schema's width per slot; that vector, the dead-slot bitmap,
 // the live count and the index form one `Data` block behind a shared
 // pointer, so copying a Table (and with it an Engine, a database snapshot
-// or the catalog image) shares the block instead of copying rows. Every
+// or the catalog image) shares the block instead of copying rows. The
+// schema never changes after CREATE TABLE, so copies share it too: copying
+// a Table allocates nothing. Every
 // mutator that changes something first takes sole ownership, cloning the
 // block if anyone else holds it: a copy costs O(1), the first write after
 // it one block copy — a constant number of allocations plus O(cells) value
@@ -41,10 +43,10 @@ class Table {
   struct Data;
 
  public:
-  Table() = default;
-  explicit Table(Schema schema) : schema_(std::move(schema)) {}
+  explicit Table(Schema schema)
+      : schema_(std::make_shared<const Schema>(std::move(schema))) {}
 
-  const Schema& schema() const noexcept { return schema_; }
+  const Schema& schema() const noexcept { return *schema_; }
   std::size_t row_count() const noexcept { return data_->live_rows; }
 
   /// Slots ever appended, live or dead. A full scan walks [0, slot_count())
@@ -148,11 +150,11 @@ class Table {
     bool compacted(std::size_t width) const;
   };
 
-  std::size_t width() const noexcept { return schema_.columns.size(); }
+  std::size_t width() const noexcept { return schema_->columns.size(); }
   const Value& key_of(Slot slot) const { return data_->cells[slot * width()]; }
   [[noreturn]] void throw_past_end(Slot slot) const;
 
-  Schema schema_;
+  std::shared_ptr<const Schema> schema_;
   std::shared_ptr<Data> data_ = std::make_shared<Data>();
 };
 

@@ -67,8 +67,7 @@ StepResult WebServer::handle(const WorkItem& item, env::Environment& e) {
       // Directory listing (the apache-ei-04 palloc(0) bug lives here).
       const auto entries =
           e.disk().list_prefix("/htdocs" + parsed.request.path);
-      std::vector<std::string> names(entries.begin(), entries.end());
-      const auto listing = http::index_directory(names, http_flags_);
+      const auto listing = http::index_directory(entries, http_flags_);
       if (listing.crashed) {
         running_ = false;
         return {StepStatus::kCrash,
@@ -101,8 +100,7 @@ StepResult WebServer::handle(const WorkItem& item, env::Environment& e) {
   // Cache fill for cacheable content.
   if (item.write_bytes > 0 &&
       e.disk().used_under(cache_prefix_) + item.write_bytes <= cache_quota_) {
-    e.disk().append(cache_prefix_ + "/fill" + std::to_string(item.id),
-                    item.write_bytes);
+    e.disk().append(cache_path("/fill", item.id), item.write_bytes);
     ++cache_fills_;
     e.emit(obs::Event::kWebCacheFill);
   }

@@ -2,12 +2,14 @@
 
 namespace faultstudy::env {
 
-Disk::WriteResult Disk::append(const std::string& path, std::uint64_t bytes) {
+Disk::WriteResult Disk::append(std::string_view path, std::uint64_t bytes) {
   if (free_space() < bytes) {
     obs::emit(sinks_, obs::Event::kDiskNoSpace, bytes, used_);
     return WriteResult::kNoSpace;
   }
-  auto& info = files_[path];
+  auto it = files_.find(path);
+  if (it == files_.end()) it = files_.emplace(path, FileInfo{}).first;
+  FileInfo& info = it->second;
   if (info.size + bytes > max_file_size_) {
     obs::emit(sinks_, obs::Event::kDiskFileTooBig, bytes, max_file_size_);
     return WriteResult::kFileTooBig;
@@ -18,7 +20,7 @@ Disk::WriteResult Disk::append(const std::string& path, std::uint64_t bytes) {
   return WriteResult::kOk;
 }
 
-void Disk::truncate(const std::string& path) {
+void Disk::truncate(std::string_view path) {
   auto it = files_.find(path);
   if (it == files_.end()) return;
   used_ -= it->second.size;
@@ -26,7 +28,7 @@ void Disk::truncate(const std::string& path) {
   obs::emit(sinks_, obs::Event::kDiskTruncate);
 }
 
-void Disk::remove(const std::string& path) {
+void Disk::remove(std::string_view path) {
   auto it = files_.find(path);
   if (it == files_.end()) return;
   used_ -= it->second.size;
@@ -40,7 +42,7 @@ void Disk::consume_external(std::uint64_t target_used) {
   used_ += grow;
 }
 
-std::optional<FileInfo> Disk::stat(const std::string& path) const {
+std::optional<FileInfo> Disk::stat(std::string_view path) const {
   auto it = files_.find(path);
   if (it == files_.end()) return std::nullopt;
   return it->second;

@@ -3,12 +3,15 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "obs/bus.hpp"
+#include "util/strings.hpp"
 
 namespace faultstudy::env {
 
@@ -32,20 +35,21 @@ class Disk {
 
   enum class WriteResult { kOk, kNoSpace, kFileTooBig };
 
-  /// Appends `bytes` to `path` (creating it if absent).
-  WriteResult append(const std::string& path, std::uint64_t bytes);
+  /// Appends `bytes` to `path` (creating it if absent). Only creating a
+  /// file allocates.
+  WriteResult append(std::string_view path, std::uint64_t bytes);
 
   /// Truncates a file to zero length, reclaiming its space.
-  void truncate(const std::string& path);
+  void truncate(std::string_view path);
 
   /// Removes a file entirely.
-  void remove(const std::string& path);
+  void remove(std::string_view path);
 
   /// Fills the disk up to `target_used` bytes with an external file (models
   /// other tenants of the file system).
   void consume_external(std::uint64_t target_used);
 
-  std::optional<FileInfo> stat(const std::string& path) const;
+  std::optional<FileInfo> stat(std::string_view path) const;
   void set_owner(const std::string& path, std::int64_t uid);
 
   /// Grows the volume (the paper: "some systems may provide a way to
@@ -72,7 +76,8 @@ class Disk {
   std::uint64_t capacity_;
   std::uint64_t max_file_size_;
   std::uint64_t used_ = 0;
-  std::unordered_map<std::string, FileInfo> files_;
+  std::unordered_map<std::string, FileInfo, util::StringHash, std::equal_to<>>
+      files_;
   const obs::TrialSinks* sinks_ = nullptr;
 };
 

@@ -4,11 +4,17 @@
 // applications ("apache") or external actors ("webserver-neighbor",
 // "sound-utilities") — the paper's EDN faults include descriptor shortages
 // caused both by the application's own appetite and by competing programs.
+//
+// Per-owner counts sit in a short flat vector, one entry per owner that has
+// ever acquired, kept at zero when released: a trial's owners are a handful,
+// and re-acquiring after a release allocates nothing.
 #pragma once
 
 #include <cstddef>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "obs/bus.hpp"
 
@@ -16,7 +22,7 @@ namespace faultstudy::env {
 
 class FdTable {
  public:
-  explicit FdTable(std::size_t capacity) : capacity_(capacity) {}
+  explicit FdTable(std::size_t capacity);
 
   std::size_t capacity() const noexcept { return capacity_; }
   std::size_t used() const noexcept { return used_; }
@@ -24,15 +30,15 @@ class FdTable {
 
   /// Acquires `n` descriptors for `owner`; false (and no change) when fewer
   /// than `n` remain.
-  bool acquire(const std::string& owner, std::size_t n);
+  bool acquire(std::string_view owner, std::size_t n);
 
   /// Releases up to `n` descriptors held by `owner`.
-  void release(const std::string& owner, std::size_t n);
+  void release(std::string_view owner, std::size_t n);
 
   /// Releases everything `owner` holds; returns how many were freed.
-  std::size_t release_all(const std::string& owner);
+  std::size_t release_all(std::string_view owner);
 
-  std::size_t held_by(const std::string& owner) const;
+  std::size_t held_by(std::string_view owner) const;
 
   /// Grows the table (Section 6.2's first countermeasure: "the operating
   /// system may be able to dynamically increase the number of file
@@ -45,7 +51,10 @@ class FdTable {
  private:
   std::size_t capacity_;
   std::size_t used_ = 0;
-  std::unordered_map<std::string, std::size_t> held_;
+  /// The position of `owner`'s entry; held_.size() when it never acquired.
+  std::size_t index_of(std::string_view owner) const noexcept;
+
+  std::vector<std::pair<std::string, std::size_t>> held_;
   const obs::TrialSinks* sinks_ = nullptr;
 };
 

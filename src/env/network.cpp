@@ -15,45 +15,55 @@ void Network::degrade_until(LinkState state, Tick until) noexcept {
   }
 }
 
-bool Network::bind_port(int port, const std::string& owner) {
-  auto [it, inserted] = ports_.emplace(port, owner);
-  (void)it;
-  if (inserted) {
-    obs::emit(sinks_, obs::Event::kPortBound);
-  } else {
-    obs::emit(sinks_, obs::Event::kPortDenied,
-              static_cast<std::uint64_t>(port));
-  }
-  return inserted;
+std::size_t Network::index_of(int port) const noexcept {
+  std::size_t i = 0;
+  while (i < ports_.size() && ports_[i].port != port) ++i;
+  return i;
 }
 
-void Network::release_port(int port, const std::string& owner) {
-  auto it = ports_.find(port);
-  if (it != ports_.end() && it->second == owner) {
-    ports_.erase(it);
+bool Network::bind_port(int port, std::string_view owner) {
+  const std::size_t i = index_of(port);
+  if (i < ports_.size() && ports_[i].bound) {
+    obs::emit(sinks_, obs::Event::kPortDenied,
+              static_cast<std::uint64_t>(port));
+    return false;
+  }
+  if (i == ports_.size()) ports_.emplace_back().port = port;
+  ports_[i].bound = true;
+  ports_[i].owner = owner;
+  obs::emit(sinks_, obs::Event::kPortBound);
+  return true;
+}
+
+void Network::release_port(int port, std::string_view owner) {
+  const std::size_t i = index_of(port);
+  if (i < ports_.size() && ports_[i].bound && ports_[i].owner == owner) {
+    ports_[i].bound = false;
     obs::emit(sinks_, obs::Event::kPortReleased, 1);
   }
 }
 
-std::size_t Network::release_ports_of(const std::string& owner) {
+std::size_t Network::release_ports_of(std::string_view owner) {
   std::size_t released = 0;
-  for (auto it = ports_.begin(); it != ports_.end();) {
-    if (it->second == owner) {
-      it = ports_.erase(it);
+  for (Binding& b : ports_) {
+    if (b.bound && b.owner == owner) {
+      b.bound = false;
       ++released;
-    } else {
-      ++it;
     }
   }
   obs::emit(sinks_, obs::Event::kPortReleased, released);
   return released;
 }
 
-bool Network::port_bound(int port) const { return ports_.contains(port); }
+bool Network::port_bound(int port) const {
+  const std::size_t i = index_of(port);
+  return i < ports_.size() && ports_[i].bound;
+}
 
-std::string Network::port_owner(int port) const {
-  auto it = ports_.find(port);
-  return it == ports_.end() ? std::string() : it->second;
+std::string_view Network::port_owner(int port) const {
+  const std::size_t i = index_of(port);
+  if (i == ports_.size() || !ports_[i].bound) return {};
+  return ports_[i].owner;
 }
 
 bool Network::consume_kernel_resource(std::size_t n) noexcept {

@@ -3,7 +3,8 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <vector>
 
 #include "env/clock.hpp"
 #include "obs/bus.hpp"
@@ -27,11 +28,12 @@ class Network {
 
   /// Port binding. A port bound by one owner cannot be bound by another
   /// until released.
-  bool bind_port(int port, const std::string& owner);
-  void release_port(int port, const std::string& owner);
-  std::size_t release_ports_of(const std::string& owner);
+  bool bind_port(int port, std::string_view owner);
+  void release_port(int port, std::string_view owner);
+  std::size_t release_ports_of(std::string_view owner);
   bool port_bound(int port) const;
-  std::string port_owner(int port) const;
+  /// Empty when the port is free; valid until the next bind or release.
+  std::string_view port_owner(int port) const;
 
   /// The "unknown network resource" of apache-edn-06: an opaque kernel pool
   /// that only a machine reboot replenishes.
@@ -49,7 +51,16 @@ class Network {
   LinkState forced_ = LinkState::kNormal;
   Tick forced_until_ = 0;
   bool card_present_ = true;
-  std::unordered_map<int, std::string> ports_;
+  /// One entry per port ever bound, kept (owner and all) when released,
+  /// so rebinding a port allocates nothing.
+  struct Binding {
+    int port = 0;
+    bool bound = false;
+    std::string owner;
+  };
+  /// The position of `port`'s entry; ports_.size() when never bound.
+  std::size_t index_of(int port) const noexcept;
+  std::vector<Binding> ports_;
   std::size_t kernel_resource_ = 1u << 20;
   const obs::TrialSinks* sinks_ = nullptr;
 };

@@ -1,89 +1,91 @@
 #include "env/process_table.hpp"
 
+#include <algorithm>
+#include <utility>
+
 namespace faultstudy::env {
 
-std::optional<Pid> ProcessTable::spawn(const std::string& owner) {
+namespace {
+/// Slots reserved up front: the study's tables hold at most a few dozen
+/// processes, and a larger table grows on demand.
+constexpr std::size_t kReservedSlots = 64;
+
+bool pid_less(const Process& p, Pid pid) noexcept { return p.pid < pid; }
+}  // namespace
+
+ProcessTable::ProcessTable(std::size_t capacity) : capacity_(capacity) {
+  procs_.reserve(std::min(capacity, kReservedSlots));
+}
+
+std::optional<Pid> ProcessTable::spawn(std::string_view owner) {
   if (full()) {
     obs::emit(sinks_, obs::Event::kProcSpawnDenied, capacity_);
     return std::nullopt;
   }
   const Pid pid = next_pid_++;
-  Process p;
+  Process& p = procs_.emplace_back();
   p.pid = pid;
   p.owner = owner;
-  procs_.emplace(pid, std::move(p));
   obs::emit(sinks_, obs::Event::kProcSpawned, pid, procs_.size());
   return pid;
 }
 
 bool ProcessTable::kill(Pid pid) {
-  if (procs_.erase(pid) == 0) return false;
+  Process* p = find(pid);
+  if (p == nullptr) return false;
+  procs_.erase(procs_.begin() + (p - procs_.data()));
   obs::emit(sinks_, obs::Event::kProcKilled, 1);
   return true;
 }
 
 bool ProcessTable::mark_hung(Pid pid) {
-  auto it = procs_.find(pid);
-  if (it == procs_.end()) return false;
-  it->second.hung = true;
+  Process* p = find(pid);
+  if (p == nullptr) return false;
+  p->hung = true;
   obs::emit(sinks_, obs::Event::kProcHung, pid);
   return true;
 }
 
-std::size_t ProcessTable::kill_owned_by(const std::string& owner) {
-  std::size_t killed = 0;
-  for (auto it = procs_.begin(); it != procs_.end();) {
-    if (it->second.owner == owner) {
-      it = procs_.erase(it);
-      ++killed;
-    } else {
-      ++it;
-    }
-  }
+std::size_t ProcessTable::kill_owned_by(std::string_view owner) {
+  const std::size_t killed = std::erase_if(
+      procs_, [owner](const Process& p) { return p.owner == owner; });
   obs::emit(sinks_, obs::Event::kProcKilled, killed);
   return killed;
 }
 
-std::size_t ProcessTable::count_owned_by(const std::string& owner) const {
-  std::size_t n = 0;
-  for (const auto& [pid, p] : procs_) {
-    (void)pid;
-    if (p.owner == owner) ++n;
-  }
-  return n;
+std::size_t ProcessTable::count_owned_by(std::string_view owner) const {
+  return static_cast<std::size_t>(std::count_if(
+      procs_.begin(), procs_.end(),
+      [owner](const Process& p) { return p.owner == owner; }));
 }
 
-std::size_t ProcessTable::count_hung_owned_by(const std::string& owner) const {
-  std::size_t n = 0;
-  for (const auto& [pid, p] : procs_) {
-    (void)pid;
-    if (p.owner == owner && p.hung) ++n;
-  }
-  return n;
+std::size_t ProcessTable::count_hung_owned_by(std::string_view owner) const {
+  return static_cast<std::size_t>(std::count_if(
+      procs_.begin(), procs_.end(),
+      [owner](const Process& p) { return p.owner == owner && p.hung; }));
 }
 
 Process* ProcessTable::find(Pid pid) {
-  auto it = procs_.find(pid);
-  return it == procs_.end() ? nullptr : &it->second;
+  return const_cast<Process*>(std::as_const(*this).find(pid));
 }
 
 const Process* ProcessTable::find(Pid pid) const {
-  auto it = procs_.find(pid);
-  return it == procs_.end() ? nullptr : &it->second;
+  auto it = std::lower_bound(procs_.begin(), procs_.end(), pid, pid_less);
+  return it == procs_.end() || it->pid != pid ? nullptr : &*it;
 }
 
-std::vector<Pid> ProcessTable::owned_by(const std::string& owner) const {
+std::vector<Pid> ProcessTable::owned_by(std::string_view owner) const {
   std::vector<Pid> out;
   owned_by(owner, out);
   return out;
 }
 
-void ProcessTable::owned_by(const std::string& owner,
+void ProcessTable::owned_by(std::string_view owner,
                             std::vector<Pid>& out) const {
   out.clear();
   out.reserve(procs_.size());
-  for (const auto& [pid, p] : procs_) {
-    if (p.owner == owner) out.push_back(pid);
+  for (const Process& p : procs_) {
+    if (p.owner == owner) out.push_back(p.pid);
   }
 }
 

@@ -214,7 +214,7 @@ InjectionPlan plan_for(const corpus::SeedFault& seed,
       plan.workload.heavy_rate = 0.4;
       plan.arm_environment = [](env::Environment& e, apps::SimApp& app) {
         // Two children hung earlier and still hold the auxiliary port.
-        const std::string owner = child_owner(app);
+        const std::string_view owner = child_owner(app);
         for (int i = 0; i < 2; ++i) {
           if (auto pid = e.processes().spawn(owner); pid.has_value()) {
             e.processes().mark_hung(*pid);

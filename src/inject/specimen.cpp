@@ -14,8 +14,16 @@ std::unique_ptr<apps::SimApp> make_app(core::AppId app) {
   return nullptr;
 }
 
-std::string child_owner(const apps::SimApp& app) {
-  return std::string(app.name()) + "-child";
+std::string_view child_owner(const apps::SimApp& app) {
+  switch (app.id()) {
+    case core::AppId::kApache:
+      return "apache-child";
+    case core::AppId::kMysql:
+      return "mysqld-child";
+    case core::AppId::kGnome:
+      return "gnome-session-child";
+  }
+  return {};
 }
 
 }  // namespace faultstudy::inject

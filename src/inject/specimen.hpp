@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <memory>
+#include <string_view>
 
 #include "apps/app.hpp"
 #include "apps/database.hpp"
@@ -42,8 +43,9 @@ std::unique_ptr<apps::SimApp> make_app(core::AppId app);
 /// fault logic agree (apps/app.cpp uses the same constant internally).
 inline constexpr int kAuxPort = 8080;
 
-/// Owner label for an app's runaway children; recovery must sweep this
-/// owner as part of "kill all processes associated with the application".
-std::string child_owner(const apps::SimApp& app);
+/// Owner label for an app's runaway children ("<app name>-child"); recovery
+/// must sweep this owner as part of "kill all processes associated with the
+/// application". A constant per app, so a sweep builds no string.
+std::string_view child_owner(const apps::SimApp& app);
 
 }  // namespace faultstudy::inject

@@ -6,8 +6,8 @@
 namespace faultstudy::recovery {
 
 void sweep_application(apps::SimApp& app, env::Environment& e) {
-  const std::string owner(app.name());
-  const std::string children = inject::child_owner(app);
+  const std::string_view owner = app.name();
+  const std::string_view children = inject::child_owner(app);
   e.processes().kill_owned_by(owner);
   e.processes().kill_owned_by(children);
   e.network().release_ports_of(owner);

@@ -3,6 +3,8 @@
 // activation mechanics.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -568,6 +570,55 @@ TEST(DatabaseImage, LanesStartAndMutateFromOneImage) {
     const std::uint64_t rows = i % 2 == 0 ? 150 : 151;
     EXPECT_EQ(orders[i], rows + 1 - i) << i;
     EXPECT_TRUE(intact[i]) << i;
+  }
+}
+
+TEST(Database, SharedStatementCacheAcrossLanes) {
+  // Four lanes of Databases run the workload ops through the process-wide
+  // statement cache, racing to insert ops no other test runs, and must get
+  // exactly what one lane gets running the same Databases serially. Under
+  // TSan this is the cross-lane check on the shared cache.
+  constexpr std::size_t kDatabases = 16;
+  const auto ops_for = [](std::size_t i) {
+    WorkloadSpec spec;
+    spec.seed = 100 + i % 4;
+    spec.poison_at = -1;
+    std::vector<std::string> ops;
+    for (const WorkItem& w : make_workload(core::AppId::kMysql, spec).items) {
+      if (!w.op.starts_with("CONNECT")) ops.push_back(w.op);
+    }
+    for (int k = 0; k < 24; ++k) {
+      ops.push_back("SELECT id, state FROM orders WHERE id > " +
+                    std::to_string(k) + " AND id < " +
+                    std::to_string(4000 + k) + " ORDER BY id DESC LIMIT 3");
+      ops.push_back("UPDATE orders SET state = 'lane" + std::to_string(k) +
+                    "' WHERE id = " + std::to_string(k + i));
+    }
+    ops.push_back("SELEC id FROM orders WHERE id = 4242");  // never cached
+    return ops;
+  };
+  using Outcome = std::tuple<sql::ExecStatus, std::string,
+                             std::vector<sql::Row>, std::int64_t>;
+  const auto run = [&ops_for](std::size_t i) {
+    env::Environment e;
+    Database db;
+    std::vector<Outcome> out;
+    if (!db.start(e)) return out;
+    for (const std::string& op : ops_for(i)) {
+      sql::ExecResult r = db.execute(op);
+      out.emplace_back(r.status, std::move(r.message), std::move(r.rows),
+                       r.affected);
+    }
+    return out;
+  };
+
+  std::vector<std::vector<Outcome>> lanes(kDatabases);
+  util::ThreadPool pool(4);
+  pool.for_index(kDatabases, [&](std::size_t i) { lanes[i] = run(i); });
+  for (std::size_t i = 0; i < kDatabases; ++i) {
+    const std::vector<Outcome> serial = run(i);
+    ASSERT_FALSE(serial.empty());
+    EXPECT_EQ(lanes[i], serial) << i;
   }
 }
 
