@@ -18,9 +18,13 @@
 // op's text and shared by every Database on every lane, like the catalog
 // image. Apps are built per trial, so a per-Database cache re-parsed each
 // workload's ops every trial; the shared one parses each distinct op once
-// per process. Ops that fail to parse are not cached (they fail the same
-// way every time). The cache is not application state and is not part of
-// a snapshot.
+// per process. Each thread indexes the entries it has used, so a repeat
+// lookup takes no lock. Ops that fail to parse are not cached (they fail
+// the same way every time). The cache is not application state and is not
+// part of a snapshot. It never evicts, so it stays bounded only because
+// every op comes from a fixed set of texts (kDbOps in apps/workload.cpp
+// and the poison ops in inject/registry.cpp): callers of execute() must
+// not pass generated SQL text.
 //
 // Five study faults are implemented as real engine-level code bugs and are
 // enabled when the armed fault carries the matching id:

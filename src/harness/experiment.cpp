@@ -35,7 +35,6 @@ class ResourceRecorder {
         owner_(std::move(owner)) {
     fds_ = environment_.fds().held_by(owner_);
     environment_.processes().owned_by(owner_, pids_);
-    std::sort(pids_.begin(), pids_.end());
     disk_used_ = environment_.disk().used();
   }
 
@@ -53,9 +52,9 @@ class ResourceRecorder {
     fds_ = fds;
 
     // scratch_ is a member so the per-observation snapshot reuses one
-    // allocation for the whole trial.
+    // allocation for the whole trial. owned_by lists pids ascending, as
+    // the binary searches below need.
     environment_.processes().owned_by(owner_, scratch_);
-    std::sort(scratch_.begin(), scratch_.end());
     for (const env::Pid pid : scratch_) {
       if (!std::binary_search(pids_.begin(), pids_.end(), pid)) {
         transcript_.record(EventKind::kProcSpawn, environment_.now(), pid,

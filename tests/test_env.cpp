@@ -581,9 +581,9 @@ TEST(EnvTables, FlatTablesMatchReferenceModel) {
         ASSERT_EQ(procs.count_owned_by(o), ref.count_owned_by(o, false)) << o;
         ASSERT_EQ(procs.count_hung_owned_by(o), ref.count_owned_by(o, true))
             << o;
-        std::vector<Pid> owned = procs.owned_by(o);
-        std::sort(owned.begin(), owned.end());
-        ASSERT_EQ(owned, ref.owned_by(o)) << o;
+        // The reference walks a pid-ordered map, so this also pins
+        // owned_by's ascending order.
+        ASSERT_EQ(procs.owned_by(o), ref.owned_by(o)) << o;
         ASSERT_EQ(fds.held_by(o), ref.held_by(o)) << o;
       }
       const Process* found = procs.find(pid);
