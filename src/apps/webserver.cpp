@@ -147,9 +147,7 @@ void WebServer::rejuvenate(env::Environment& e) {
   // object cache — application-specific knowledge a generic mechanism
   // does not have.
   e.disk().truncate(log_path_);
-  for (const auto& path : e.disk().list_prefix(cache_prefix_)) {
-    e.disk().remove(path);
-  }
+  e.disk().remove_prefix(cache_prefix_);
   if (!e.network().port_bound(config_.listen_port)) {
     e.network().bind_port(config_.listen_port, "apache");
   }

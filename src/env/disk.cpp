@@ -35,6 +35,14 @@ void Disk::remove(std::string_view path) {
   files_.erase(it);
 }
 
+void Disk::remove_prefix(std::string_view prefix) {
+  std::erase_if(files_, [&](const auto& entry) {
+    if (!entry.first.starts_with(prefix)) return false;
+    used_ -= entry.second.size;
+    return true;
+  });
+}
+
 void Disk::consume_external(std::uint64_t target_used) {
   if (target_used <= used_) return;
   const std::uint64_t grow = target_used - used_;

@@ -45,6 +45,10 @@ class Disk {
   /// Removes a file entirely.
   void remove(std::string_view path);
 
+  /// Removes every file under a path prefix (e.g. the app's cache
+  /// directory), in place.
+  void remove_prefix(std::string_view prefix);
+
   /// Fills the disk up to `target_used` bytes with an external file (models
   /// other tenants of the file system).
   void consume_external(std::uint64_t target_used);

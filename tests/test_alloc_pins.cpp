@@ -14,6 +14,7 @@
 #include "apps/desktop.hpp"
 #include "apps/sql/parser.hpp"
 #include "apps/webserver.hpp"
+#include "apps/workload.hpp"
 #include "env/environment.hpp"
 
 namespace {
@@ -107,6 +108,25 @@ TEST(AllocPins, WarmRestoreAllocatesNothing) {
     EXPECT_EQ(allocs, 0u);
     EXPECT_TRUE(restored);
   }
+}
+
+TEST(AllocPins, WarmApacheRejuvenateAllocatesNothing) {
+  env::Environment e;
+  apps::WebServer web;
+  ASSERT_TRUE(web.start(e));
+  const apps::Workload workload = apps::make_workload(core::AppId::kApache);
+  const auto serve = [&] {
+    for (const apps::WorkItem& item : workload.items) (void)web.handle(item, e);
+  };
+  serve();
+  web.rejuvenate(e);
+  serve();
+  ASSERT_FALSE(e.disk().list_prefix("/var/cache/apache").empty());
+  // Pruning the object cache erases the files in place.
+  const std::size_t allocs = allocs_during([&] { web.rejuvenate(e); });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(e.disk().used_under("/var/cache/apache"), 0u);
+  EXPECT_TRUE(e.disk().list_prefix("/var/cache/apache").empty());
 }
 
 TEST(AllocPins, CachedStatementIsNotReparsed) {

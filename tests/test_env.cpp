@@ -158,6 +158,17 @@ TEST(Disk, PrefixQueries) {
   EXPECT_EQ(disk.used_under("/none"), 0u);
 }
 
+TEST(Disk, RemovePrefixKeepsOtherFiles) {
+  Disk disk(1000, 1000);
+  disk.append("/cache/a", 10);
+  disk.append("/cache/b", 20);
+  disk.append("/log", 5);
+  disk.remove_prefix("/cache");
+  EXPECT_EQ(disk.used(), 5u);
+  EXPECT_TRUE(disk.list_prefix("/cache").empty());
+  EXPECT_EQ(disk.stat("/log")->size, 5u);
+}
+
 TEST(Disk, OwnerMetadata) {
   Disk disk(100, 100);
   disk.append("/f", 1);
