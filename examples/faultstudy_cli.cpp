@@ -6,21 +6,30 @@
 //   faultstudy_cli mine <app|file>      # run the mining pipeline, print table
 //   faultstudy_cli simulate <fault> <mechanism>   # one traced recovery trial
 //   faultstudy_cli matrix               # the recovery matrix and its exports
+//   faultstudy_cli oracle               # race detector vs taxonomy labels
 //   faultstudy_cli diff <baseline> <candidate>    # compare two snapshots
 //   faultstudy_cli report <out.md>      # the study report plus Figures 1-3
 //
 // `mine` accepts either an application name (generates the calibrated
 // synthetic corpus) or a path to a tracker dump / mbox file written by
 // `corpus` (or by you). `simulate` always runs traced with a flight
-// recorder: when the trial does not survive it prints the post-mortem
-// (signature, causal chain, env state, flight ring, detector verdicts) and
-// exits 3. `report` also writes figure{1,2,3}_*.svg into the working
-// directory.
+// recorder. It narrates the trial's transcript, then audits it: every racy
+// access pair the happens-before detector finds, with both threads' event
+// stacks, and every transcript invariant violation. When the trial does
+// not survive it prints the post-mortem (signature, causal chain, env
+// state, flight ring, detector verdicts) and exits 3. `--repeats R` adds a
+// stability sweep: R differently seeded trials of the same cell and how
+// many of those that observed the fault survived it. `oracle` runs one
+// traced trial per specimen and prints the detector-vs-taxonomy confusion
+// table; it exits 4 when agreement is below 90% or the detector fires on
+// an environment-independent fault. `report` also writes
+// figure{1,2,3}_*.svg into the working directory.
 //
 // A global `--threads N` flag (anywhere on the command line) sets the
-// execution lanes for `matrix` and `mine`; results are bit-identical for
-// every value. Default: the FAULTSTUDY_THREADS environment variable, else
-// one lane per hardware thread. `--seed N` overrides the base trial seed.
+// execution lanes for `matrix`, `mine`, `oracle` and the `simulate` sweep;
+// results are bit-identical for every value. Default: the
+// FAULTSTUDY_THREADS environment variable, else one lane per hardware
+// thread. `--seed N` overrides the base trial seed.
 //
 // Exports. `matrix` runs the study once and attaches only the views the
 // requested outputs need; every output flag may repeat, and each path's
@@ -40,24 +49,31 @@
 //   --snapshot=<path>    matrix only: the study snapshot
 //                        (`faultstudy-baseline/1`) a later run diffs
 //                        against.
-//   --baseline=<path>    matrix only: diff the run against a committed
-//                        study snapshot and exit 4 on fatal drift.
+//   --baseline=<path>    matrix: diff the run against a committed study
+//                        snapshot and exit 4 on fatal drift. simulate:
+//                        print what the snapshot recorded for the
+//                        specimen next to the trial's own coverage.
 // Every matrix/simulate export is byte-identical for any --threads.
 //
 // Exit codes: 0 ok, 1 I/O error, 2 usage error, 3 a snapshot that does not
 // parse (diff, --baseline) or a simulated trial that did not survive,
-// 4 fatal drift (diff, --baseline). Unknown `--` options are a usage error.
+// 4 fatal drift (diff, --baseline) or a failed oracle cross-check. Unknown
+// `--` options are a usage error.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "analysis/invariant_checker.hpp"
+#include "analysis/race_detector.hpp"
 #include "core/rules.hpp"
 #include "corpus/serialize.hpp"
 #include "corpus/synth.hpp"
@@ -67,12 +83,14 @@
 #include "mining/pipeline.hpp"
 #include "obs/baseline.hpp"
 #include "obs/export.hpp"
+#include "report/oracle.hpp"
 #include "report/study_report.hpp"
 #include "report/svg.hpp"
 #include "report/table.hpp"
 #include "stats/series.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/trial.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
@@ -80,10 +98,13 @@ using namespace faultstudy;
 
 namespace {
 
-/// Lanes for matrix/mine sweeps; 0 = auto (env var, else hardware).
+/// Lanes for matrix/mine/oracle and simulate's sweep; 0 = auto (env var,
+/// else hardware).
 std::size_t g_threads = 0;
 /// Base trial seed; < 0 keeps each command's default.
 long long g_seed = -1;
+/// Trials in simulate's stability sweep; 0 = no sweep.
+std::size_t g_repeats = 0;
 std::vector<std::string> g_telemetry_paths;
 std::vector<std::string> g_trace_paths;
 std::vector<std::string> g_coverage_paths;
@@ -114,12 +135,17 @@ int usage() {
       "  faultstudy_cli mine <apache|gnome|mysql|dump-file>\n"
       "  faultstudy_cli simulate <fault-id> <mechanism>\n"
       "  faultstudy_cli matrix\n"
+      "  faultstudy_cli oracle                         (detector vs "
+      "taxonomy)\n"
       "  faultstudy_cli diff <baseline> <candidate>    (compare snapshots)\n"
       "  faultstudy_cli report <out.md>                (full study report)\n"
       "options (every PATH flag but --baseline may repeat):\n"
-      "  --threads N        execution lanes for matrix/mine (default: "
-      "FAULTSTUDY_THREADS, else hardware; results identical for any N)\n"
+      "  --threads N        execution lanes for matrix/mine/oracle and "
+      "the simulate sweep (default: FAULTSTUDY_THREADS, else hardware; "
+      "results identical for any N)\n"
       "  --seed N           base trial seed for simulate/matrix\n"
+      "  --repeats R        simulate: add a stability sweep of R seeded "
+      "trials\n"
       "  --telemetry=PATH   write a metrics snapshot (.json = JSON, else "
       "Prometheus text)\n"
       "  --trace=PATH       write a Chrome trace_event timeline\n"
@@ -129,9 +155,9 @@ int usage() {
       ".html = explorer, else triage text)\n"
       "  --snapshot=PATH    matrix: write the study snapshot\n"
       "  --baseline=PATH    matrix: diff against a study snapshot, exit 4 "
-      "on fatal drift\n"
+      "on fatal drift; simulate: print what it recorded for the fault\n"
       "exit codes: 0 ok, 1 io, 2 usage, 3 snapshot parse error or trial "
-      "not survived, 4 drift\n",
+      "not survived, 4 drift or oracle check failed\n",
       stderr);
   return 2;
 }
@@ -173,6 +199,13 @@ int load_snapshot(const std::string& path, obs::StudySnapshot& out) {
   }
   out = std::move(parsed.value());
   return 0;
+}
+
+/// Reads the --baseline snapshot, if one was given, before any trial runs,
+/// so a bad path fails early. Returns 0 or load_snapshot's exit code.
+int load_baseline(std::optional<obs::StudySnapshot>& out) {
+  if (g_baseline_path.empty()) return 0;
+  return load_snapshot(g_baseline_path, out.emplace());
 }
 
 /// Prints the drift report and maps it to the exit code (4 = fatal drift).
@@ -444,6 +477,78 @@ void print_postmortem(const forensics::PostMortemRecord& pm) {
   }
 }
 
+/// The trial's correctness audit: every racy access pair the
+/// happens-before detector finds in the synchronization trace, with both
+/// threads' event stacks, then the transcript's invariant violations.
+void print_audit(const harness::TrialObservation& observation) {
+  const std::span<const env::TraceEvent> trace(observation.trace);
+  const auto races = analysis::RaceDetector().analyze(trace);
+  if (races.empty()) {
+    std::printf("happens-before detector: no races\n");
+  } else {
+    std::printf("happens-before detector: %zu racy access pair(s)\n\n",
+                races.size());
+    for (const auto& race : races) {
+      std::fputs(analysis::to_string(race, trace).c_str(), stdout);
+      std::fputs("\n", stdout);
+    }
+  }
+  const auto violations = analysis::check_transcript(observation.transcript);
+  if (violations.empty()) {
+    std::printf("invariant checker: transcript clean\n");
+  } else {
+    std::printf("invariant checker: %zu violation(s)\n%s", violations.size(),
+                analysis::to_string(std::span<const analysis::InvariantViolation>(
+                                        violations))
+                    .c_str());
+  }
+}
+
+/// What a study snapshot recorded for one specimen.
+void print_baseline(const obs::StudySnapshot& baseline,
+                    const std::string& fault_id) {
+  const auto row = std::find_if(
+      baseline.specimens.begin(), baseline.specimens.end(),
+      [&](const auto& r) { return r.fault_id == fault_id; });
+  if (row == baseline.specimens.end()) {
+    std::printf("baseline  : %s has no record of %s\n",
+                g_baseline_path.c_str(), fault_id.c_str());
+    return;
+  }
+  std::printf("baseline  : study recorded %llu probes hit over %llu trials "
+              "for this specimen\n",
+              static_cast<unsigned long long>(row->probes_hit),
+              static_cast<unsigned long long>(row->trials));
+}
+
+/// The stability sweep: races and timing phases are probabilistic, so one
+/// trial can mislead. Re-runs the cell over `repeats` differently seeded
+/// trials on the --threads lanes and reports how many of those that
+/// observed the fault survived it.
+void print_stability(const corpus::SeedFault& seed,
+                     const harness::MechanismFactory& factory,
+                     std::size_t repeats) {
+  const auto outcomes = util::parallel_map<harness::TrialOutcome>(
+      repeats, g_threads, [&](std::size_t r) {
+        harness::TrialConfig config;
+        config.seed = 1000 + static_cast<std::uint64_t>(r) * 131 +
+                      util::fnv1a(seed.fault_id);
+        auto mechanism = factory();
+        return harness::run_trial(inject::plan_for(seed, config.seed),
+                                  *mechanism, config);
+      });
+  std::size_t observed = 0, survived = 0;
+  for (const auto& o : outcomes) {
+    if (!o.failure_observed) continue;
+    ++observed;
+    if (o.survived) ++survived;
+  }
+  std::printf("stability: survived %zu/%zu fault-observing trials "
+              "(%zu of %zu repeats, %zu lanes)\n",
+              survived, observed, observed, repeats,
+              util::resolve_threads(g_threads));
+}
+
 int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
   const auto seeds = corpus::all_seeds();
   const corpus::SeedFault* seed = nullptr;
@@ -465,6 +570,8 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
                  mechanism.c_str());
     return 1;
   }
+  std::optional<obs::StudySnapshot> baseline;
+  if (const int rc = load_baseline(baseline); rc != 0) return rc;
   // Defaults match the pre-flag behavior exactly: plan seed 42, trial
   // config seed 99; --seed N sets both.
   harness::TrialConfig config;
@@ -477,7 +584,9 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
   obs::CoverageMap cover;
   obs::TrialSinks sinks{.flight = &ring};
   if (telemetry_wanted()) sinks.telemetry = &telem;
-  if (!g_coverage_paths.empty()) sinks.coverage = &cover;
+  if (!g_coverage_paths.empty() || baseline.has_value()) {
+    sinks.coverage = &cover;
+  }
   const auto plan = inject::plan_for(
       *seed, g_seed >= 0 ? static_cast<std::uint64_t>(g_seed) : 42);
   auto mech = factory();
@@ -488,14 +597,17 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
   std::printf("fault     : %s (%s, %s)\n", seed->fault_id.c_str(),
               std::string(core::to_string(seed->trigger)).c_str(),
               std::string(core::to_string(corpus::seed_class(*seed))).c_str());
-  std::printf("mechanism : %s\n", mechanism.c_str());
-  std::printf("observed  : %zu failures, %zu recoveries\n", outcome.failures,
-              outcome.recoveries);
+  std::printf("mechanism : %s\n\n", mechanism.c_str());
+  std::fputs(observation.transcript.to_string().c_str(), stdout);
+  std::printf("\nobserved  : %zu failures, %zu recoveries, %zu trace events\n",
+              outcome.failures, outcome.recoveries, observation.trace.size());
   std::printf("verdict   : %s\n",
               outcome.survived ? "SURVIVED" : "NOT SURVIVED");
   if (!outcome.first_failure.empty()) {
     std::printf("first failure: %s\n", outcome.first_failure.c_str());
   }
+  std::printf("\n");
+  print_audit(observation);
   if (sinks.telemetry != nullptr) {
     telemetry::MetricsRegistry registry;
     telemetry::fold_into(telem, mechanism, registry);
@@ -508,20 +620,45 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
     obs::CoverageAtlas atlas;
     atlas.begin_study({*seed}, {mechanism});
     atlas.fold_trial(*seed, cover);
+    std::printf("coverage  : %zu/%zu probes hit in this trial\n",
+                atlas.probes_hit(), obs::CoverageAtlas::probe_universe());
     if (!export_coverage(atlas)) return 1;
   }
+  if (baseline.has_value()) print_baseline(*baseline, fault_id);
   if (outcome.postmortem.has_value()) print_postmortem(*outcome.postmortem);
+  if (g_repeats > 0) print_stability(*seed, factory, g_repeats);
   return outcome.survived ? 0 : 3;
+}
+
+/// The detector-vs-taxonomy cross-check: one traced trial per specimen,
+/// the confusion table and every disagreement. Exits 4 when agreement is
+/// below 90% or the detector fires on an environment-independent fault.
+int cmd_oracle() {
+  const auto seeds = corpus::all_seeds();
+  std::printf("running traced trials for %zu specimens...\n\n", seeds.size());
+  harness::TrialConfig config;
+  config.threads = g_threads;
+  const auto report = harness::run_oracle_crosscheck(seeds, config);
+  std::fputs(report::render_oracle_confusion(report).c_str(), stdout);
+  std::printf("\nagreement: %.1f%% over %zu specimens\n",
+              report.agreement() * 100.0, report.total());
+  bool disagreed = false;
+  for (const auto& row : report.rows) {
+    if (row.race_labeled == row.detector_fired) continue;
+    disagreed = true;
+    std::printf("  DISAGREE %s (%s): %s\n", row.fault_id.c_str(),
+                std::string(core::to_string(row.trigger)).c_str(),
+                row.detector_fired ? "fired on a non-race label"
+                                   : "race label but detector silent");
+  }
+  if (!disagreed) std::printf("no disagreements.\n");
+  return report.agreement() >= 0.9 && report.ei_fired == 0 ? 0 : 4;
 }
 
 int cmd_matrix() {
   constexpr int kRepeats = 3;
-  // Read the baseline first: a bad path fails before the study runs.
   std::optional<obs::StudySnapshot> baseline;
-  if (!g_baseline_path.empty()) {
-    const int rc = load_snapshot(g_baseline_path, baseline.emplace());
-    if (rc != 0) return rc;
-  }
+  if (const int rc = load_baseline(baseline); rc != 0) return rc;
   harness::TrialConfig config;
   config.threads = g_threads;
   if (g_seed >= 0) config.seed = static_cast<std::uint64_t>(g_seed);
@@ -609,11 +746,13 @@ int main(int argc, char** argv) {
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--threads" || arg == "--seed") {
+    if (arg == "--threads" || arg == "--seed" || arg == "--repeats") {
       const auto n = i + 1 < argc ? parse_count(argv[++i]) : std::nullopt;
       if (!n.has_value()) return usage();
       if (arg == "--seed") {
         g_seed = *n;
+      } else if (arg == "--repeats") {
+        g_repeats = static_cast<std::size_t>(*n);
       } else if (*n < 1) {
         return usage();
       } else {
@@ -649,6 +788,7 @@ int main(int argc, char** argv) {
   if (cmd == "simulate" && args.size() == 3)
     return cmd_simulate(args[1], args[2]);
   if (cmd == "matrix") return cmd_matrix();
+  if (cmd == "oracle") return cmd_oracle();
   if (cmd == "diff" && args.size() == 3) return cmd_diff(args[1], args[2]);
   if (cmd == "report" && args.size() == 2) return cmd_report(args[1]);
   return usage();
