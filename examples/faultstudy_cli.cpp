@@ -1,65 +1,26 @@
-// faultstudy — the study's command-line front end.
+// faultstudy — the study's command-line front end. Run it without
+// arguments for its commands, options and exit codes.
 //
-//   faultstudy_cli classify             # read a report from stdin, classify
-//   faultstudy_cli taxonomy             # the trigger ontology
-//   faultstudy_cli corpus <app> <file>  # write the synthetic corpus to disk
-//   faultstudy_cli mine <app|file>      # run the mining pipeline, print table
-//   faultstudy_cli simulate <fault> <mechanism>   # one traced recovery trial
-//   faultstudy_cli matrix               # the recovery matrix and its exports
-//   faultstudy_cli oracle               # race detector vs taxonomy labels
-//   faultstudy_cli diff <baseline> <candidate>    # compare two snapshots
-//   faultstudy_cli report <out.md>      # the study report plus Figures 1-3
+// `mine` takes an application name (the calibrated synthetic corpus) or a
+// tracker dump / mbox file written by `corpus` (or by you). `simulate`
+// runs one trial traced with a flight recorder and prints its transcript,
+// then its audit: every racy access pair the happens-before detector
+// finds, with both threads' event stacks, and every transcript invariant
+// violation. A trial that does not survive adds its post-mortem (signature,
+// causal chain, env state, flight ring, detector verdicts) and exits 3.
+// `--repeats R` adds a stability sweep: R differently seeded trials of the
+// same cell, and how many of those that observed the fault survived it.
+// `oracle` runs one traced trial per specimen and checks the detector
+// against the taxonomy labels. `report` also writes figure{1,2,3}_*.svg
+// into the working directory.
 //
-// `mine` accepts either an application name (generates the calibrated
-// synthetic corpus) or a path to a tracker dump / mbox file written by
-// `corpus` (or by you). `simulate` always runs traced with a flight
-// recorder. It narrates the trial's transcript, then audits it: every racy
-// access pair the happens-before detector finds, with both threads' event
-// stacks, and every transcript invariant violation. When the trial does
-// not survive it prints the post-mortem (signature, causal chain, env
-// state, flight ring, detector verdicts) and exits 3. `--repeats R` adds a
-// stability sweep: R differently seeded trials of the same cell and how
-// many of those that observed the fault survived it. `oracle` runs one
-// traced trial per specimen and prints the detector-vs-taxonomy confusion
-// table; it exits 4 when agreement is below 90% or the detector fires on
-// an environment-independent fault. `report` also writes
-// figure{1,2,3}_*.svg into the working directory.
-//
-// A global `--threads N` flag (anywhere on the command line) sets the
-// execution lanes for `matrix`, `mine`, `oracle` and the `simulate` sweep;
-// results are bit-identical for every value. Default: the
-// FAULTSTUDY_THREADS environment variable, else one lane per hardware
-// thread. `--seed N` overrides the base trial seed.
-//
-// Exports. `matrix` runs the study once and attaches only the views the
-// requested outputs need; every output flag may repeat, and each path's
-// extension picks its format, so one run writes every artifact:
-//   --telemetry=<path>   metrics snapshot; `.json` selects the JSON
-//                        exporter, anything else Prometheus text.
-//   --trace=<path>       Chrome trace_event timeline (chrome://tracing,
-//                        Perfetto). matrix/simulate traces use simulated
-//                        ticks and are byte-identical for any --threads;
-//                        mine traces are wall-clock self-profiles.
-//   --coverage=<path>    matrix/simulate coverage atlas; `.json` selects
-//                        the atlas JSON, `.html` the heatmap, anything
-//                        else the text summary.
-//   --forensics=<path>   matrix only: post-mortems of every failed trial;
-//                        `.json` selects the forensic dump, `.html` the
-//                        study explorer, anything else the triage table.
-//   --snapshot=<path>    matrix only: the study snapshot
-//                        (`faultstudy-baseline/1`) a later run diffs
-//                        against.
-//   --baseline=<path>    matrix: diff the run against a committed study
-//                        snapshot and exit 4 on fatal drift. simulate:
-//                        print what the snapshot recorded for the
-//                        specimen next to the trial's own coverage.
-// Every matrix/simulate export is byte-identical for any --threads.
-//
-// Exit codes: 0 ok, 1 I/O error, 2 usage error, 3 a snapshot that does not
-// parse (diff, --baseline) or a simulated trial that did not survive,
-// 4 fatal drift (diff, --baseline) or a failed oracle cross-check. Unknown
-// `--` options are a usage error.
-#include <algorithm>
+// `matrix` runs the study once and attaches only the views its requested
+// outputs need. Every output flag but --baseline may repeat, and each
+// path's extension picks its format, so one run writes every artifact.
+// `--threads N` (anywhere on the command line) sets the lanes of every
+// sweep; the matrix, oracle and sweep results and every matrix/simulate
+// export (simulated-tick traces included) are byte-identical for any N.
+// `mine --trace` is a wall-clock self-profile.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -135,8 +96,7 @@ int usage() {
       "  faultstudy_cli mine <apache|gnome|mysql|dump-file>\n"
       "  faultstudy_cli simulate <fault-id> <mechanism>\n"
       "  faultstudy_cli matrix\n"
-      "  faultstudy_cli oracle                         (detector vs "
-      "taxonomy)\n"
+      "  faultstudy_cli oracle                         (detector vs labels)\n"
       "  faultstudy_cli diff <baseline> <candidate>    (compare snapshots)\n"
       "  faultstudy_cli report <out.md>                (full study report)\n"
       "options (every PATH flag but --baseline may repeat):\n"
@@ -489,8 +449,7 @@ void print_audit(const harness::TrialObservation& observation) {
     std::printf("happens-before detector: %zu racy access pair(s)\n\n",
                 races.size());
     for (const auto& race : races) {
-      std::fputs(analysis::to_string(race, trace).c_str(), stdout);
-      std::fputs("\n", stdout);
+      std::printf("%s\n", analysis::to_string(race, trace).c_str());
     }
   }
   const auto violations = analysis::check_transcript(observation.transcript);
@@ -498,27 +457,23 @@ void print_audit(const harness::TrialObservation& observation) {
     std::printf("invariant checker: transcript clean\n");
   } else {
     std::printf("invariant checker: %zu violation(s)\n%s", violations.size(),
-                analysis::to_string(std::span<const analysis::InvariantViolation>(
-                                        violations))
-                    .c_str());
+                analysis::to_string(violations).c_str());
   }
 }
 
 /// What a study snapshot recorded for one specimen.
 void print_baseline(const obs::StudySnapshot& baseline,
                     const std::string& fault_id) {
-  const auto row = std::find_if(
-      baseline.specimens.begin(), baseline.specimens.end(),
-      [&](const auto& r) { return r.fault_id == fault_id; });
-  if (row == baseline.specimens.end()) {
-    std::printf("baseline  : %s has no record of %s\n",
-                g_baseline_path.c_str(), fault_id.c_str());
+  for (const auto& row : baseline.specimens) {
+    if (row.fault_id != fault_id) continue;
+    std::printf("baseline  : study recorded %llu probes hit over %llu "
+                "trials for this specimen\n",
+                static_cast<unsigned long long>(row.probes_hit),
+                static_cast<unsigned long long>(row.trials));
     return;
   }
-  std::printf("baseline  : study recorded %llu probes hit over %llu trials "
-              "for this specimen\n",
-              static_cast<unsigned long long>(row->probes_hit),
-              static_cast<unsigned long long>(row->trials));
+  std::printf("baseline  : %s has no record of %s\n", g_baseline_path.c_str(),
+              fault_id.c_str());
 }
 
 /// The stability sweep: races and timing phases are probabilistic, so one
@@ -636,9 +591,8 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
 int cmd_oracle() {
   const auto seeds = corpus::all_seeds();
   std::printf("running traced trials for %zu specimens...\n\n", seeds.size());
-  harness::TrialConfig config;
-  config.threads = g_threads;
-  const auto report = harness::run_oracle_crosscheck(seeds, config);
+  const auto report =
+      harness::run_oracle_crosscheck(seeds, {.threads = g_threads});
   std::fputs(report::render_oracle_confusion(report).c_str(), stdout);
   std::printf("\nagreement: %.1f%% over %zu specimens\n",
               report.agreement() * 100.0, report.total());
