@@ -3,17 +3,18 @@
 #   cmake -DBINARY=<exe> ["-DARGS=<arg>;<arg>..."] -DGOLDEN=<file>
 #         -DACTUAL=<file> -P golden_stdout.cmake
 # A deliberate output change is re-blessed by copying ACTUAL over GOLDEN.
+list(JOIN ARGS " " shown)
 execute_process(COMMAND ${BINARY} ${ARGS}
   OUTPUT_FILE ${ACTUAL}
   RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
-  message(FATAL_ERROR "${BINARY} ${ARGS} exited with ${status}")
+  message(FATAL_ERROR "${BINARY} ${shown} exited with ${status}")
 endif()
 execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${ACTUAL} ${GOLDEN}
   RESULT_VARIABLE differs)
 if(differs)
   message(FATAL_ERROR
-    "stdout of ${BINARY} ${ARGS} differs from its golden; see\n"
+    "stdout of ${BINARY} ${shown} differs from its golden; see\n"
     "  diff -u ${GOLDEN} ${ACTUAL}\n"
     "Copy the actual file over the golden to re-bless.")
 endif()
