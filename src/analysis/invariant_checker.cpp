@@ -100,7 +100,6 @@ std::vector<InvariantViolation> check_transcript(
       case harness::EventKind::kItemOk:
       case harness::EventKind::kFailure:
       case harness::EventKind::kVerdict:
-      case harness::EventKind::kCheckpoint:
       case harness::EventKind::kRollback:
         break;
     }

@@ -280,7 +280,7 @@ std::optional<StepResult> BaseApp::check_fault(const WorkItem& item,
 
     case Trigger::kReverseDnsMissing:
       if (!item.client_address.empty() &&
-          !e.dns().reverse(item.client_address, e.now()).ok) {
+          !e.dns().reverse(item.client_address).ok) {
         return fail("reverse DNS not configured for client");
       }
       return std::nullopt;

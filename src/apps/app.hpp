@@ -124,7 +124,6 @@ class SimApp {
   /// Virtual so applications can recognize fault ids they implement for
   /// real and enable the corresponding engine-level fault point.
   virtual void arm_fault(const ActiveFault& fault) { fault_ = fault; }
-  void disarm_fault() { fault_.reset(); }
   const std::optional<ActiveFault>& fault() const noexcept { return fault_; }
 
   bool running() const noexcept { return running_; }

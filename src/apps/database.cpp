@@ -193,7 +193,7 @@ StepResult Database::handle(const WorkItem& item, env::Environment& e) {
     // New connections do a name lookup; the fixed server tolerates
     // failures (the buggy reverse-DNS path lives in check_fault).
     if (!item.client_address.empty()) {
-      (void)e.dns().reverse(item.client_address, e.now());
+      (void)e.dns().reverse(item.client_address);
     }
   } else {
     const sql::ExecResult result = execute(item.op);

@@ -57,8 +57,6 @@ class Widget {
   /// situation the buggy pager handler fails to check.
   Widget* find(std::string_view path) noexcept;
 
-  std::size_t child_count() const noexcept { return children_.size(); }
-
  private:
   std::string name_;
   std::vector<std::unique_ptr<Widget>> children_;

@@ -31,7 +31,6 @@ class BayesClassifier {
   /// Log-posterior (up to a constant) per class, for calibration tests.
   std::array<double, 3> log_posterior(const ReportText& report) const;
 
-  std::size_t vocabulary_size() const noexcept { return vocab_.size(); }
   std::size_t training_count() const noexcept;
 
   /// Feature extraction used for both training and inference; exposed for

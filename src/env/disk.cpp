@@ -28,13 +28,6 @@ void Disk::truncate(std::string_view path) {
   obs::emit(sinks_, obs::Event::kDiskTruncate);
 }
 
-void Disk::remove(std::string_view path) {
-  auto it = files_.find(path);
-  if (it == files_.end()) return;
-  used_ -= it->second.size;
-  files_.erase(it);
-}
-
 void Disk::remove_prefix(std::string_view prefix) {
   std::erase_if(files_, [&](const auto& entry) {
     if (!entry.first.starts_with(prefix)) return false;

@@ -42,9 +42,6 @@ class Disk {
   /// Truncates a file to zero length, reclaiming its space.
   void truncate(std::string_view path);
 
-  /// Removes a file entirely.
-  void remove(std::string_view path);
-
   /// Removes every file under a path prefix (e.g. the app's cache
   /// directory), in place.
   void remove_prefix(std::string_view prefix);

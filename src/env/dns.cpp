@@ -31,24 +31,10 @@ DnsReply DnsServer::resolve(const std::string& host, Tick now) const {
   return {.ok = true, .latency = kNormalLatency};
 }
 
-DnsReply DnsServer::reverse(const std::string& address, Tick now) const {
-  if (!reverse_records_.contains(address)) {
-    obs::emit(sinks_, obs::Event::kDnsReverseMiss);
-    return {.ok = false, .latency = kNormalLatency};
-  }
-  return resolve(address, now);
-}
-
-void DnsServer::configure_reverse(const std::string& address) {
-  reverse_records_.insert(address);
-}
-
-void DnsServer::remove_reverse(const std::string& address) {
-  reverse_records_.erase(address);
-}
-
-bool DnsServer::has_reverse(const std::string& address) const {
-  return reverse_records_.contains(address);
+DnsReply DnsServer::reverse(const std::string& address) const {
+  (void)address;
+  obs::emit(sinks_, obs::Event::kDnsReverseMiss);
+  return {.ok = false, .latency = kNormalLatency};
 }
 
 }  // namespace faultstudy::env

@@ -4,11 +4,10 @@
 // can error, respond slowly, or lack reverse records. Error and slow states
 // heal after a deadline (someone restarts the name server or fixes the
 // network) — the property that makes kDnsError/kDnsSlow transient. Missing
-// reverse DNS, by contrast, is configuration: it stays missing until set.
+// reverse DNS, by contrast, is configuration: no retry brings it back.
 #pragma once
 
 #include <string>
-#include <unordered_set>
 
 #include "env/clock.hpp"
 #include "obs/bus.hpp"
@@ -33,13 +32,9 @@ class DnsServer {
   /// latency above any sane client timeout.
   DnsReply resolve(const std::string& host, Tick now) const;
 
-  /// Reverse lookup of a client address; fails when the address has no
-  /// PTR record configured.
-  DnsReply reverse(const std::string& address, Tick now) const;
-
-  void configure_reverse(const std::string& address);
-  void remove_reverse(const std::string& address);
-  bool has_reverse(const std::string& address) const;
+  /// Reverse lookup of a client address. The simulated zone holds no PTR
+  /// records, so every lookup misses.
+  DnsReply reverse(const std::string& address) const;
 
   static constexpr Tick kNormalLatency = 2;
   static constexpr Tick kSlowLatency = 5000;
@@ -50,7 +45,6 @@ class DnsServer {
  private:
   DnsHealth forced_ = DnsHealth::kHealthy;
   Tick forced_until_ = 0;
-  std::unordered_set<std::string> reverse_records_;
   // Lookups are logically const; the sink they record into is not.
   const obs::TrialSinks* sinks_ = nullptr;
 };

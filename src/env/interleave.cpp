@@ -58,13 +58,6 @@ void emit_two_thread_trace(TraceLog& log, Tick now, const TwoThreadShape& shape,
   log.record(kTraceMainThread, TraceOp::kJoin, kTraceAsyncThread, now);
 }
 
-bool signal_mask_race(Scheduler& scheduler, int a_steps,
-                      int mask_computed_at) {
-  const int p = interleave_position(scheduler, a_steps);
-  // The vulnerable gap: after the mask is computed, before it is applied.
-  return p == mask_computed_at + 1;
-}
-
 bool signal_mask_race(Scheduler& scheduler, TraceLog& log, Tick now,
                       int a_steps, int mask_computed_at) {
   const int p = interleave_position(scheduler, a_steps);
@@ -78,12 +71,6 @@ bool signal_mask_race(Scheduler& scheduler, TraceLog& log, Tick now,
   shape.b_note = "signal delivery mutates handler state";
   emit_two_thread_trace(log, now, shape, p);
   return p == mask_computed_at + 1;
-}
-
-bool request_removal_race(Scheduler& scheduler, int a_steps,
-                          int request_registered_at) {
-  const int p = interleave_position(scheduler, a_steps);
-  return p == request_registered_at + 1;
 }
 
 bool request_removal_race(Scheduler& scheduler, TraceLog& log, Tick now,

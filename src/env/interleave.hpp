@@ -60,24 +60,18 @@ void emit_two_thread_trace(TraceLog& log, Tick now, const TwoThreadShape& shape,
 
 /// The signal-mask race (mysql-edt-01): thread A computes its new signal
 /// mask at step `mask_computed_at` and applies it one step later; a signal
-/// arriving exactly in that gap hits the torn-down handler state.
-/// Returns true when the race fires.
-bool signal_mask_race(Scheduler& scheduler, int a_steps,
-                      int mask_computed_at);
-
-/// Traced variant: draws exactly once, like the untraced overload, and also
-/// emits the buggy trace shape into `log`.
+/// arriving exactly in that gap hits the torn-down handler state. Draws
+/// once from `scheduler` and emits the buggy trace shape into `log` (a
+/// disabled log records nothing and the draw is the same). Returns true
+/// when the race fires.
 bool signal_mask_race(Scheduler& scheduler, TraceLog& log, Tick now,
                       int a_steps, int mask_computed_at);
 
 /// The request-vs-removal race (gnome-edt-03): the applet's action request
 /// is registered at step `request_registered_at`; the removal path
 /// invalidates the applet one step later. A removal notification landing in
-/// the gap leaves the panel holding a dangling applet reference.
-bool request_removal_race(Scheduler& scheduler, int a_steps,
-                          int request_registered_at);
-
-/// Traced variant of the applet race; one draw, same as untraced.
+/// the gap leaves the panel holding a dangling applet reference. One draw,
+/// traced like signal_mask_race.
 bool request_removal_race(Scheduler& scheduler, TraceLog& log, Tick now,
                           int a_steps, int request_registered_at);
 

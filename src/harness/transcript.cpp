@@ -31,8 +31,6 @@ std::string_view kind_name(EventKind kind) {
       return "proc-kill";
     case EventKind::kDiskWrite:
       return "disk-write";
-    case EventKind::kCheckpoint:
-      return "checkpoint";
     case EventKind::kRollback:
       return "rollback";
     case EventKind::kSignalRaise:

@@ -27,7 +27,6 @@ enum class EventKind : std::uint8_t {
   kProcSpawn,    ///< item = pid of the spawned process
   kProcKill,     ///< item = pid of the killed process
   kDiskWrite,    ///< item = bytes written
-  kCheckpoint,   ///< a recovery checkpoint was taken
   kRollback,     ///< item = workload items rewound past
   kSignalRaise,  ///< item = pid the signal targets
 };

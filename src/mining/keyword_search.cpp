@@ -39,9 +39,9 @@ class alignas(64) KeywordMatcher {
  private:
   /// True at the first token whose stem is a keyword (the scan stops there).
   bool scan(std::string_view text) {
-    return !text::for_each_token(
-        text, {}, scratch_,
-        [&](std::string_view tok) { return !is_keyword(tok); });
+    return !text::for_each_token(text, scratch_, [&](std::string_view tok) {
+      return !is_keyword(tok);
+    });
   }
 
   bool is_keyword(std::string_view token) {

@@ -43,9 +43,6 @@ class NVersionProgramming final : public Mechanism {
   /// voter then masks input-triggered failures.
   bool majority_healthy() const noexcept { return buggy_ * 2 < n_; }
 
-  /// Per-operation execution cost multiplier (all N versions run).
-  double cost_multiplier() const noexcept { return static_cast<double>(n_); }
-
  private:
   int n_;
   int buggy_;

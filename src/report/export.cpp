@@ -36,23 +36,6 @@ std::string faults_to_csv(std::span<const core::Fault> faults) {
   return out;
 }
 
-std::string series_to_csv(std::span<const stats::SeriesPoint> series) {
-  std::string out = "bucket,ei,edn,edt,total\n";
-  for (const auto& p : series) {
-    out += csv_escape(p.label);
-    out += ',';
-    out += std::to_string(p.counts[core::FaultClass::kEnvironmentIndependent]);
-    out += ',';
-    out += std::to_string(p.counts[core::FaultClass::kEnvDependentNonTransient]);
-    out += ',';
-    out += std::to_string(p.counts[core::FaultClass::kEnvDependentTransient]);
-    out += ',';
-    out += std::to_string(p.counts.total());
-    out += '\n';
-  }
-  return out;
-}
-
 std::string counts_to_markdown(const core::ClassCounts& counts,
                                std::string_view caption) {
   std::string out;

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "core/aggregate.hpp"
-#include "stats/series.hpp"
 
 namespace faultstudy::report {
 
@@ -15,9 +14,6 @@ std::string csv_escape(std::string_view field);
 
 /// One row per fault: id,app,class,trigger,bucket,title.
 std::string faults_to_csv(std::span<const core::Fault> faults);
-
-/// One row per bucket: label,ei,edn,edt,total.
-std::string series_to_csv(std::span<const stats::SeriesPoint> series);
 
 /// Markdown rendering of a class-count table (for READMEs and reports).
 std::string counts_to_markdown(const core::ClassCounts& counts,

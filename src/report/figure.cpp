@@ -7,8 +7,8 @@
 namespace faultstudy::report {
 
 std::string render_stacked_bars(std::span<const stats::SeriesPoint> series,
-                                std::string_view title,
-                                const FigureOptions& options) {
+                                std::string_view title) {
+  constexpr std::size_t kGlyphsPerFault = 2;
   std::string out;
   out += title;
   out += '\n';
@@ -24,7 +24,7 @@ std::string render_stacked_bars(std::span<const stats::SeriesPoint> series,
     out += util::pad_right(p.label, label_width);
     out += " |";
     const auto glyph_run = [&](core::FaultClass c, char glyph) {
-      const std::size_t n = p.counts[c] * options.glyphs_per_fault;
+      const std::size_t n = p.counts[c] * kGlyphsPerFault;
       out.append(n, glyph);
     };
     glyph_run(core::FaultClass::kEnvironmentIndependent, '#');
@@ -34,10 +34,8 @@ std::string render_stacked_bars(std::span<const stats::SeriesPoint> series,
     out += '\n';
   }
 
-  if (options.show_legend) {
-    out += "\n  # environment-independent   o env-dependent-nontransient   "
-           "* env-dependent-transient\n";
-  }
+  out += "\n  # environment-independent   o env-dependent-nontransient   "
+         "* env-dependent-transient\n";
   return out;
 }
 

@@ -13,13 +13,9 @@
 
 namespace faultstudy::report {
 
-struct FigureOptions {
-  std::size_t glyphs_per_fault = 2;  ///< horizontal scale
-  bool show_legend = true;
-};
-
+/// Two glyphs per fault, then the bucket's total; a glyph legend follows
+/// the rows.
 std::string render_stacked_bars(std::span<const stats::SeriesPoint> series,
-                                std::string_view title,
-                                const FigureOptions& options = {});
+                                std::string_view title);
 
 }  // namespace faultstudy::report

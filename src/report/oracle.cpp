@@ -1,8 +1,5 @@
 #include "report/oracle.hpp"
 
-#include <cstdio>
-
-#include "report/export.hpp"
 #include "report/table.hpp"
 
 namespace faultstudy::report {
@@ -19,60 +16,6 @@ std::string render_oracle_confusion(const harness::OracleReport& report) {
   table.add_row({"env-independent (EI)", std::to_string(report.ei_fired),
                  std::to_string(report.ei_silent)});
   return table.to_string();
-}
-
-std::string oracle_rows_to_csv(const harness::OracleReport& report) {
-  std::string out =
-      "fault_id,app,class,trigger,race_labeled,detector_fired,races,"
-      "violations\n";
-  for (const auto& row : report.rows) {
-    out += csv_escape(row.fault_id);
-    out += ',';
-    out += core::to_string(row.app);
-    out += ',';
-    out += core::to_code(row.label);
-    out += ',';
-    out += core::to_string(row.trigger);
-    out += ',';
-    out += row.race_labeled ? "1" : "0";
-    out += ',';
-    out += row.detector_fired ? "1" : "0";
-    out += ',';
-    out += std::to_string(row.race_reports);
-    out += ',';
-    out += std::to_string(row.invariant_violations);
-    out += '\n';
-  }
-  return out;
-}
-
-std::string render_oracle_markdown(const harness::OracleReport& report) {
-  std::string out = "## Race-detector oracle cross-check\n\n";
-  out +=
-      "Each armed specimen ran one traced trial; the vector-clock "
-      "happens-before detector analyzed the synchronization trace. A "
-      "race-labeled specimen must fire the detector; every other specimen "
-      "must leave it silent.\n\n";
-  out += "```\n" + render_oracle_confusion(report) + "```\n\n";
-
-  char line[96];
-  std::snprintf(line, sizeof(line), "Agreement: %.1f%% over %zu specimens.\n",
-                report.agreement() * 100.0, report.total());
-  out += line;
-
-  std::string disagreements;
-  for (const auto& row : report.rows) {
-    if (row.race_labeled == row.detector_fired) continue;
-    disagreements += "- `" + row.fault_id + "` (" +
-                     std::string(core::to_string(row.trigger)) + "): " +
-                     (row.detector_fired ? "detector fired on a non-race label"
-                                         : "race label but detector silent") +
-                     "\n";
-  }
-  if (!disagreements.empty()) {
-    out += "\nDisagreements:\n\n" + disagreements;
-  }
-  return out;
 }
 
 }  // namespace faultstudy::report

@@ -1,7 +1,6 @@
 // Rendering of the detector-vs-taxonomy oracle cross-check
 // (harness::run_oracle_crosscheck): the confusion table between race-labeled
-// specimens and happens-before detector firings, plus per-specimen CSV for
-// downstream analysis.
+// specimens and happens-before detector firings.
 #pragma once
 
 #include <string>
@@ -18,13 +17,5 @@ namespace faultstudy::report {
 ///   | other transient (EDT) |              0 |               8 |
 ///   ...
 std::string render_oracle_confusion(const harness::OracleReport& report);
-
-/// One row per specimen:
-/// fault_id,app,class,trigger,race_labeled,detector_fired,races,violations.
-std::string oracle_rows_to_csv(const harness::OracleReport& report);
-
-/// Markdown section: confusion table, agreement line, and the rows where
-/// label and detector disagree (empty when agreement is perfect).
-std::string render_oracle_markdown(const harness::OracleReport& report);
 
 }  // namespace faultstudy::report

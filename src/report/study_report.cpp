@@ -12,7 +12,7 @@
 
 namespace faultstudy::report {
 
-StudyResults run_full_study(const StudyReportOptions& options) {
+StudyResults run_full_study() {
   StudyResults r;
   r.apache = mining::run_tracker_pipeline(corpus::make_apache_tracker());
   r.gnome = mining::run_tracker_pipeline(corpus::make_gnome_tracker());
@@ -23,50 +23,37 @@ StudyResults run_full_study(const StudyReportOptions& options) {
   for (auto& f : mining::to_faults(r.mysql)) r.all_faults.push_back(f);
   r.summary = core::summarize(r.all_faults);
 
-  if (options.include_recovery_matrix) {
-    telemetry::StudyTelemetry study;
-    telemetry::StudyTelemetry* telem =
-        options.include_telemetry ? &study : nullptr;
-    forensics::StudyForensics* forens =
-        options.include_forensics ? &r.forensics : nullptr;
-    obs::CoverageAtlas* atlas = options.include_coverage ? &r.coverage : nullptr;
-    r.matrix = harness::run_matrix(corpus::all_seeds(),
-                                   harness::standard_mechanisms(), {},
-                                   options.matrix_repeats, telem, forens,
-                                   atlas);
-    // Atlas gauges ride the telemetry snapshot, so the Prometheus/JSON
-    // exporters publish coverage alongside the study counters.
-    if (telem != nullptr && atlas != nullptr) {
-      obs::export_gauges(r.coverage, study.metrics);
-    }
-    if (telem != nullptr) r.telemetry = study.metrics.snapshot();
-    if (forens != nullptr) r.triage = forensics::triage(forens->postmortems);
-  }
+  telemetry::StudyTelemetry study;
+  r.matrix =
+      harness::run_matrix(corpus::all_seeds(), harness::standard_mechanisms(),
+                          {}, 3, &study, &r.forensics, &r.coverage);
+  // Atlas gauges ride the telemetry snapshot, so the Prometheus/JSON
+  // exporters publish coverage alongside the study counters.
+  obs::export_gauges(r.coverage, study.metrics);
+  r.telemetry = study.metrics.snapshot();
+  r.triage = forensics::triage(r.forensics.postmortems);
   return r;
 }
 
 namespace {
 
 void render_app_section(std::string& md, std::string_view heading,
-                        const mining::PipelineResult& result,
-                        const StudyReportOptions& options) {
+                        const mining::PipelineResult& result) {
   md += "\n## " + std::string(heading) + "\n\n";
-  if (options.include_funnels) {
-    if (result.keyword_funnel.total_messages > 0) {
-      md += "Funnel: " + std::to_string(result.keyword_funnel.total_messages) +
-            " messages → " + std::to_string(result.keyword_funnel.keyword_hits) +
-            " keyword hits → " +
-            std::to_string(result.keyword_funnel.report_shaped) +
-            " usable reports → " + std::to_string(result.bugs.size()) +
-            " unique bugs.\n\n";
-    } else {
-      md += "Funnel: " + std::to_string(result.filter_funnel.total) +
-            " reports → " + std::to_string(result.filter_funnel.runtime) +
-            " runtime → " + std::to_string(result.filter_funnel.production) +
-            " production → " + std::to_string(result.filter_funnel.severe) +
-            " severe/critical → " + std::to_string(result.bugs.size()) +
-            " unique bugs.\n\n";
-    }
+  if (result.keyword_funnel.total_messages > 0) {
+    md += "Funnel: " + std::to_string(result.keyword_funnel.total_messages) +
+          " messages → " + std::to_string(result.keyword_funnel.keyword_hits) +
+          " keyword hits → " +
+          std::to_string(result.keyword_funnel.report_shaped) +
+          " usable reports → " + std::to_string(result.bugs.size()) +
+          " unique bugs.\n\n";
+  } else {
+    md += "Funnel: " + std::to_string(result.filter_funnel.total) +
+          " reports → " + std::to_string(result.filter_funnel.runtime) +
+          " runtime → " + std::to_string(result.filter_funnel.production) +
+          " production → " + std::to_string(result.filter_funnel.severe) +
+          " severe/critical → " + std::to_string(result.bugs.size()) +
+          " unique bugs.\n\n";
   }
   const auto faults = mining::to_faults(result);
   md += counts_to_markdown(core::tally(faults), "");
@@ -74,7 +61,6 @@ void render_app_section(std::string& md, std::string_view heading,
 
 void render_telemetry(std::string& md,
                       const telemetry::MetricsSnapshot& snap) {
-  if (snap.empty()) return;
   md += "\n## Matrix telemetry (simulated-clock domain)\n\n";
   md += "Folded from every matrix trial in index order; every value is an "
         "integer in simulated units, so this section is identical for any "
@@ -97,7 +83,6 @@ void render_telemetry(std::string& md,
 
 void render_forensics(std::string& md, const forensics::StudyForensics& study,
                       const std::vector<forensics::TriageCluster>& clusters) {
-  if (study.trials == 0) return;
   md += "\n## Failure forensics\n\n";
   md += "Every failed matrix trial carries a flight-recorder post-mortem: "
         "the causal chain from injected fault through environment "
@@ -127,7 +112,6 @@ void render_forensics(std::string& md, const forensics::StudyForensics& study,
 }
 
 void render_coverage(std::string& md, const obs::CoverageAtlas& atlas) {
-  if (atlas.trials() == 0) return;
   md += "\n## Coverage atlas\n\n";
   md += "Probe coverage folded from every matrix trial in index order; all "
         "values are integer hit counts, so this section is identical for "
@@ -159,17 +143,16 @@ void render_figure(std::string& md, std::string_view title,
 
 }  // namespace
 
-std::string render_markdown(const StudyResults& r,
-                            const StudyReportOptions& options) {
+std::string render_markdown(const StudyResults& r) {
   std::string md;
   md += "# Fault study report\n\n";
   md += "Reproduction of Chandra & Chen, \"Whither Generic Recovery from "
         "Application Faults?\" (DSN 2000), generated by the faultstudy "
         "library from its synthetic corpora.\n";
 
-  render_app_section(md, "Table 1 — Apache", r.apache, options);
-  render_app_section(md, "Table 2 — GNOME", r.gnome, options);
-  render_app_section(md, "Table 3 — MySQL", r.mysql, options);
+  render_app_section(md, "Table 1 — Apache", r.apache);
+  render_app_section(md, "Table 2 — GNOME", r.gnome);
+  render_app_section(md, "Table 3 — MySQL", r.mysql);
 
   md += "\n## Discussion aggregates (Section 5.4)\n\n";
   const auto& o = r.summary.overall;
@@ -187,42 +170,37 @@ std::string render_markdown(const StudyResults& r,
         "interval [" + util::percent(edt_ci.lower) + ", " +
         util::percent(edt_ci.upper) + "].\n";
 
-  if (options.include_figures) {
-    md += "\n## Figures\n";
-    render_figure(md, "Figure 1: Apache faults per release", r.all_faults,
-                  core::AppId::kApache, corpus::apache_releases());
-    render_figure(md, "Figure 2: GNOME faults over time", r.all_faults,
-                  core::AppId::kGnome, corpus::gnome_periods());
-    render_figure(md, "Figure 3: MySQL faults per release", r.all_faults,
-                  core::AppId::kMysql, corpus::mysql_releases());
-  }
+  md += "\n## Figures\n";
+  render_figure(md, "Figure 1: Apache faults per release", r.all_faults,
+                core::AppId::kApache, corpus::apache_releases());
+  render_figure(md, "Figure 2: GNOME faults over time", r.all_faults,
+                core::AppId::kGnome, corpus::gnome_periods());
+  render_figure(md, "Figure 3: MySQL faults per release", r.all_faults,
+                core::AppId::kMysql, corpus::mysql_releases());
 
-  if (options.include_recovery_matrix && !r.matrix.reports.empty()) {
-    md += "\n## Recovery experiment (Section 8 future work)\n\n";
-    md += "| mechanism | generic | EI | EDN | EDT | overall |\n";
-    md += "|---|---|---|---|---|---|\n";
-    for (const auto& report : r.matrix.reports) {
-      const auto cell = [&](core::FaultClass c) {
-        const auto i = static_cast<std::size_t>(c);
-        return std::to_string(report.survived[i]) + "/" +
-               std::to_string(report.total[i]);
-      };
-      md += "| " + report.mechanism + " | " +
-            (report.generic ? "yes" : "no") + " | " +
-            cell(core::FaultClass::kEnvironmentIndependent) + " | " +
-            cell(core::FaultClass::kEnvDependentNonTransient) + " | " +
-            cell(core::FaultClass::kEnvDependentTransient) + " | " +
-            util::percent(static_cast<double>(report.survived_all()) /
-                          static_cast<double>(report.total_all())) +
-            " |\n";
-    }
-    md += "\nGeneric state-preserving recovery survives exactly the "
-          "transient class; surviving the rest requires application-"
-          "specific knowledge — the paper's conclusion.\n";
+  md += "\n## Recovery experiment (Section 8 future work)\n\n";
+  md += "| mechanism | generic | EI | EDN | EDT | overall |\n";
+  md += "|---|---|---|---|---|---|\n";
+  for (const auto& report : r.matrix.reports) {
+    const auto cell = [&](core::FaultClass c) {
+      const auto i = static_cast<std::size_t>(c);
+      return std::to_string(report.survived[i]) + "/" +
+             std::to_string(report.total[i]);
+    };
+    md += "| " + report.mechanism + " | " + (report.generic ? "yes" : "no") +
+          " | " + cell(core::FaultClass::kEnvironmentIndependent) + " | " +
+          cell(core::FaultClass::kEnvDependentNonTransient) + " | " +
+          cell(core::FaultClass::kEnvDependentTransient) + " | " +
+          util::percent(static_cast<double>(report.survived_all()) /
+                        static_cast<double>(report.total_all())) +
+          " |\n";
   }
-  if (options.include_forensics) render_forensics(md, r.forensics, r.triage);
-  if (options.include_coverage) render_coverage(md, r.coverage);
-  if (options.include_telemetry) render_telemetry(md, r.telemetry);
+  md += "\nGeneric state-preserving recovery survives exactly the "
+        "transient class; surviving the rest requires application-"
+        "specific knowledge — the paper's conclusion.\n";
+  render_forensics(md, r.forensics, r.triage);
+  render_coverage(md, r.coverage);
+  render_telemetry(md, r.telemetry);
   return md;
 }
 

@@ -31,12 +31,17 @@ std::string xml_escape(std::string_view text) {
 }
 
 std::string render_svg(std::span<const stats::SeriesPoint> series,
-                       std::string_view title, const SvgOptions& opt) {
+                       std::string_view title) {
+  constexpr int kWidth = 640;
+  constexpr int kHeight = 360;
+  constexpr int kBarGap = 8;
+  // Class colors: EI, EDN, EDT.
+  constexpr const char* kColors[3] = {"#4878a8", "#e8b04a", "#c85a54"};
   const int margin_left = 40;
   const int margin_top = 40;
   const int margin_bottom = 48;
-  const int plot_w = opt.width - margin_left - 10;
-  const int plot_h = opt.height - margin_top - margin_bottom;
+  const int plot_w = kWidth - margin_left - 10;
+  const int plot_h = kHeight - margin_top - margin_bottom;
 
   std::size_t max_total = 1;
   for (const auto& p : series) {
@@ -45,10 +50,10 @@ std::string render_svg(std::span<const stats::SeriesPoint> series,
 
   std::string svg;
   svg += "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" +
-         std::to_string(opt.width) + "\" height=\"" +
-         std::to_string(opt.height) + "\">\n";
+         std::to_string(kWidth) + "\" height=\"" +
+         std::to_string(kHeight) + "\">\n";
   svg += "<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n";
-  svg += "<text x=\"" + std::to_string(opt.width / 2) +
+  svg += "<text x=\"" + std::to_string(kWidth / 2) +
          "\" y=\"20\" text-anchor=\"middle\" font-family=\"sans-serif\" "
          "font-size=\"14\">" +
          xml_escape(title) + "</text>\n";
@@ -56,8 +61,8 @@ std::string render_svg(std::span<const stats::SeriesPoint> series,
   const int n = static_cast<int>(series.size());
   if (n > 0) {
     const int bar_w =
-        std::max(4, (plot_w - opt.bar_gap * (n + 1)) / std::max(1, n));
-    int x = margin_left + opt.bar_gap;
+        std::max(4, (plot_w - kBarGap * (n + 1)) / std::max(1, n));
+    int x = margin_left + kBarGap;
     for (const auto& p : series) {
       int y = margin_top + plot_h;
       const core::FaultClass order[] = {
@@ -74,7 +79,7 @@ std::string render_svg(std::span<const stats::SeriesPoint> series,
         svg += "<rect x=\"" + std::to_string(x) + "\" y=\"" +
                std::to_string(y) + "\" width=\"" + std::to_string(bar_w) +
                "\" height=\"" + std::to_string(h) + "\" fill=\"" +
-               opt.colors[c] + "\"/>\n";
+               kColors[c] + "\"/>\n";
       }
       svg += "<text x=\"" + std::to_string(x + bar_w / 2) + "\" y=\"" +
              std::to_string(margin_top + plot_h + 16) +
@@ -86,26 +91,24 @@ std::string render_svg(std::span<const stats::SeriesPoint> series,
              "\" text-anchor=\"middle\" font-family=\"sans-serif\" "
              "font-size=\"10\">" +
              std::to_string(p.counts.total()) + "</text>\n";
-      x += bar_w + opt.bar_gap;
+      x += bar_w + kBarGap;
     }
   }
 
-  if (opt.show_legend) {
-    const char* names[3] = {"environment-independent",
-                            "env-dependent-nontransient",
-                            "env-dependent-transient"};
-    int lx = margin_left;
-    const int ly = opt.height - 12;
-    for (int c = 0; c < 3; ++c) {
-      svg += "<rect x=\"" + std::to_string(lx) + "\" y=\"" +
-             std::to_string(ly - 9) + "\" width=\"10\" height=\"10\" fill=\"" +
-             opt.colors[c] + "\"/>\n";
-      svg += "<text x=\"" + std::to_string(lx + 14) + "\" y=\"" +
-             std::to_string(ly) +
-             "\" font-family=\"sans-serif\" font-size=\"10\">" +
-             std::string(names[c]) + "</text>\n";
-      lx += 14 + static_cast<int>(std::string(names[c]).size()) * 6 + 16;
-    }
+  const char* names[3] = {"environment-independent",
+                          "env-dependent-nontransient",
+                          "env-dependent-transient"};
+  int lx = margin_left;
+  const int ly = kHeight - 12;
+  for (int c = 0; c < 3; ++c) {
+    svg += "<rect x=\"" + std::to_string(lx) + "\" y=\"" +
+           std::to_string(ly - 9) + "\" width=\"10\" height=\"10\" fill=\"" +
+           kColors[c] + "\"/>\n";
+    svg += "<text x=\"" + std::to_string(lx + 14) + "\" y=\"" +
+           std::to_string(ly) +
+           "\" font-family=\"sans-serif\" font-size=\"10\">" +
+           std::string(names[c]) + "</text>\n";
+    lx += 14 + static_cast<int>(std::string(names[c]).size()) * 6 + 16;
   }
 
   svg += "</svg>\n";

@@ -10,18 +10,10 @@
 
 namespace faultstudy::report {
 
-struct SvgOptions {
-  int width = 640;
-  int height = 360;
-  int bar_gap = 8;
-  /// Class colors: EI, EDN, EDT.
-  std::string colors[3] = {"#4878a8", "#e8b04a", "#c85a54"};
-  bool show_legend = true;
-};
-
-/// Renders a vertical stacked-bar chart of the series.
+/// Renders a 640x360 vertical stacked-bar chart of the series with a class
+/// legend (EI blue, EDN amber, EDT red).
 std::string render_svg(std::span<const stats::SeriesPoint> series,
-                       std::string_view title, const SvgOptions& options = {});
+                       std::string_view title);
 
 /// Escapes XML-special characters in text content.
 std::string xml_escape(std::string_view text);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/rng.hpp"
-
 namespace faultstudy::stats {
 
 Interval wilson(std::size_t successes, std::size_t trials, double z) {
@@ -21,52 +19,6 @@ Interval wilson(std::size_t successes, std::size_t trials, double z) {
   iv.lower = std::max(0.0, center - half);
   iv.upper = std::min(1.0, center + half);
   return iv;
-}
-
-Interval bootstrap_statistic(
-    std::span<const double> values,
-    const std::function<double(std::span<const double>)>& statistic,
-    std::size_t resamples, double confidence, std::uint64_t seed) {
-  Interval iv;
-  if (values.empty()) return iv;
-  iv.point = statistic(values);
-  if (values.size() == 1) {
-    iv.lower = iv.upper = iv.point;
-    return iv;
-  }
-
-  util::Rng rng(seed);
-  std::vector<double> sample(values.size());
-  std::vector<double> stats;
-  stats.reserve(resamples);
-  for (std::size_t r = 0; r < resamples; ++r) {
-    for (auto& v : sample) {
-      v = values[static_cast<std::size_t>(rng.below(values.size()))];
-    }
-    stats.push_back(statistic(sample));
-  }
-  std::sort(stats.begin(), stats.end());
-  const double alpha = (1.0 - confidence) / 2.0;
-  const auto at = [&](double q) {
-    const auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(stats.size() - 1) + 0.5);
-    return stats[std::min(idx, stats.size() - 1)];
-  };
-  iv.lower = at(alpha);
-  iv.upper = at(1.0 - alpha);
-  return iv;
-}
-
-Interval bootstrap_mean(std::span<const double> values, std::size_t resamples,
-                        double confidence, std::uint64_t seed) {
-  return bootstrap_statistic(
-      values,
-      [](std::span<const double> v) {
-        double s = 0.0;
-        for (double x : v) s += x;
-        return s / static_cast<double>(v.size());
-      },
-      resamples, confidence, seed);
 }
 
 }  // namespace faultstudy::stats

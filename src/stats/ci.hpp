@@ -2,15 +2,10 @@
 //
 // The study's headline numbers are proportions over modest samples (e.g.
 // 7/50 transient faults); Wilson intervals give honest uncertainty bands
-// without the normal-approximation pathologies at small n, and the
-// bootstrap handles derived statistics.
+// without the normal-approximation pathologies at small n.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <functional>
-#include <span>
-#include <vector>
 
 namespace faultstudy::stats {
 
@@ -23,19 +18,5 @@ struct Interval {
 /// Wilson score interval for a binomial proportion. `z` defaults to the
 /// 95% normal quantile.
 Interval wilson(std::size_t successes, std::size_t trials, double z = 1.96);
-
-/// Percentile-bootstrap interval for the mean of `values`.
-/// Deterministic in `seed`.
-Interval bootstrap_mean(std::span<const double> values,
-                        std::size_t resamples = 2000,
-                        double confidence = 0.95, std::uint64_t seed = 17);
-
-/// Percentile-bootstrap interval for an arbitrary statistic computed on a
-/// resampled copy of `values`.
-Interval bootstrap_statistic(
-    std::span<const double> values,
-    const std::function<double(std::span<const double>)>& statistic,
-    std::size_t resamples = 2000, double confidence = 0.95,
-    std::uint64_t seed = 17);
 
 }  // namespace faultstudy::stats

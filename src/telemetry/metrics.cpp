@@ -125,18 +125,6 @@ void MetricsRegistry::merge_histogram(HistogramId id, const Histogram& h) {
   histograms_[id.index].histogram.merge(h);
 }
 
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  for (const auto& m : other.counters_) {
-    if (m.value > 0) add(counter(m.name), m.value);
-  }
-  for (const auto& m : other.gauges_) {
-    if (m.set) peak(gauge(m.name), m.high);
-  }
-  for (const auto& m : other.histograms_) {
-    merge_histogram(histogram(m.name, m.histogram.bounds()), m.histogram);
-  }
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
   snap.counters.reserve(counters_.size());

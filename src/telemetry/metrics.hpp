@@ -157,11 +157,7 @@ class MetricsRegistry {
   void peak(GaugeId id, std::int64_t value) noexcept;
   void merge_histogram(HistogramId id, const Histogram& h);
 
-  // --- fold / export ---
-  /// Union-by-name merge of another registry's values (index-order
-  /// reduction of per-trial registries). Histogram bounds must match.
-  void merge_from(const MetricsRegistry& other);
-
+  // --- export ---
   /// Every metric, sorted by name.
   MetricsSnapshot snapshot() const;
 

@@ -2,10 +2,9 @@
 
 namespace faultstudy::text {
 
-std::vector<std::string> tokenize(std::string_view input,
-                                  const TokenizerOptions& options) {
+std::vector<std::string> tokenize(std::string_view input) {
   std::vector<std::string> tokens;
-  for_each_token(input, options,
+  for_each_token(input,
                  [&](std::string_view tok) { tokens.emplace_back(tok); });
   return tokens;
 }

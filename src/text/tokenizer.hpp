@@ -14,22 +14,18 @@
 
 namespace faultstudy::text {
 
-struct TokenizerOptions {
-  bool lowercase = true;
-  bool keep_numbers = true;
-  /// Drop tokens shorter than this many characters after normalization.
-  std::size_t min_length = 2;
-};
+/// Tokens shorter than this many characters are dropped.
+inline constexpr std::size_t kMinTokenLength = 2;
 
 namespace detail {
 // The grammar is ASCII, as under the "C" locale: only [A-Za-z0-9_] are word
 // characters, bytes >= 0x80 separate tokens and only A-Z are lowered.
-inline constexpr unsigned char kWord = 1, kAlpha = 2, kUpper = 4;
+inline constexpr unsigned char kWord = 1, kUpper = 2;
 inline constexpr auto kCharClass = [] {
   std::array<unsigned char, 256> t{};
   for (int c = '0'; c <= '9'; ++c) t[c] = kWord;
-  for (int c = 'a'; c <= 'z'; ++c) t[c] = kWord | kAlpha;
-  for (int c = 'A'; c <= 'Z'; ++c) t[c] = kWord | kAlpha | kUpper;
+  for (int c = 'a'; c <= 'z'; ++c) t[c] = kWord;
+  for (int c = 'A'; c <= 'Z'; ++c) t[c] = kWord | kUpper;
   t['_'] = kWord;
   return t;
 }();
@@ -41,14 +37,14 @@ constexpr bool is_joiner(char c) { return c == '.' || c == '-'; }
 
 /// The token grammar, visited without allocating: calls fn(token) with a
 /// std::string_view of each token `tokenize` would return, in order. The
-/// view is valid only for the duration of that call: a token that needs
-/// lowering is lowered into `scratch`, any other is a view of `input`, so
+/// view is valid only for the duration of that call: a token with an
+/// upper-case letter is lowered into `scratch`, any other is a view of
+/// `input`, so
 /// reusing one scratch buffer across calls keeps a scan allocation-free.
 /// If fn returns bool, returning false stops the scan; the visitor then
 /// returns false, otherwise true.
 template <typename Fn>
-bool for_each_token(std::string_view input, const TokenizerOptions& options,
-                    std::string& scratch, Fn&& fn) {
+bool for_each_token(std::string_view input, std::string& scratch, Fn&& fn) {
   std::size_t i = 0;
   while (i < input.size()) {
     if (!(detail::char_class(input[i]) & detail::kWord)) {
@@ -71,9 +67,8 @@ bool for_each_token(std::string_view input, const TokenizerOptions& options,
       }
     }
     std::string_view tok = input.substr(start, i - start);
-    if (tok.size() < options.min_length) continue;
-    if (!options.keep_numbers && !(seen & detail::kAlpha)) continue;
-    if (options.lowercase && (seen & detail::kUpper)) {
+    if (tok.size() < kMinTokenLength) continue;
+    if (seen & detail::kUpper) {
       scratch.assign(tok);
       for (char& c : scratch) {
         if (detail::char_class(c) & detail::kUpper) c += 'a' - 'A';
@@ -92,17 +87,16 @@ bool for_each_token(std::string_view input, const TokenizerOptions& options,
 
 /// for_each_token with a scratch buffer of its own.
 template <typename Fn>
-bool for_each_token(std::string_view input, const TokenizerOptions& options,
-                    Fn&& fn) {
+bool for_each_token(std::string_view input, Fn&& fn) {
   std::string scratch;
-  return for_each_token(input, options, scratch, std::forward<Fn>(fn));
+  return for_each_token(input, scratch, std::forward<Fn>(fn));
 }
 
 /// Splits text into word tokens. A token is a maximal run of [A-Za-z0-9_]
 /// optionally containing internal '.' or '-' when flanked by alphanumerics
-/// (so "2.0.36", "va_list" and "tar.gz" each survive as one token).
-std::vector<std::string> tokenize(std::string_view input,
-                                  const TokenizerOptions& options = {});
+/// (so "2.0.36", "va_list" and "tar.gz" each survive as one token),
+/// lowered, and at least kMinTokenLength characters long.
+std::vector<std::string> tokenize(std::string_view input);
 
 /// Contiguous word n-grams over a token sequence, joined with '_'.
 /// n must be >= 1; returns empty when tokens.size() < n.

@@ -46,11 +46,12 @@ TEST(Interleave, SignalMaskRaceProbabilityIsStructural) {
   // The race fires iff B lands in one specific gap of a_steps+1 positions:
   // expected probability 1/(a_steps+1).
   Scheduler s(4);
+  TraceLog log;  // disabled: the draw alone decides
   constexpr int kSteps = 12;
   constexpr int kTrials = 60000;
   int fires = 0;
   for (int i = 0; i < kTrials; ++i) {
-    if (signal_mask_race(s, kSteps, 5)) ++fires;
+    if (signal_mask_race(s, log, 0, kSteps, 5)) ++fires;
   }
   EXPECT_NEAR(static_cast<double>(fires) / kTrials, 1.0 / (kSteps + 1), 0.01);
 }
@@ -59,14 +60,15 @@ TEST(Interleave, ReplayBiasReproducesTheRace) {
   // With full replay bias, once the race fires it keeps firing — the
   // rollback-replay pathology progressive retry exists to break.
   Scheduler s(5);
+  TraceLog log;
   bool fired = false;
   for (int i = 0; i < 2000 && !fired; ++i) {
-    fired = signal_mask_race(s, 12, 5);
+    fired = signal_mask_race(s, log, 0, 12, 5);
   }
   ASSERT_TRUE(fired);
   s.set_replay_bias(1.0);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_TRUE(signal_mask_race(s, 12, 5));
+    EXPECT_TRUE(signal_mask_race(s, log, 0, 12, 5));
   }
 }
 

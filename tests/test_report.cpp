@@ -74,13 +74,6 @@ TEST(Figure, StackedBarsRenderCountsAndLegend) {
   EXPECT_NE(s.find("environment-independent"), std::string::npos);
 }
 
-TEST(Figure, NoLegendOption) {
-  FigureOptions opt;
-  opt.show_legend = false;
-  const auto s = render_stacked_bars({}, "T", opt);
-  EXPECT_EQ(s.find("env-dependent"), std::string::npos);
-}
-
 TEST(Csv, EscapingRfc4180) {
   EXPECT_EQ(csv_escape("plain"), "plain");
   EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
@@ -101,15 +94,6 @@ TEST(Csv, FaultsExport) {
   EXPECT_NE(csv.find("apache-ei-01,Apache,EI,boundary-input,2,\"dies, with "
                      "a comma\""),
             std::string::npos);
-}
-
-TEST(Csv, SeriesExport) {
-  std::vector<stats::SeriesPoint> series(1);
-  series[0].label = "1998-09";
-  series[0].counts[core::FaultClass::kEnvironmentIndependent] = 4;
-  const auto csv = series_to_csv(series);
-  EXPECT_NE(csv.find("bucket,ei,edn,edt,total"), std::string::npos);
-  EXPECT_NE(csv.find("1998-09,4,0,0,4"), std::string::npos);
 }
 
 TEST(Svg, XmlEscaping) {

@@ -1,5 +1,5 @@
-// Tests for the statistics substrate: Wilson intervals, bootstrap,
-// chi-square, and the figure-shape series checks.
+// Tests for the statistics substrate: Wilson intervals, chi-square, and
+// the figure-shape series checks.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -55,56 +55,6 @@ TEST(Wilson, BoundsOrdered) {
     EXPECT_LE(iv.lower, iv.point);
     EXPECT_LE(iv.point, iv.upper);
   }
-}
-
-// -------------------------------------------------------------- bootstrap
-
-TEST(Bootstrap, MeanPointEstimate) {
-  const double values[] = {1.0, 2.0, 3.0, 4.0};
-  const auto iv = bootstrap_mean(values);
-  EXPECT_DOUBLE_EQ(iv.point, 2.5);
-  EXPECT_LE(iv.lower, 2.5);
-  EXPECT_GE(iv.upper, 2.5);
-}
-
-TEST(Bootstrap, SingleValueDegenerate) {
-  const double values[] = {7.0};
-  const auto iv = bootstrap_mean(values);
-  EXPECT_DOUBLE_EQ(iv.lower, 7.0);
-  EXPECT_DOUBLE_EQ(iv.upper, 7.0);
-}
-
-TEST(Bootstrap, EmptyInput) {
-  const auto iv = bootstrap_mean({});
-  EXPECT_DOUBLE_EQ(iv.point, 0.0);
-}
-
-TEST(Bootstrap, DeterministicInSeed) {
-  const double values[] = {1, 5, 2, 8, 3, 9, 4};
-  const auto a = bootstrap_mean(values, 500, 0.95, 11);
-  const auto b = bootstrap_mean(values, 500, 0.95, 11);
-  EXPECT_DOUBLE_EQ(a.lower, b.lower);
-  EXPECT_DOUBLE_EQ(a.upper, b.upper);
-}
-
-TEST(Bootstrap, WiderAtHigherConfidence) {
-  const double values[] = {1, 5, 2, 8, 3, 9, 4, 6, 2, 7};
-  const auto c90 = bootstrap_mean(values, 2000, 0.90);
-  const auto c99 = bootstrap_mean(values, 2000, 0.99);
-  EXPECT_GE(c99.upper - c99.lower, c90.upper - c90.lower);
-}
-
-TEST(Bootstrap, CustomStatistic) {
-  const double values[] = {1, 2, 3, 100};
-  const auto iv = bootstrap_statistic(
-      values,
-      [](std::span<const double> v) {
-        double mx = v[0];
-        for (double x : v) mx = std::max(mx, x);
-        return mx;
-      });
-  EXPECT_DOUBLE_EQ(iv.point, 100.0);
-  EXPECT_LE(iv.upper, 100.0);
 }
 
 // -------------------------------------------------------------- chisquare

@@ -11,10 +11,7 @@ class StudyReportTest : public ::testing::Test {
  protected:
   // Run the (deterministic) study once for all tests in the suite.
   static void SetUpTestSuite() {
-    StudyReportOptions options;
-    options.matrix_repeats = 1;  // keep the suite fast; still deterministic
-    results_ = new StudyResults(run_full_study(options));
-    options_ = options;
+    results_ = new StudyResults(run_full_study());
   }
   static void TearDownTestSuite() {
     delete results_;
@@ -22,11 +19,9 @@ class StudyReportTest : public ::testing::Test {
   }
 
   static StudyResults* results_;
-  static StudyReportOptions options_;
 };
 
 StudyResults* StudyReportTest::results_ = nullptr;
-StudyReportOptions StudyReportTest::options_;
 
 TEST_F(StudyReportTest, MinesAll139Faults) {
   EXPECT_EQ(results_->apache.bugs.size(), 50u);
@@ -43,7 +38,7 @@ TEST_F(StudyReportTest, MatrixIncluded) {
 }
 
 TEST_F(StudyReportTest, MarkdownContainsPaperNumbers) {
-  const auto md = render_markdown(*results_, options_);
+  const auto md = render_markdown(*results_);
   EXPECT_NE(md.find("| environment-independent | 36 |"), std::string::npos);
   EXPECT_NE(md.find("| environment-independent | 39 |"), std::string::npos);
   EXPECT_NE(md.find("| environment-independent | 38 |"), std::string::npos);
@@ -52,20 +47,6 @@ TEST_F(StudyReportTest, MarkdownContainsPaperNumbers) {
   EXPECT_NE(md.find("Figure 1"), std::string::npos);
   EXPECT_NE(md.find("process-pairs"), std::string::npos);
   EXPECT_NE(md.find("12/12"), std::string::npos);
-}
-
-TEST_F(StudyReportTest, OptionsPruneSections) {
-  StudyReportOptions bare;
-  bare.include_figures = false;
-  bare.include_recovery_matrix = false;
-  bare.include_funnels = false;
-  StudyResults no_matrix = *results_;
-  no_matrix.matrix = {};
-  const auto md = render_markdown(no_matrix, bare);
-  EXPECT_EQ(md.find("Figure 1"), std::string::npos);
-  EXPECT_EQ(md.find("Recovery experiment"), std::string::npos);
-  EXPECT_EQ(md.find("Funnel:"), std::string::npos);
-  EXPECT_NE(md.find("Table 1"), std::string::npos);
 }
 
 }  // namespace

@@ -154,22 +154,6 @@ TEST(MetricsRegistry, SnapshotSortsByName) {
   EXPECT_EQ(snap.counters[1].name, "zebra");
 }
 
-TEST(MetricsRegistry, MergeFromUnionsByName) {
-  telemetry::MetricsRegistry a;
-  telemetry::MetricsRegistry b;
-  a.add(a.counter("shared"), 2);
-  b.add(b.counter("shared"), 3);
-  b.add(b.counter("only_b"), 1);
-  b.peak(b.gauge("high"), 7);
-  a.merge_from(b);
-  const auto snap = a.snapshot();
-  ASSERT_EQ(snap.counters.size(), 2u);
-  EXPECT_EQ(snap.counters[0].name, "only_b");
-  EXPECT_EQ(snap.counters[1].value, 5u);
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_EQ(snap.gauges[0].value, 7);
-}
-
 TEST(Counters, MergeSumsCountersAndMaxesPeaks) {
   using telemetry::counter_index;
   telemetry::TrialCounters a{};

@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "text/index.hpp"
 #include "text/minhash.hpp"
 #include "text/stemmer.hpp"
 #include "text/stopwords.hpp"
@@ -42,25 +41,9 @@ TEST(Tokenizer, TrailingJoinerNotAbsorbed) {
 }
 
 TEST(Tokenizer, MinLengthDropsShortTokens) {
-  TokenizerOptions opt;
-  opt.min_length = 3;
-  const auto t = tokenize("an ox is big", opt);
-  EXPECT_EQ(t, (std::vector<std::string>{"big"}));
-}
-
-TEST(Tokenizer, NoLowercaseOption) {
-  TokenizerOptions opt;
-  opt.lowercase = false;
-  const auto t = tokenize("SIGHUP", opt);
-  ASSERT_EQ(t.size(), 1u);
-  EXPECT_EQ(t[0], "SIGHUP");
-}
-
-TEST(Tokenizer, DropNumbersOption) {
-  TokenizerOptions opt;
-  opt.keep_numbers = false;
-  const auto t = tokenize("error 404 found 1.2.3", opt);
-  EXPECT_EQ(t, (std::vector<std::string>{"error", "found"}));
+  // Tokens shorter than kMinTokenLength (2) go; two characters stay.
+  const auto t = tokenize("a ox I is 7 42 big");
+  EXPECT_EQ(t, (std::vector<std::string>{"ox", "is", "42", "big"}));
 }
 
 TEST(Tokenizer, EmptyInput) {
@@ -74,37 +57,29 @@ TEST(Tokenizer, EmptyInput) {
 // (which separate tokens).
 struct GrammarCase {
   std::string_view input;
-  TokenizerOptions options;
   std::vector<std::string> tokens;
 };
 
 std::vector<GrammarCase> grammar_cases() {
-  TokenizerOptions one_char;
-  one_char.min_length = 1;
-  TokenizerOptions no_numbers;
-  no_numbers.keep_numbers = false;
-  TokenizerOptions keep_case;
-  keep_case.lowercase = false;
   return {
-      {"a.", {}, {}},
-      {"a.", one_char, {"a"}},
-      {"-x", {}, {}},
-      {"-x", one_char, {"x"}},
-      {"a..b x-", one_char, {"a", "b", "x"}},
-      {"2.0.36", {}, {"2.0.36"}},
-      {"2.0.36 v2.0 1-2", no_numbers, {"v2.0"}},
-      {"va_list _ __x", {}, {"va_list", "__x"}},
-      {"i o a I/O", one_char, {"i", "o", "a", "i", "o"}},
-      {"MiXeD CASE.Tar-GZ", {}, {"mixed", "case.tar-gz"}},
-      {"MiXeD CASE", keep_case, {"MiXeD", "CASE"}},
-      {"caf\xc3\xa9 na\xefve \x80\xff", {}, {"caf", "na", "ve"}},
-      {"\xc3\x89" "COLE ok", one_char, {"cole", "ok"}},
+      {"a.", {}},
+      {"ab.", {"ab"}},
+      {"-x", {}},
+      {"-xy", {"xy"}},
+      {"ab..cd xy-", {"ab", "cd", "xy"}},
+      {"2.0.36", {"2.0.36"}},
+      {"2.0.36 v2.0 1-2", {"2.0.36", "v2.0", "1-2"}},
+      {"va_list _ __x", {"va_list", "__x"}},
+      {"i o a I/O", {}},
+      {"MiXeD CASE.Tar-GZ", {"mixed", "case.tar-gz"}},
+      {"caf\xc3\xa9 na\xefve \x80\xff", {"caf", "na", "ve"}},
+      {"\xc3\x89" "COLE ok", {"cole", "ok"}},
   };
 }
 
 TEST(Tokenizer, GrammarEdgeCases) {
   for (const GrammarCase& c : grammar_cases()) {
-    EXPECT_EQ(tokenize(c.input, c.options), c.tokens) << c.input;
+    EXPECT_EQ(tokenize(c.input), c.tokens) << c.input;
   }
 }
 
@@ -112,12 +87,11 @@ TEST(Tokenizer, ForEachTokenYieldsTokenize) {
   std::string scratch;  // shared across inputs, as the keyword stage does
   for (const GrammarCase& c : grammar_cases()) {
     std::vector<std::string> own, shared;
-    EXPECT_TRUE(for_each_token(c.input, c.options, [&](std::string_view t) {
-      own.emplace_back(t);
-    }));
-    for_each_token(c.input, c.options, scratch,
+    EXPECT_TRUE(for_each_token(
+        c.input, [&](std::string_view t) { own.emplace_back(t); }));
+    for_each_token(c.input, scratch,
                    [&](std::string_view t) { shared.emplace_back(t); });
-    EXPECT_EQ(own, tokenize(c.input, c.options)) << c.input;
+    EXPECT_EQ(own, tokenize(c.input)) << c.input;
     EXPECT_EQ(shared, own) << c.input;
   }
 }
@@ -125,7 +99,7 @@ TEST(Tokenizer, ForEachTokenYieldsTokenize) {
 TEST(Tokenizer, ForEachTokenStopsWhenVisitorReturnsFalse) {
   std::vector<std::string> seen;
   const bool finished =
-      for_each_token("one Two three four", {}, [&](std::string_view t) {
+      for_each_token("one Two three four", [&](std::string_view t) {
         seen.emplace_back(t);
         return t != "two";
       });
@@ -341,47 +315,6 @@ TEST(ExactJaccard, KnownValues) {
   EXPECT_DOUBLE_EQ(exact_jaccard({"a"}, {"b"}), 0.0);
   EXPECT_NEAR(exact_jaccard({"a", "b", "c"}, {"b", "c", "d"}), 0.5, 1e-9);
   EXPECT_DOUBLE_EQ(exact_jaccard({}, {}), 0.0);
-}
-
-// ----------------------------------------------------------------- index
-
-TEST(InvertedIndex, MatchAnyFindsStemVariants) {
-  InvertedIndex idx;
-  idx.add_document(1, "the server crashed during peak load");
-  idx.add_document(2, "feature request: new theme");
-  idx.add_document(3, "my disk died again");
-
-  const auto hits = idx.match_any({"crash", "died"});
-  EXPECT_EQ(hits, (std::vector<std::uint64_t>{1, 3}));
-}
-
-TEST(InvertedIndex, MatchAllIntersects) {
-  InvertedIndex idx;
-  idx.add_document(1, "server crash under load");
-  idx.add_document(2, "crash on startup");
-  idx.add_document(3, "load balancing question");
-
-  EXPECT_EQ(idx.match_all({"crash", "load"}), (std::vector<std::uint64_t>{1}));
-  EXPECT_TRUE(idx.match_all({"crash", "nonexistent"}).empty());
-  EXPECT_TRUE(idx.match_all({}).empty());
-}
-
-TEST(InvertedIndex, DocumentFrequency) {
-  InvertedIndex idx;
-  idx.add_document(1, "crash crash crash");
-  idx.add_document(2, "another crash");
-  EXPECT_EQ(idx.document_frequency("crash"), 2u);  // per-doc, not per-token
-  EXPECT_EQ(idx.document_frequency("absent"), 0u);
-  EXPECT_EQ(idx.size(), 2u);
-}
-
-TEST(InvertedIndex, PaperKeywordsMatchTypicalMessages) {
-  InvertedIndex idx;
-  idx.add_document(1, "mysqld died with a segmentation fault");
-  idx.add_document(2, "race between login and admin");
-  idx.add_document(3, "how do I configure replication?");
-  const auto hits = idx.match_any({"crash", "segmentation", "race", "died"});
-  EXPECT_EQ(hits, (std::vector<std::uint64_t>{1, 2}));
 }
 
 }  // namespace
