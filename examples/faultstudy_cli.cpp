@@ -7,7 +7,7 @@
 // then its audit: every racy access pair the happens-before detector
 // finds, with both threads' event stacks, and every transcript invariant
 // violation. A trial that does not survive adds its post-mortem (signature,
-// causal chain, env state, flight ring, detector verdicts) and exits 3.
+// causal chain, env state, flight ring, detector verdicts) and exits 5.
 // `--repeats R` adds a stability sweep: R differently seeded trials of the
 // same cell, and how many of those that observed the fault survived it.
 // `oracle` runs one traced trial per specimen and checks the detector
@@ -116,8 +116,8 @@ int usage() {
       "  --snapshot=PATH    matrix: write the study snapshot\n"
       "  --baseline=PATH    matrix: diff against a study snapshot, exit 4 "
       "on fatal drift; simulate: print what it recorded for the fault\n"
-      "exit codes: 0 ok, 1 io, 2 usage, 3 snapshot parse error or trial "
-      "not survived, 4 drift or oracle check failed\n",
+      "exit codes: 0 ok, 1 io, 2 usage, 3 snapshot parse error, 4 drift "
+      "or oracle check failed, 5 simulated trial not survived\n",
       stderr);
   return 2;
 }
@@ -442,7 +442,7 @@ void print_postmortem(const forensics::PostMortemRecord& pm) {
 /// threads' event stacks, then the transcript's invariant violations.
 void print_audit(const harness::TrialObservation& observation) {
   const std::span<const env::TraceEvent> trace(observation.trace);
-  const auto races = analysis::RaceDetector().analyze(trace);
+  const auto& races = observation.races;
   if (races.empty()) {
     std::printf("happens-before detector: no races\n");
   } else {
@@ -452,7 +452,7 @@ void print_audit(const harness::TrialObservation& observation) {
       std::printf("%s\n", analysis::to_string(race, trace).c_str());
     }
   }
-  const auto violations = analysis::check_transcript(observation.transcript);
+  const auto& violations = observation.violations;
   if (violations.empty()) {
     std::printf("invariant checker: transcript clean\n");
   } else {
@@ -582,7 +582,7 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
   if (baseline.has_value()) print_baseline(*baseline, fault_id);
   if (outcome.postmortem.has_value()) print_postmortem(*outcome.postmortem);
   if (g_repeats > 0) print_stability(*seed, factory, g_repeats);
-  return outcome.survived ? 0 : 3;
+  return outcome.survived ? 0 : 5;
 }
 
 /// The detector-vs-taxonomy cross-check: one traced trial per specimen,

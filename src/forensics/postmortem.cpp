@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "analysis/invariant_checker.hpp"
-#include "analysis/race_detector.hpp"
 #include "apps/app.hpp"
 
 namespace faultstudy::forensics {
@@ -39,8 +37,6 @@ std::string_view to_string(FlightCode code) noexcept {
     case FlightCode::kColdRestart: return "cold-restart";
     case FlightCode::kRejuvenation: return "rejuvenation";
     case FlightCode::kRetrySanitized: return "retry-sanitized";
-    case FlightCode::kDetectorRace: return "detector-race";
-    case FlightCode::kInvariantViolation: return "invariant-violation";
     case FlightCode::kCount: break;
   }
   return "none";
@@ -194,16 +190,9 @@ PostMortemRecord build_postmortem(const FlightRecorder& ring,
                       first_error != nullptr ? first_error->at : pm.ended_at,
                       "harness observed " + std::to_string(pm.failures) +
                           " failure(s) over the trial"});
-  if (inputs.transcript != nullptr) {
-    pm.invariant_violations =
-        analysis::check_transcript(*inputs.transcript).size();
-    pm.analyzed = true;
-  }
-  if (!inputs.trace.empty()) {
-    analysis::RaceDetector detector;
-    pm.race_reports = detector.analyze(inputs.trace).size();
-    pm.analyzed = true;
-  }
+  pm.analyzed = inputs.analyzed;
+  pm.race_reports = inputs.race_reports;
+  pm.invariant_violations = inputs.invariant_violations;
   if (pm.analyzed) {
     pm.chain.push_back(
         {ChainStage::kDetection, pm.ended_at,

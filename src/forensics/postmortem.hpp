@@ -4,9 +4,9 @@
 // state at the moment of failure, and a reconstructed *causal chain* —
 // injected fault → first observable error → propagation through environment
 // resources → detection → recovery outcome. The chain is rebuilt by walking
-// the ring (and, when the trial ran traced, the transcript and the
-// vector-clock happens-before data from src/analysis/), so every failed
-// matrix cell carries its own audit trail without a debugger re-run.
+// the ring (plus, when the trial ran traced, the verdicts of the detectors
+// in src/analysis/), so every failed matrix cell carries its own audit
+// trail without a debugger re-run.
 //
 // Everything here is deterministic in the trial seed: records are built from
 // simulation state only, fold per-index like telemetry, and serialize
@@ -15,16 +15,13 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/taxonomy.hpp"
 #include "env/environment.hpp"
-#include "env/trace.hpp"
 #include "forensics/recorder.hpp"
-#include "harness/transcript.hpp"
 
 namespace faultstudy::forensics {
 
@@ -105,10 +102,10 @@ struct PostMortemRecord {
   bool analyzed = false;  ///< true when transcript/trace analysis ran
 };
 
-/// Inputs for reconstruction that the trial runner owns. Transcript and
-/// trace are optional: matrix trials run untraced (the ring alone feeds the
-/// chain) while deep-dive trials pass both and get detector verdicts and
-/// invariant analysis folded into the detection stage.
+/// Inputs for reconstruction that the trial runner owns. Matrix trials run
+/// untraced (the ring alone feeds the chain); a traced trial sets
+/// `analyzed` and passes its detector verdicts, which fold into the
+/// detection stage.
 struct PostMortemInputs {
   std::string_view fault_id;
   core::AppId app = core::AppId::kApache;
@@ -119,8 +116,9 @@ struct PostMortemInputs {
   std::size_t failures = 0;
   std::size_t recoveries = 0;
   std::string_view first_failure;
-  const harness::Transcript* transcript = nullptr;
-  std::span<const env::TraceEvent> trace;
+  bool analyzed = false;
+  std::size_t race_reports = 0;
+  std::size_t invariant_violations = 0;
 };
 
 /// Snapshots the ring and the environment and reconstructs the causal

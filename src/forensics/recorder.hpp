@@ -72,10 +72,6 @@ enum class FlightCode : std::uint8_t {
   kRejuvenation,      ///< a = 1 for a proactive (scheduled) pass
   kRetrySanitized,    ///< wrapper rejected a killer input on retry
 
-  // -- analysis detector verdicts --
-  kDetectorRace,         ///< a = race reports over the trial's trace
-  kInvariantViolation,   ///< a = violations over the trial's transcript
-
   kCount,  // sentinel
 };
 

@@ -187,6 +187,10 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
       observation->transcript.record(EventKind::kVerdict, environment.now(), 0,
                                      std::string(verdict_label(verdict)));
       observation->trace = environment.trace().events();
+      observation->races = analysis::RaceDetector().analyze(
+          std::span<const env::TraceEvent>(observation->trace));
+      observation->violations =
+          analysis::check_transcript(observation->transcript);
     }
     if (sinks.flight != nullptr &&
         verdict != forensics::TrialVerdict::kSurvived) {
@@ -201,8 +205,9 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
       inputs.recoveries = outcome.recoveries;
       inputs.first_failure = outcome.first_failure;
       if (observation != nullptr) {
-        inputs.transcript = &observation->transcript;
-        inputs.trace = observation->trace;
+        inputs.analyzed = true;
+        inputs.race_reports = observation->races.size();
+        inputs.invariant_violations = observation->violations.size();
       }
       outcome.postmortem =
           forensics::build_postmortem(*sinks.flight, environment, inputs);
@@ -442,9 +447,9 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
     MechanismReport report;
     report.mechanism = mechanisms[m].name;
     report.generic = mechanisms[m].make()->is_generic();
-    // Registry ids are resolved once per mechanism, not once per cell.
-    std::optional<telemetry::FoldIds> fold_ids;
-    if (telemetry != nullptr) fold_ids.emplace(mechanisms[m].name);
+    // The mechanism's cells sum into one TrialTelemetry, folded once: the
+    // registry's sums, peaks and histogram merges do not depend on order.
+    telemetry::TrialTelemetry mechanism_sum;
     for (std::size_t s = 0; s < seeds.size(); ++s) {
       const std::size_t cell = m * seeds.size() + s;
       CellVotes& votes = cells[cell];
@@ -458,12 +463,15 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
                             static_cast<std::uint64_t>(votes.survived));
       }
       if (telemetry != nullptr) {
-        std::string label = mechanisms[m].name;
-        label += '/';
-        label += seeds[s].fault_id;
-        telemetry->fold_trial(*fold_ids, std::move(label),
-                              std::move(cell_telemetry[cell]),
-                              /*keep_trace=*/true);
+        telemetry::TrialTelemetry& cell_sum = cell_telemetry[cell];
+        mechanism_sum.merge(cell_sum);
+        if (!cell_sum.spans.empty()) {
+          std::string label = mechanisms[m].name;
+          label += '/';
+          label += seeds[s].fault_id;
+          telemetry->traces.emplace_back(std::move(label),
+                                         std::move(cell_sum.spans));
+        }
       }
       if (votes.observed == 0) {
         ++report.vacuous;
@@ -476,6 +484,10 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
         if (votes.lost_state) ++report.state_losses;
       }
     }
+    if (telemetry != nullptr) {
+      telemetry::fold_into(mechanism_sum, mechanisms[m].name,
+                           telemetry->metrics);
+    }
     result.reports.push_back(std::move(report));
   }
   return result;
@@ -484,9 +496,9 @@ MatrixResult run_matrix(const std::vector<corpus::SeedFault>& seeds,
 OracleReport run_oracle_crosscheck(const std::vector<corpus::SeedFault>& seeds,
                                    const TrialConfig& base) {
   OracleReport report;
-  // One traced trial per seed, each with its own detector (analyze() is
-  // stateless, but per-trial instances keep the lanes share-nothing). Rows
-  // land in their seed's slot, so the report order never depends on timing.
+  // One traced trial per seed, which run_trial analyzes with a detector of
+  // its own, so the lanes share nothing. Rows land in their seed's slot, so
+  // the report order never depends on timing.
   report.rows = util::parallel_map<OracleRow>(
       seeds.size(), base.threads, [&](std::size_t idx) {
         const corpus::SeedFault& seed = seeds[idx];
@@ -507,14 +519,9 @@ OracleReport run_oracle_crosscheck(const std::vector<corpus::SeedFault>& seeds,
         row.label = corpus::seed_class(seed);
         row.trigger = seed.trigger;
         row.race_labeled = seed.trigger == core::Trigger::kRaceCondition;
-
-        analysis::RaceDetector detector;
-        const auto races = detector.analyze(
-            std::span<const env::TraceEvent>(observation.trace));
-        row.race_reports = races.size();
-        row.detector_fired = !races.empty();
-        row.invariant_violations =
-            analysis::check_transcript(observation.transcript).size();
+        row.race_reports = observation.races.size();
+        row.detector_fired = !observation.races.empty();
+        row.invariant_violations = observation.violations.size();
         return row;
       });
 

@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/invariant_checker.hpp"
+#include "analysis/race_detector.hpp"
 #include "core/aggregate.hpp"
 #include "env/trace.hpp"
 #include "forensics/postmortem.hpp"
@@ -61,19 +63,22 @@ struct TrialOutcome {
   std::optional<forensics::PostMortemRecord> postmortem;
 };
 
-/// What a traced trial leaves behind for the analysis layer: the resource
-/// transcript (invariant checking) and the synchronization-event trace
-/// (happens-before race detection).
+/// What a traced trial leaves behind: the resource transcript, the
+/// synchronization-event trace, and the analysis layer's verdicts on them,
+/// computed once when the trial ends — the happens-before detector's racy
+/// pairs (indices into `trace`) and the transcript's invariant violations.
 struct TrialObservation {
   Transcript transcript;
   std::vector<env::TraceEvent> trace;
+  std::vector<analysis::RaceReport> races;
+  std::vector<analysis::InvariantViolation> violations;
 };
 
 /// Runs one fault under one mechanism. With `observation` set, the trial
 /// runs traced: the environment's synchronization log is enabled and the
 /// harness records the resource-level transcript (descriptor and
 /// process-table deltas, disk writes, recovery windows) alongside the
-/// protocol events.
+/// protocol events; when the trial ends both detectors run over them.
 ///
 /// With any view of `sinks` attached, the trial binds the bus into the
 /// environment before anything happens, so every hook site — harness
@@ -87,7 +92,8 @@ struct TrialObservation {
 ///     does NOT survive, the runner snapshots the ring plus the
 ///     environment's resource state into `TrialOutcome::postmortem` and
 ///     reconstructs the causal chain (forensics/postmortem.hpp). Traced
-///     trials also get detector verdicts folded into the detection stage;
+///     trials also get the detector verdict counts folded into the
+///     detection stage;
 ///   * coverage: one probe count per crossed probe.
 TrialOutcome run_trial(const inject::InjectionPlan& plan,
                        recovery::Mechanism& mechanism,

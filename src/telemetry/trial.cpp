@@ -18,57 +18,37 @@ void TrialTelemetry::reset() noexcept {
   spans.reset();
 }
 
-FoldIds::FoldIds(std::string_view mechanism)
-    : mechanism_(mechanism.empty() ? "trial" : mechanism) {
-  counters_.fill(kUnresolved);
-}
-
-void fold_into(const TrialTelemetry& trial, FoldIds& ids,
+void fold_into(const TrialTelemetry& trial, std::string_view mechanism,
                MetricsRegistry& registry) {
   constexpr std::string_view kRecovery = "recovery/";
+  const std::string mech(mechanism.empty() ? "trial" : mechanism);
   for (std::size_t i = 0; i < kNumCounters; ++i) {
     const CounterDef& def = kCounters[i];
     const std::uint64_t value = trial.counters[i];
     if (def.fold == Fold::kSum && value == 0) continue;
-    std::uint32_t& id = ids.counters_[i];
-    if (id == FoldIds::kUnresolved) {
-      std::string name(def.name);
-      if (name.starts_with(kRecovery)) {
-        name.insert(kRecovery.size(), ids.mechanism_ + '/');
-      }
-      id = def.fold == Fold::kPeak ? registry.gauge(name).index
-                                   : registry.counter(name).index;
+    std::string name(def.name);
+    if (name.starts_with(kRecovery)) {
+      name.insert(kRecovery.size(), mech + '/');
     }
     if (def.fold == Fold::kPeak) {
-      registry.peak({id}, static_cast<std::int64_t>(value));
+      registry.peak(registry.gauge(name), static_cast<std::int64_t>(value));
     } else {
-      registry.add({id}, value);
+      registry.add(registry.counter(name), value);
     }
   }
 
   const auto fold_histogram = [&](const TickHistogram& h,
-                                  std::optional<HistogramId>& id,
                                   std::string_view prefix,
                                   std::string_view suffix) {
     if (h.empty()) return;
-    if (!id.has_value()) {
-      std::string name(prefix);
-      name += ids.mechanism_;
-      name += suffix;
-      id = registry.histogram(name, kTickBounds);
-    }
-    registry.merge_histogram(*id, h.to_histogram());
+    std::string name(prefix);
+    name += mech;
+    name += suffix;
+    registry.merge_histogram(registry.histogram(name, kTickBounds),
+                             h.to_histogram());
   };
-  fold_histogram(trial.recovery_latency_ticks, ids.recovery_latency_,
-                 "recovery/", "/latency_ticks");
-  fold_histogram(trial.item_latency_ticks, ids.item_latency_, "trial/",
-                 "/item_latency_ticks");
-}
-
-void fold_into(const TrialTelemetry& trial, std::string_view mechanism,
-               MetricsRegistry& registry) {
-  FoldIds ids(mechanism);
-  fold_into(trial, ids, registry);
+  fold_histogram(trial.recovery_latency_ticks, "recovery/", "/latency_ticks");
+  fold_histogram(trial.item_latency_ticks, "trial/", "/item_latency_ticks");
 }
 
 void fold_pool_stats(const util::PoolStats& stats, std::string_view prefix,
@@ -116,14 +96,6 @@ void fold_pool_stats(const util::PoolStats& stats, std::string_view prefix,
               std::move(bounds),
               std::vector<std::uint64_t>(latency.begin(), latency.end()),
               static_cast<std::int64_t>(micros)));
-}
-
-void StudyTelemetry::fold_trial(FoldIds& ids, std::string trace_label,
-                                TrialTelemetry&& trial, bool keep_trace) {
-  fold_into(trial, ids, metrics);
-  if (keep_trace && !trial.spans.empty()) {
-    traces.emplace_back(std::move(trace_label), std::move(trial.spans));
-  }
 }
 
 }  // namespace faultstudy::telemetry

@@ -11,7 +11,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -44,50 +43,22 @@ struct TrialTelemetry {
   bool operator==(const TrialTelemetry&) const = default;
 };
 
-/// The registry ids fold_into resolves for one mechanism's metrics. A
-/// metric is registered (and its name built) the first time a fold exports
-/// it, exactly when a fresh fold_into would register it; later folds of
-/// the same mechanism bump the cached id. Bound to one registry.
-class FoldIds {
- public:
-  explicit FoldIds(std::string_view mechanism);
-
- private:
-  friend void fold_into(const TrialTelemetry& trial, FoldIds& ids,
-                        MetricsRegistry& registry);
-
-  static constexpr std::uint32_t kUnresolved = UINT32_MAX;
-
-  std::string mechanism_;
-  std::array<std::uint32_t, kNumCounters> counters_;
-  std::optional<HistogramId> recovery_latency_;
-  std::optional<HistogramId> item_latency_;
-};
-
-/// Registers and bumps registry metrics from one trial's aggregates, one
-/// kCounters row at a time. Resource and app counters fold into global
-/// `env/...` and `app/...` metrics; recovery counters and latency histograms
-/// fold under `recovery/<mechanism>/...` so per-mechanism behavior stays
-/// visible. Sums are registered only when non-zero, peaks always.
-void fold_into(const TrialTelemetry& trial, FoldIds& ids,
-               MetricsRegistry& registry);
-/// The same for a single trial, resolving every id afresh.
+/// Registers and bumps registry metrics from one trial's aggregates (or a
+/// sum of them), one kCounters row at a time. Resource and app counters
+/// fold into global `env/...` and `app/...` metrics; recovery counters and
+/// latency histograms fold under `recovery/<mechanism>/...` so
+/// per-mechanism behavior stays visible. Sums are registered only when
+/// non-zero, peaks always.
 void fold_into(const TrialTelemetry& trial, std::string_view mechanism,
                MetricsRegistry& registry);
 
 /// The study-wide aggregate the CLI exports: a metrics registry plus the
 /// sim-domain traces worth keeping (one representative trial per matrix
-/// cell — full traces for every repeat would dwarf the results).
+/// cell — full traces for every repeat would dwarf the results), each
+/// labeled "mechanism/fault-id" for the Chrome export's thread names.
 struct StudyTelemetry {
   MetricsRegistry metrics;
   std::vector<std::pair<std::string, SpanTracer>> traces;
-
-  /// Folds one trial of the mechanism `ids` belongs to (ids bound to
-  /// `metrics`). `trace_label` names the trace thread in the Chrome export
-  /// (e.g. "rollback_retry/web-fd-leak"); pass keep_trace = false to fold
-  /// metrics only.
-  void fold_trial(FoldIds& ids, std::string trace_label,
-                  TrialTelemetry&& trial, bool keep_trace);
 };
 
 /// Wall-domain self-profile of a mining pipeline run: steady-clock stage

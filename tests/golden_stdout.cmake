@@ -1,14 +1,18 @@
 # Runs BINARY with the optional argument list ARGS, writes its stdout to
-# ACTUAL and fails unless ACTUAL equals GOLDEN byte for byte. Usage:
-#   cmake -DBINARY=<exe> ["-DARGS=<arg>;<arg>..."] -DGOLDEN=<file>
-#         -DACTUAL=<file> -P golden_stdout.cmake
+# ACTUAL and fails unless BINARY exits with EXIT (default 0) and ACTUAL
+# equals GOLDEN byte for byte. Usage:
+#   cmake -DBINARY=<exe> ["-DARGS=<arg>;<arg>..."] [-DEXIT=<code>]
+#         -DGOLDEN=<file> -DACTUAL=<file> -P golden_stdout.cmake
 # A deliberate output change is re-blessed by copying ACTUAL over GOLDEN.
+if(NOT DEFINED EXIT)
+  set(EXIT 0)
+endif()
 list(JOIN ARGS " " shown)
 execute_process(COMMAND ${BINARY} ${ARGS}
   OUTPUT_FILE ${ACTUAL}
   RESULT_VARIABLE status)
-if(NOT status EQUAL 0)
-  message(FATAL_ERROR "${BINARY} ${shown} exited with ${status}")
+if(NOT status EQUAL EXIT)
+  message(FATAL_ERROR "${BINARY} ${shown} exited with ${status}, not ${EXIT}")
 endif()
 execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${ACTUAL} ${GOLDEN}
   RESULT_VARIABLE differs)

@@ -275,21 +275,23 @@ std::vector<telemetry::TrialTelemetry> trial_telemetry(std::size_t count) {
   return trials;
 }
 
-TEST(TelemetryFold, CachedIdsMatchFreshFolds) {
-  // One FoldIds across many trials registers each metric when a fresh
-  // fold_into would: a silent first trial registers only the peaks, and a
-  // counter first moved by a later trial appears only then.
-  std::vector<telemetry::TrialTelemetry> trials = trial_telemetry(12);
-  trials.insert(trials.begin(), telemetry::TrialTelemetry{});
-  telemetry::MetricsRegistry cached;
-  telemetry::MetricsRegistry fresh;
-  telemetry::FoldIds ids("process-pairs");
-  for (const auto& trial : trials) {
-    telemetry::fold_into(trial, ids, cached);
-    telemetry::fold_into(trial, "process-pairs", fresh);
-    EXPECT_EQ(cached.snapshot(), fresh.snapshot());
+TEST(TelemetryFold, MechanismSumMatchesPerCellFolds) {
+  // run_matrix merges a mechanism's cells into one sum and folds it once;
+  // that must register and bump exactly what folding every cell afresh
+  // does: a silent cell registers only the peaks, a counter moved by one
+  // cell appears once, and histogram merges add up.
+  std::vector<telemetry::TrialTelemetry> cells = trial_telemetry(12);
+  cells.insert(cells.begin(), telemetry::TrialTelemetry{});
+  telemetry::TrialTelemetry sum;
+  telemetry::MetricsRegistry per_cell;
+  for (const auto& cell : cells) {
+    sum.merge(cell);
+    telemetry::fold_into(cell, "process-pairs", per_cell);
   }
-  EXPECT_FALSE(cached.snapshot().histograms.empty());
+  telemetry::MetricsRegistry once;
+  telemetry::fold_into(sum, "process-pairs", once);
+  EXPECT_EQ(once.snapshot(), per_cell.snapshot());
+  EXPECT_FALSE(once.snapshot().histograms.empty());
 }
 
 TEST(TrialTelemetry, ResetLaneTelemetryEqualsAFreshOne) {
