@@ -95,7 +95,6 @@ const std::vector<sql::Statement>* cached_statements(std::string_view sql,
 struct Database::DbSnapshot : Snapshot {
   BaseState base;
   sql::Engine engine;  // full catalog + data + lock state
-  std::uint64_t queries = 0;
 };
 
 Database::Database(const DatabaseConfig& config)
@@ -153,7 +152,6 @@ bool Database::start(env::Environment& e) {
     return false;
   }
   create_catalog();
-  queries_ = 0;
   return true;
 }
 
@@ -206,7 +204,6 @@ StepResult Database::handle(const WorkItem& item, env::Environment& e) {
   }
 
   e.advance(1);
-  ++queries_;
   ++state_.items_handled;
   e.emit(obs::Event::kDbQuery);
   return {};
@@ -218,7 +215,6 @@ SnapshotPtr Database::snapshot() const {
   auto snap = std::make_shared<DbSnapshot>();
   snap->base = state_;
   snap->engine = engine_;
-  snap->queries = queries_;
   return snap;
 }
 
@@ -227,7 +223,6 @@ bool Database::restore(const SnapshotPtr& snapshot, env::Environment& e) {
   if (snap == nullptr) return false;
   if (!base_restore(snap->base, e)) return false;
   engine_ = snap->engine;
-  queries_ = snap->queries;
   e.network().release_ports_of("mysqld");
   if (!e.network().bind_port(config_.listen_port, "mysqld")) {
     running_ = false;

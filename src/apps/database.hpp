@@ -68,7 +68,6 @@ class Database final : public BaseApp {
   sql::ExecResult execute(std::string_view sql);
 
   std::uint64_t rows(const std::string& table) const;
-  std::uint64_t queries_executed() const noexcept { return queries_; }
   const sql::Engine& engine() const noexcept { return engine_; }
 
  private:
@@ -77,7 +76,6 @@ class Database final : public BaseApp {
 
   DatabaseConfig config_;
   sql::Engine engine_;
-  std::uint64_t queries_ = 0;
 };
 
 }  // namespace faultstudy::apps

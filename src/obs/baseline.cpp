@@ -27,12 +27,6 @@ std::uint64_t StudySnapshot::probes_hit() const noexcept {
   return n;
 }
 
-std::uint64_t StudySnapshot::blind_spot_count() const noexcept {
-  std::uint64_t n = 0;
-  for (const ProbeRow& p : probes) n += p.hits == 0 ? 1 : 0;
-  return n;
-}
-
 std::uint64_t StudySnapshot::cells_covered() const noexcept {
   std::uint64_t n = 0;
   for (const ProbeRow& p : probes) {

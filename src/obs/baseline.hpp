@@ -85,7 +85,6 @@ struct StudySnapshot {
 
   // --- derived summaries (recomputed, not stored) ---
   std::uint64_t probes_hit() const noexcept;
-  std::uint64_t blind_spot_count() const noexcept;
   std::uint64_t cells_covered() const noexcept;
 
   bool operator==(const StudySnapshot&) const = default;

@@ -74,11 +74,6 @@ std::vector<std::int64_t> default_tick_bounds() {
   return {kTickBounds.begin(), kTickBounds.end()};
 }
 
-std::vector<std::int64_t> default_micros_bounds() {
-  return {1,    2,    5,     10,    20,    50,     100,    200,
-          500,  1000, 2000,  5000,  10000, 20000,  50000,  100000};
-}
-
 CounterId MetricsRegistry::counter(std::string_view name) {
   const auto it = counter_ids_.find(name);
   if (it != counter_ids_.end()) return {it->second};

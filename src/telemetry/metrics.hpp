@@ -106,8 +106,6 @@ class TickHistogram {
 
 /// kTickBounds as a Histogram's bounds.
 std::vector<std::int64_t> default_tick_bounds();
-/// Wall-clock self-profiling latencies in microseconds.
-std::vector<std::int64_t> default_micros_bounds();
 
 /// An immutable, name-sorted view of a registry — the unit of export and
 /// of determinism comparisons (threads=1 and threads=N must produce equal

@@ -281,11 +281,6 @@ std::int64_t Value::int_or(std::string_view key, std::int64_t fallback) const {
                                                          : fallback;
 }
 
-double Value::number_or(std::string_view key, double fallback) const {
-  const Value* v = find(key);
-  return v != nullptr && v->is_number() ? v->number : fallback;
-}
-
 std::string Value::string_or(std::string_view key, std::string fallback) const {
   const Value* v = find(key);
   return v != nullptr && v->is_string() ? v->str : std::move(fallback);

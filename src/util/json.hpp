@@ -46,7 +46,6 @@ class Value {
 
   /// Convenience accessors with defaults for optional members.
   std::int64_t int_or(std::string_view key, std::int64_t fallback) const;
-  double number_or(std::string_view key, double fallback) const;
   std::string string_or(std::string_view key, std::string fallback) const;
 };
 
