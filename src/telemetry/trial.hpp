@@ -9,7 +9,6 @@
 // is bit-identical for every thread count.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
