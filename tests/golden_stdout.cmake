@@ -4,7 +4,7 @@
 #   cmake -DBINARY=<exe> ["-DARGS=<arg>;<arg>..."] [-DEXIT=<code>]
 #         -DGOLDEN=<file> -DACTUAL=<file> -P golden_stdout.cmake
 # A deliberate output change is re-blessed by copying ACTUAL over GOLDEN.
-if(NOT DEFINED EXIT)
+if(NOT EXIT)
   set(EXIT 0)
 endif()
 list(JOIN ARGS " " shown)
