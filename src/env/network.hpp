@@ -24,7 +24,6 @@ class Network {
     card_present_ = false;
     obs::emit(sinks_, obs::Event::kCardRemoved);
   }
-  void insert_card() noexcept { card_present_ = true; }
 
   /// Port binding. A port bound by one owner cannot be bound by another
   /// until released.

@@ -35,7 +35,6 @@ class Value {
   /// Insertion-ordered members (canonical writers emit a fixed order).
   std::vector<std::pair<std::string, Value>> object;
 
-  bool is_null() const noexcept { return kind == Kind::kNull; }
   bool is_object() const noexcept { return kind == Kind::kObject; }
   bool is_array() const noexcept { return kind == Kind::kArray; }
   bool is_string() const noexcept { return kind == Kind::kString; }

@@ -52,10 +52,6 @@ class [[nodiscard]] Result {
     return std::get<1>(payload_);
   }
 
-  T value_or(T fallback) const& {
-    return ok() ? std::get<0>(payload_) : std::move(fallback);
-  }
-
   /// Applies `fn` to the success value, propagating errors unchanged.
   template <typename Fn>
   auto map(Fn&& fn) const& -> Result<decltype(fn(std::declval<const T&>())), E> {

@@ -67,17 +67,4 @@ int Rng::geometric(double p) noexcept {
   return n;
 }
 
-std::size_t Rng::weighted_pick(std::span<const double> weights) noexcept {
-  double total = 0.0;
-  for (double w : weights) total += w > 0.0 ? w : 0.0;
-  if (total <= 0.0) return weights.size();
-  double target = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    const double w = weights[i] > 0.0 ? weights[i] : 0.0;
-    if (target < w) return i;
-    target -= w;
-  }
-  return weights.size() - 1;  // floating-point slack lands on the last bin
-}
-
 }  // namespace faultstudy::util

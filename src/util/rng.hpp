@@ -13,7 +13,6 @@
 #include <limits>
 #include <span>
 #include <string_view>
-#include <vector>
 
 namespace faultstudy::util {
 
@@ -123,24 +122,10 @@ class Rng {
   /// Geometric: number of failures before first success, success prob p.
   int geometric(double p) noexcept;
 
-  /// Picks an index from a discrete distribution given by non-negative
-  /// weights; returns weights.size() if all weights are zero.
-  std::size_t weighted_pick(std::span<const double> weights) noexcept;
-
   /// Uniformly picks one element of a non-empty span.
   template <typename T>
   const T& pick(std::span<const T> items) noexcept {
     return items[static_cast<std::size_t>(below(items.size()))];
-  }
-
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& items) noexcept {
-    if (items.size() < 2) return;
-    for (std::size_t i = items.size() - 1; i > 0; --i) {
-      using std::swap;
-      swap(items[i], items[static_cast<std::size_t>(below(i + 1))]);
-    }
   }
 
   /// Derives an independent child stream (used to give each subsystem its

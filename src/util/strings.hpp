@@ -14,14 +14,9 @@ namespace faultstudy::util {
 /// Splits on a single separator character; empty fields are preserved.
 std::vector<std::string_view> split(std::string_view s, char sep);
 
-/// Splits on any run of ASCII whitespace; no empty fields.
-std::vector<std::string_view> split_ws(std::string_view s);
-
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
 std::string_view trim(std::string_view s);
-
-std::string to_lower(std::string_view s);
 
 bool starts_with(std::string_view s, std::string_view prefix);
 bool ends_with(std::string_view s, std::string_view suffix);

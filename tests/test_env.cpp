@@ -218,8 +218,6 @@ TEST(Network, CardRemoval) {
   EXPECT_TRUE(net.card_present());
   net.remove_card();
   EXPECT_FALSE(net.card_present());
-  net.insert_card();
-  EXPECT_TRUE(net.card_present());
 }
 
 TEST(Network, PortOwnership) {

@@ -344,7 +344,7 @@ TEST(UtilJson, ParsesNestedDocuments) {
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(b->string_or("c", ""), "x\n\"y\"");
   EXPECT_TRUE(doc.find("t")->boolean);
-  EXPECT_TRUE(doc.find("n")->is_null());
+  EXPECT_EQ(doc.find("n")->kind, util::json::Value::Kind::kNull);
 }
 
 TEST(UtilJson, RejectsMalformedDocuments) {
