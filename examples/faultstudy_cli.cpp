@@ -20,7 +20,8 @@
 // `--threads N` (anywhere on the command line) sets the lanes of every
 // sweep; the matrix, oracle and sweep results and every matrix/simulate
 // export (simulated-tick traces included) are byte-identical for any N.
-// `mine --trace` is a wall-clock self-profile.
+// `mine` prints its study only; the export flags apply to matrix/simulate.
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -106,9 +107,10 @@ int usage() {
       "  --seed N           base trial seed for simulate/matrix\n"
       "  --repeats R        simulate: add a stability sweep of R seeded "
       "trials\n"
-      "  --telemetry=PATH   write a metrics snapshot (.json = JSON, else "
-      "Prometheus text)\n"
-      "  --trace=PATH       write a Chrome trace_event timeline\n"
+      "  --telemetry=PATH   matrix/simulate: write a metrics snapshot "
+      "(.json = JSON, else Prometheus text)\n"
+      "  --trace=PATH       matrix/simulate: write a Chrome trace_event "
+      "timeline\n"
       "  --coverage=PATH    matrix/simulate: write the coverage atlas "
       "(.json = JSON, .html = heatmap, else text)\n"
       "  --forensics=PATH   matrix: write the post-mortems (.json = dump, "
@@ -364,10 +366,8 @@ void print_study(const mining::PipelineResult& result) {
 }
 
 int cmd_mine(const std::string& target) {
-  telemetry::PipelineTelemetry profile;
   mining::PipelineOptions options;
   options.threads = g_threads;
-  if (telemetry_wanted()) options.telemetry = &profile;
   std::printf("mine: target=%s threads=%zu\n", target.c_str(),
               util::resolve_threads(g_threads));
 
@@ -401,11 +401,6 @@ int cmd_mine(const std::string& target) {
     }
   }
   print_study(*result);
-  if (options.telemetry != nullptr &&
-      !export_telemetry(profile.metrics.snapshot(),
-                        {{"mine (wall)", &profile.spans}})) {
-    return 1;
-  }
   return 0;
 }
 
@@ -685,11 +680,15 @@ int cmd_diff(const std::string& baseline_path,
 }
 
 /// A whole argument as a non-negative decimal integer; trailing
-/// characters (`4abc`) make it invalid.
+/// characters (`4abc`) or a value past the range of long long make it
+/// invalid.
 std::optional<long long> parse_count(const char* text) {
   char* end = nullptr;
+  errno = 0;
   const long long n = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || n < 0) return std::nullopt;
+  if (end == text || *end != '\0' || errno == ERANGE || n < 0) {
+    return std::nullopt;
+  }
   return n;
 }
 

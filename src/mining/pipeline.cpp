@@ -5,8 +5,6 @@
 
 #include "corpus/seeds.hpp"
 #include "corpus/synth.hpp"
-#include "telemetry/span.hpp"
-#include "telemetry/trial.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
@@ -76,62 +74,13 @@ DedupParams dedup_params(const PipelineOptions& options) {
   return params;
 }
 
-/// Routes the pipeline's transient pools into the profile sink for the
-/// duration of a run; restores the previous sink on exit.
-class AmbientStatsScope {
- public:
-  explicit AmbientStatsScope(util::PoolStats* stats)
-      : previous_(util::ambient_pool_stats()) {
-    if (stats != nullptr) util::set_ambient_pool_stats(stats);
-  }
-  ~AmbientStatsScope() { util::set_ambient_pool_stats(previous_); }
-
-  AmbientStatsScope(const AmbientStatsScope&) = delete;
-  AmbientStatsScope& operator=(const AmbientStatsScope&) = delete;
-
- private:
-  util::PoolStats* previous_;
-};
-
-/// Folds the run's funnel and output counts, plus its executor profile,
-/// into the profile's registry.
-void fold_pipeline_metrics(const PipelineResult& result,
-                           telemetry::PipelineTelemetry& telem) {
-  telemetry::MetricsRegistry& m = telem.metrics;
-  const auto add = [&](std::string_view name, std::uint64_t n) {
-    if (n > 0) m.add(m.counter(name), n);
-  };
-  const FilterFunnel& f = result.filter_funnel;
-  add("mine/filter/total", f.total);
-  add("mine/filter/runtime", f.runtime);
-  add("mine/filter/production", f.production);
-  add("mine/filter/severe", f.severe);
-  const KeywordFunnel& k = result.keyword_funnel;
-  add("mine/keyword/messages", k.total_messages);
-  add("mine/keyword/hits", k.keyword_hits);
-  add("mine/keyword/report_shaped", k.report_shaped);
-  add("mine/keyword/threads", k.threads);
-  add("mine/clusters", result.clusters);
-  add("mine/unique_bugs", result.bugs.size());
-  telemetry::fold_pool_stats(telem.pool, "mine/pool", m);
-}
-
 }  // namespace
 
 PipelineResult run_tracker_pipeline(const corpus::BugTracker& tracker,
                                     const PipelineOptions& options) {
   PipelineResult result;
-  telemetry::SpanTracer* tracer =
-      options.telemetry != nullptr ? &options.telemetry->spans : nullptr;
-  const AmbientStatsScope profile(
-      options.telemetry != nullptr ? &options.telemetry->pool : nullptr);
-  TELEM_SPAN(tracer, "mine/tracker");
-
-  std::vector<corpus::BugReport> candidates;
-  {
-    TELEM_SPAN(tracer, "mine/filter");
-    candidates = study_candidates(tracker, &result.filter_funnel);
-  }
+  const std::vector<corpus::BugReport> candidates =
+      study_candidates(tracker, &result.filter_funnel);
 
   std::vector<DedupDoc> docs;
   docs.reserve(candidates.size());
@@ -141,16 +90,11 @@ PipelineResult run_tracker_pipeline(const corpus::BugTracker& tracker,
     d.text = r.text.title + ' ' + r.text.how_to_repeat + ' ' + r.text.body;
     docs.push_back(std::move(d));
   }
-  std::vector<std::vector<std::size_t>> clusters;
-  {
-    TELEM_SPAN(tracer, "mine/dedup");
-    clusters = cluster_documents(docs, dedup_params(options));
-  }
+  const auto clusters = cluster_documents(docs, dedup_params(options));
   result.clusters = clusters.size();
 
   // Each cluster's merge + classification is independent; bugs land in
   // their cluster's slot, keeping output order identical to the serial run.
-  TELEM_SPAN(tracer, "mine/classify");
   const core::RuleClassifier classifier(options.policy);
   result.bugs = util::parallel_map<UniqueBug>(
       clusters.size(), options.threads, [&](std::size_t ci) {
@@ -199,27 +143,14 @@ PipelineResult run_tracker_pipeline(const corpus::BugTracker& tracker,
     }
     return bug;
   });
-  if (options.telemetry != nullptr) {
-    fold_pipeline_metrics(result, *options.telemetry);
-  }
   return result;
 }
 
 PipelineResult run_mailinglist_pipeline(const corpus::MailingList& list,
                                         const PipelineOptions& options) {
   PipelineResult result;
-  telemetry::SpanTracer* tracer =
-      options.telemetry != nullptr ? &options.telemetry->spans : nullptr;
-  const AmbientStatsScope profile(
-      options.telemetry != nullptr ? &options.telemetry->pool : nullptr);
-  TELEM_SPAN(tracer, "mine/mailinglist");
-
-  std::vector<MinedThread> threads;
-  {
-    TELEM_SPAN(tracer, "mine/keyword");
-    threads = mine_threads(list, study_keywords(), &result.keyword_funnel,
-                           options.threads);
-  }
+  const std::vector<MinedThread> threads = mine_threads(
+      list, study_keywords(), &result.keyword_funnel, options.threads);
 
   std::vector<DedupDoc> docs;
   docs.reserve(threads.size());
@@ -229,17 +160,12 @@ PipelineResult run_mailinglist_pipeline(const corpus::MailingList& list,
     d.text = threads[i].root.subject + ' ' + threads[i].root.body;
     docs.push_back(std::move(d));
   }
-  std::vector<std::vector<std::size_t>> clusters;
-  {
-    TELEM_SPAN(tracer, "mine/dedup");
-    clusters = cluster_documents(docs, dedup_params(options));
-  }
+  const auto clusters = cluster_documents(docs, dedup_params(options));
   result.clusters = clusters.size();
 
   // Fan out per cluster as in the tracker path; clusters whose version is
   // not a known production release come back with bucket < 0 and are
   // dropped by the serial, cluster-ordered filter below.
-  TELEM_SPAN(tracer, "mine/classify");
   const core::RuleClassifier classifier(options.policy);
   auto bugs = util::parallel_map<UniqueBug>(
       clusters.size(), options.threads, [&](std::size_t ci) {
@@ -289,9 +215,6 @@ PipelineResult run_mailinglist_pipeline(const corpus::MailingList& list,
   result.bugs.reserve(bugs.size());
   for (auto& bug : bugs) {
     if (bug.bucket >= 0) result.bugs.push_back(std::move(bug));
-  }
-  if (options.telemetry != nullptr) {
-    fold_pipeline_metrics(result, *options.telemetry);
   }
   return result;
 }

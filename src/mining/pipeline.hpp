@@ -23,10 +23,6 @@
 #include "mining/filters.hpp"
 #include "mining/keyword_search.hpp"
 
-namespace faultstudy::telemetry {
-struct PipelineTelemetry;
-}  // namespace faultstudy::telemetry
-
 namespace faultstudy::mining {
 
 /// One unique bug after deduplication, with its classification.
@@ -59,11 +55,6 @@ struct PipelineOptions {
   /// identical for every thread count.
   /// Also used for dedup when `dedup.threads` is 0.
   std::size_t threads = 0;
-  /// Optional wall-domain self-profile: steady-clock stage spans, funnel
-  /// counters, and executor stats for the pipeline's sweeps. Profiling only
-  /// observes — mined results are identical with or without it — and wall
-  /// times never enter determinism comparisons.
-  telemetry::PipelineTelemetry* telemetry = nullptr;
 };
 
 /// Apache/GNOME path. GNOME buckets by report date (the modules release

@@ -6,48 +6,6 @@
 
 namespace faultstudy::telemetry {
 
-Histogram::Histogram(std::vector<std::int64_t> bounds)
-    : bounds_(std::move(bounds)), counts_(bounds_.size() + 1, 0) {}
-
-void Histogram::observe(std::int64_t value) noexcept {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
-  ++count_;
-  sum_ += value;
-}
-
-void Histogram::merge(const Histogram& other) {
-  if (other.count_ == 0) return;
-  if (counts_.empty()) {
-    *this = other;
-    return;
-  }
-  // Mismatched bucket layouts cannot be merged losslessly; fold the other
-  // histogram's overflow-safe summary into ours instead of corrupting
-  // buckets (callers register shared bounds, so this is a fallback).
-  if (bounds_ == other.bounds_) {
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      counts_[i] += other.counts_[i];
-    }
-  } else {
-    counts_.back() += other.count_;
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
-Histogram Histogram::from_buckets(std::vector<std::int64_t> bounds,
-                                  std::vector<std::uint64_t> buckets,
-                                  std::int64_t sum) {
-  Histogram h(std::move(bounds));
-  if (buckets.size() == h.counts_.size()) {
-    h.counts_ = std::move(buckets);
-    for (const std::uint64_t c : h.counts_) h.count_ += c;
-    h.sum_ = sum;
-  }
-  return h;
-}
-
 void TickHistogram::observe(std::int64_t value) noexcept {
   const auto it = std::lower_bound(kTickBounds.begin(), kTickBounds.end(),
                                    value);
@@ -62,16 +20,6 @@ void TickHistogram::merge(const TickHistogram& other) noexcept {
   }
   count_ += other.count_;
   sum_ += other.sum_;
-}
-
-Histogram TickHistogram::to_histogram() const {
-  return Histogram::from_buckets(
-      default_tick_bounds(),
-      std::vector<std::uint64_t>(counts_.begin(), counts_.end()), sum_);
-}
-
-std::vector<std::int64_t> default_tick_bounds() {
-  return {kTickBounds.begin(), kTickBounds.end()};
 }
 
 CounterId MetricsRegistry::counter(std::string_view name) {
@@ -92,14 +40,11 @@ GaugeId MetricsRegistry::gauge(std::string_view name) {
   return {index};
 }
 
-HistogramId MetricsRegistry::histogram(std::string_view name,
-                                       std::span<const std::int64_t> bounds) {
+HistogramId MetricsRegistry::histogram(std::string_view name) {
   const auto it = histogram_ids_.find(name);
   if (it != histogram_ids_.end()) return {it->second};
   const auto index = static_cast<std::uint32_t>(histograms_.size());
-  histograms_.push_back(
-      {std::string(name),
-       Histogram(std::vector<std::int64_t>(bounds.begin(), bounds.end()))});
+  histograms_.push_back({std::string(name), {}});
   histogram_ids_.emplace(histograms_.back().name, index);
   return {index};
 }
@@ -116,7 +61,8 @@ void MetricsRegistry::peak(GaugeId id, std::int64_t value) noexcept {
   }
 }
 
-void MetricsRegistry::merge_histogram(HistogramId id, const Histogram& h) {
+void MetricsRegistry::merge_histogram(HistogramId id,
+                                      const TickHistogram& h) {
   histograms_[id.index].histogram.merge(h);
 }
 
@@ -128,9 +74,13 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   for (const auto& m : gauges_) snap.gauges.push_back({m.name, m.high});
   snap.histograms.reserve(histograms_.size());
   for (const auto& m : histograms_) {
-    const Histogram& h = m.histogram;
+    const TickHistogram& h = m.histogram;
     snap.histograms.push_back(
-        {m.name, h.bounds(), h.buckets(), h.count(), h.sum()});
+        {m.name,
+         {kTickBounds.begin(), kTickBounds.end()},
+         {h.buckets().begin(), h.buckets().end()},
+         h.count(),
+         h.sum()});
   }
   const auto by_name = [](const auto& a, const auto& b) {
     return a.name < b.name;

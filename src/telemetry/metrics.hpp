@@ -19,7 +19,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -39,59 +38,25 @@ struct HistogramId {
   std::uint32_t index = 0;
 };
 
-/// Standalone fixed-bucket histogram (also usable outside a registry, e.g.
-/// per-trial latency tracking folded into a registry afterwards). Bounds
-/// are inclusive upper edges; one overflow bucket catches the rest.
-class Histogram {
- public:
-  Histogram() = default;
-  explicit Histogram(std::vector<std::int64_t> bounds);
-
-  void observe(std::int64_t value) noexcept;
-  void merge(const Histogram& other);
-
-  /// Reconstructs a histogram from pre-counted buckets (e.g. converting a
-  /// util::PoolStats lane profile); `buckets` must have bounds.size() + 1
-  /// entries and `sum` is the caller's total of observed values.
-  static Histogram from_buckets(std::vector<std::int64_t> bounds,
-                                std::vector<std::uint64_t> buckets,
-                                std::int64_t sum);
-
-  const std::vector<std::int64_t>& bounds() const noexcept { return bounds_; }
-  /// bounds().size() + 1 entries; the last is the overflow bucket.
-  const std::vector<std::uint64_t>& buckets() const noexcept {
-    return counts_;
-  }
-  std::uint64_t count() const noexcept { return count_; }
-  std::int64_t sum() const noexcept { return sum_; }
-  bool empty() const noexcept { return count_ == 0; }
-
-  bool operator==(const Histogram&) const = default;
-
- private:
-  std::vector<std::int64_t> bounds_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t count_ = 0;
-  std::int64_t sum_ = 0;
-};
-
 /// Inclusive upper bucket edges for recovery/item latencies in simulated
 /// ticks.
 inline constexpr std::array<std::int64_t, 14> kTickBounds = {
     0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384};
 
-/// A Histogram over kTickBounds kept in fixed arrays, so observing,
-/// merging and resetting never allocate. A trial records its latencies
-/// here; to_histogram() builds the registry form when the trial is folded.
+/// A fixed-bucket histogram over kTickBounds: bounds are inclusive upper
+/// edges and one overflow bucket catches the rest. Kept in fixed arrays, so
+/// observing, merging and resetting never allocate. A trial records its
+/// latencies here and the registry sums them when the trial is folded.
 class TickHistogram {
  public:
+  /// kTickBounds.size() + 1 entries; the last is the overflow bucket.
+  using Buckets = std::array<std::uint64_t, kTickBounds.size() + 1>;
+
   void observe(std::int64_t value) noexcept;
   void merge(const TickHistogram& other) noexcept;
   void reset() noexcept { *this = TickHistogram{}; }
 
-  /// Equal to Histogram(default_tick_bounds()) fed the same values.
-  Histogram to_histogram() const;
-
+  const Buckets& buckets() const noexcept { return counts_; }
   std::uint64_t count() const noexcept { return count_; }
   std::int64_t sum() const noexcept { return sum_; }
   bool empty() const noexcept { return count_ == 0; }
@@ -99,13 +64,10 @@ class TickHistogram {
   bool operator==(const TickHistogram&) const = default;
 
  private:
-  std::array<std::uint64_t, kTickBounds.size() + 1> counts_{};
+  Buckets counts_{};
   std::uint64_t count_ = 0;
   std::int64_t sum_ = 0;
 };
-
-/// kTickBounds as a Histogram's bounds.
-std::vector<std::int64_t> default_tick_bounds();
 
 /// An immutable, name-sorted view of a registry — the unit of export and
 /// of determinism comparisons (threads=1 and threads=N must produce equal
@@ -145,15 +107,13 @@ class MetricsRegistry {
   // --- registration (returns the existing id on re-use) ---
   CounterId counter(std::string_view name);
   GaugeId gauge(std::string_view name);
-  /// `bounds` is copied only when `name` is new.
-  HistogramId histogram(std::string_view name,
-                        std::span<const std::int64_t> bounds);
+  HistogramId histogram(std::string_view name);
 
   // --- writers ---
   void add(CounterId id, std::uint64_t n = 1) noexcept;
   /// Raises the gauge's high-watermark.
   void peak(GaugeId id, std::int64_t value) noexcept;
-  void merge_histogram(HistogramId id, const Histogram& h);
+  void merge_histogram(HistogramId id, const TickHistogram& h);
 
   // --- export ---
   /// Every metric, sorted by name.
@@ -171,7 +131,7 @@ class MetricsRegistry {
   };
   struct HistMetric {
     std::string name;
-    Histogram histogram;
+    TickHistogram histogram;
   };
 
   /// Name -> index, looked up by string_view without building a string.

@@ -3,13 +3,7 @@
 namespace faultstudy::telemetry {
 
 std::int64_t SpanTracer::now() const noexcept {
-  if (sim_ != nullptr) return sim_->now();
-  if (wall_) {
-    const auto elapsed = std::chrono::steady_clock::now() - wall_epoch_;
-    return std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
-        .count();
-  }
-  return 0;
+  return sim_ != nullptr ? sim_->now() : 0;
 }
 
 std::size_t SpanTracer::open(std::string_view name) {

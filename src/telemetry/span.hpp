@@ -1,24 +1,19 @@
-// Span tracing with two explicit time domains.
+// Span tracing on the simulated clock.
 //
-//   * Sim domain: timestamps come from the trial's env::VirtualClock. Virtual
-//     time is part of the deterministic simulation state, so sim spans are
-//     bit-identical across thread counts and replayable from a seed — they
-//     are what --trace exports.
-//   * Wall domain: timestamps come from std::chrono::steady_clock, for
-//     self-profiling harness/pipeline hot paths. Wall spans are real
-//     measurements and therefore never participate in determinism checks.
+// Timestamps come from the trial's env::VirtualClock. Virtual time is part
+// of the deterministic simulation state, so spans are bit-identical across
+// thread counts and replayable from a seed; they are what --trace exports.
 //
-// A tracer is single-writer: one trial (or one pipeline stage driver) owns
-// it. A parallel matrix gives each lane one tracer, reset between trials,
-// and each cell keeps a copy of its first repeat's spans in a per-index
-// slot; the fold appends those in index order.
+// A tracer is single-writer: one trial owns it. A parallel matrix gives
+// each lane one tracer, reset between trials, and each cell keeps a copy of
+// its first repeat's spans in a per-index slot; the fold appends those in
+// index order.
 //
 // Span names are views, never copies: a name must have static storage
 // duration (a string literal, or a name interned for the life of the
 // process), so opening a span never allocates for its name.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -29,7 +24,7 @@ namespace faultstudy::telemetry {
 
 struct Span {
   std::string_view name;  ///< static storage, see above
-  std::int64_t start = 0;     ///< ticks (sim) or microseconds (wall)
+  std::int64_t start = 0;     ///< simulated ticks
   std::int64_t duration = 0;  ///< same unit as start
   std::uint32_t depth = 0;    ///< nesting level at open, 0 = root
 
@@ -42,22 +37,10 @@ class SpanTracer {
 
   /// Timestamps subsequent spans with the simulated clock. The clock must
   /// outlive the tracer's recording phase.
-  void bind_sim(const env::VirtualClock* clock) noexcept {
-    sim_ = clock;
-    wall_ = false;
-  }
-
-  /// Timestamps subsequent spans with steady_clock microseconds since this
-  /// call.
-  void bind_wall() noexcept {
-    sim_ = nullptr;
-    wall_ = true;
-    wall_epoch_ = std::chrono::steady_clock::now();
-  }
+  void bind_sim(const env::VirtualClock* clock) noexcept { sim_ = clock; }
 
   /// An unbound tracer records nothing; SpanScope checks this once.
-  bool bound() const noexcept { return sim_ != nullptr || wall_; }
-  bool wall_domain() const noexcept { return wall_; }
+  bool bound() const noexcept { return sim_ != nullptr; }
 
   std::int64_t now() const noexcept;
 
@@ -73,18 +56,14 @@ class SpanTracer {
     spans_.clear();
     depth_ = 0;
     sim_ = nullptr;
-    wall_ = false;
-    wall_epoch_ = {};
   }
 
   bool operator==(const SpanTracer&) const = default;
 
  private:
   const env::VirtualClock* sim_ = nullptr;
-  bool wall_ = false;
   std::uint32_t depth_ = 0;
   std::vector<Span> spans_;
-  std::chrono::steady_clock::time_point wall_epoch_{};
 };
 
 /// RAII span: opens on construction when the tracer is non-null and bound,

@@ -18,7 +18,6 @@
 #include "telemetry/counters.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
-#include "util/thread_pool.hpp"
 
 namespace faultstudy::telemetry {
 
@@ -59,23 +58,5 @@ struct StudyTelemetry {
   MetricsRegistry metrics;
   std::vector<std::pair<std::string, SpanTracer>> traces;
 };
-
-/// Wall-domain self-profile of a mining pipeline run: steady-clock stage
-/// spans plus funnel/throughput metrics. Real measurements — excluded from
-/// determinism comparisons by construction.
-struct PipelineTelemetry {
-  PipelineTelemetry() { spans.bind_wall(); }
-
-  SpanTracer spans;
-  MetricsRegistry metrics;
-  util::PoolStats pool;  ///< executor profile of the pipeline's sweeps
-};
-
-/// Folds wall-domain executor stats into a registry under `prefix`:
-/// per-pool counters (sweeps, chunks, indices, busy-micros), a max-pending
-/// queue-depth gauge, and the chunk wall-latency histogram (log2-µs
-/// buckets) summed over lanes.
-void fold_pool_stats(const util::PoolStats& stats, std::string_view prefix,
-                     MetricsRegistry& registry);
 
 }  // namespace faultstudy::telemetry

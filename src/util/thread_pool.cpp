@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <limits>
@@ -15,27 +15,9 @@ namespace faultstudy::util {
 namespace {
 /// 0 outside any pool; workers overwrite this once at thread start.
 thread_local std::size_t t_lane = 0;
-
-/// Sink for transient parallel_for_index pools; flipped serially only.
-PoolStats* g_ambient_stats = nullptr;
-
-std::size_t latency_bucket(std::uint64_t micros) noexcept {
-  std::size_t b = 0;
-  while (micros > 1 && b + 1 < PoolStats::kLatencyBuckets) {
-    micros >>= 1;
-    ++b;
-  }
-  return b;
-}
 }  // namespace
 
 std::size_t current_lane() noexcept { return t_lane; }
-
-void set_ambient_pool_stats(PoolStats* stats) noexcept {
-  g_ambient_stats = stats;
-}
-
-PoolStats* ambient_pool_stats() noexcept { return g_ambient_stats; }
 
 std::size_t resolve_threads(std::size_t requested) noexcept {
   if (requested > 0) return requested;
@@ -57,7 +39,6 @@ struct ThreadPool::Sweep {
   std::size_t n = 0;
   std::size_t chunk = 1;
   const std::function<void(std::size_t)>* fn = nullptr;
-  PoolStats* stats = nullptr;  ///< lanes pre-sized; one writer per slot
   std::atomic<std::size_t> cursor{0};
   std::atomic<std::size_t> completed{0};
   std::atomic<bool> abort{false};
@@ -98,16 +79,11 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::run_chunks(Sweep& sweep) {
-  PoolStats::Lane* lane =
-      sweep.stats != nullptr ? &sweep.stats->lanes[current_lane()] : nullptr;
   for (;;) {
     const std::size_t begin = sweep.cursor.fetch_add(sweep.chunk);
     if (begin >= sweep.n) return;
     const std::size_t end = std::min(begin + sweep.chunk, sweep.n);
     if (!sweep.abort.load(std::memory_order_relaxed)) {
-      const auto chunk_start = lane != nullptr
-                                   ? std::chrono::steady_clock::now()
-                                   : std::chrono::steady_clock::time_point{};
       try {
         for (std::size_t i = begin; i < end; ++i) (*sweep.fn)(i);
       } catch (...) {
@@ -117,18 +93,6 @@ void ThreadPool::run_chunks(Sweep& sweep) {
           sweep.error = std::current_exception();
         }
         sweep.abort.store(true, std::memory_order_relaxed);
-      }
-      if (lane != nullptr) {
-        const auto micros = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - chunk_start)
-                .count());
-        ++lane->chunks;
-        lane->indices += end - begin;
-        lane->micros += micros;
-        ++lane->latency_log2_us[latency_bucket(micros)];
-        lane->max_pending =
-            std::max<std::uint64_t>(lane->max_pending, sweep.n - begin);
       }
     }
     sweep.completed.fetch_add(end - begin);
@@ -167,8 +131,6 @@ void ThreadPool::for_index(std::size_t n,
   Sweep sweep;
   sweep.n = n;
   sweep.fn = &fn;
-  sweep.stats = stats_;
-  if (stats_ != nullptr) ++stats_->sweeps;
   // Chunks small enough to balance uneven items across lanes, large enough
   // to amortize the claim; clamped so tiny sweeps still fan out.
   sweep.chunk =
@@ -201,7 +163,6 @@ void parallel_for_index(std::size_t n, std::size_t threads,
     return;
   }
   ThreadPool pool(lanes);
-  pool.set_stats(g_ambient_stats);
   pool.for_index(n, fn);
 }
 

@@ -22,9 +22,7 @@
 // serial code path on the calling thread — no pool, no synchronization.
 #pragma once
 
-#include <array>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -41,35 +39,8 @@ std::size_t resolve_threads(std::size_t requested = 0) noexcept;
 /// The executing thread's lane index: 0 for a thread that is not a pool
 /// worker (including every sweep's calling thread), 1..N-1 for workers of
 /// the pool they belong to. Stable for the life of the thread, so it can
-/// index per-lane slots (PoolStats::lanes).
+/// index per-lane slots (the harness's per-lane trial scratch).
 std::size_t current_lane() noexcept;
-
-/// Wall-clock self-profiling for a pool, sharded one cache line per lane so
-/// concurrent lanes never contend. Wall time is a real measurement — these
-/// stats live in the telemetry wall domain and never participate in
-/// determinism comparisons. Self-contained (plain integers, no telemetry
-/// dependency) so fs_util stays the bottom of the library stack.
-struct PoolStats {
-  static constexpr std::size_t kLatencyBuckets = 20;
-
-  struct alignas(64) Lane {
-    std::uint64_t chunks = 0;   ///< chunks this lane claimed
-    std::uint64_t indices = 0;  ///< indices this lane executed
-    std::uint64_t micros = 0;   ///< total wall time inside chunk bodies
-    /// Chunk wall-latency histogram, bucket b = [2^b, 2^(b+1)) microseconds.
-    std::array<std::uint64_t, kLatencyBuckets> latency_log2_us{};
-    /// High-watermark of indices still unclaimed when this lane claimed.
-    std::uint64_t max_pending = 0;
-  };
-
-  std::uint64_t sweeps = 0;  ///< written by the sweep's calling thread only
-  std::vector<Lane> lanes;   ///< one slot per lane, index = current_lane()
-
-  void reset(std::size_t lane_count) {
-    sweeps = 0;
-    lanes.assign(lane_count, Lane{});
-  }
-};
 
 /// Fixed-size worker pool with chunked index scheduling.
 ///
@@ -97,15 +68,6 @@ class ThreadPool {
   /// Total execution lanes (workers + the calling thread); >= 1.
   std::size_t size() const noexcept { return workers_.size() + 1; }
 
-  /// Attaches a self-profiling sink (resized to size() lanes); nullptr
-  /// detaches. Serial-only — call between sweeps, not during one.
-  void set_stats(PoolStats* stats) {
-    stats_ = stats;
-    if (stats_ != nullptr && stats_->lanes.size() < size()) {
-      stats_->lanes.resize(size());
-    }
-  }
-
   void for_index(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
@@ -117,21 +79,12 @@ class ThreadPool {
   // Guarded by mutex_ in thread_pool.cpp via the Impl-free layout below.
   struct State;
   std::unique_ptr<State> state_;
-  PoolStats* stats_ = nullptr;
 };
-
-/// Ambient self-profiling sink for the transient pools parallel_for_index
-/// creates (callers never see those pools, so they cannot call set_stats on
-/// them). Set serially before a sweep and clear afterwards; nullptr (the
-/// default) disables. Not thread-safe: only the thread driving the sweeps
-/// may flip it.
-void set_ambient_pool_stats(PoolStats* stats) noexcept;
-PoolStats* ambient_pool_stats() noexcept;
 
 /// fn(i) for every i in [0, n), using `threads` lanes (resolved via
 /// resolve_threads). Results are deterministic per the contract above.
 /// Convenience for one-shot sweeps; hot callers that sweep repeatedly
-/// should hold a ThreadPool. Picks up the ambient PoolStats sink, if any.
+/// should hold a ThreadPool.
 void parallel_for_index(std::size_t n, std::size_t threads,
                         const std::function<void(std::size_t)>& fn);
 
