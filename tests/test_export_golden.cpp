@@ -1,7 +1,7 @@
-// Exact gate on the study's export writers: the eight exports of the
+// Exact gate on the study's export writers: the ten exports of the
 // attached seed-99 matrix (forensics JSON, explorer HTML, Chrome trace,
-// metrics JSON, Prometheus text, atlas JSON, heatmap HTML, study snapshot)
-// must keep the byte count and FNV-1a digest they had when this gate was
+// metrics JSON, Prometheus text, atlas JSON, heatmap HTML, study snapshot,
+// atlas text, triage text) must keep the byte count and FNV-1a digest they had when this gate was
 // written, at one lane and at four. The lane-identity tests only compare a
 // run with another run of the same build; this one compares with the
 // committed constants, so a writer rewrite that shifts one byte in every
@@ -25,6 +25,7 @@
 #include "obs/atlas.hpp"
 #include "obs/baseline.hpp"
 #include "obs/export.hpp"
+#include "report/table.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/trial.hpp"
 #include "util/rng.hpp"
@@ -48,9 +49,29 @@ constexpr ExportDigest kGolden[] = {
     {"atlas.json", 22903, 0x601ac4e52203ed0bULL},
     {"atlas.html", 14454, 0xdf49adebe5f33592ULL},
     {"snapshot.json", 16472, 0xfb4c86b09fff4f57ULL},
+    {"atlas.txt", 2160, 0xf3e8fa1b2433b971ULL},
+    {"triage.txt", 14348, 0xf73d2e9434fce89cULL},
 };
 
-/// Runs the attached matrix and renders the eight exports in kGolden order.
+/// The CLI's triage table: failure signatures by cluster size.
+std::string render_triage(
+    const forensics::StudyForensics& study,
+    const std::vector<forensics::TriageCluster>& clusters) {
+  report::AsciiTable t({"signature", "count", "failures", "recoveries",
+                        "specimens"});
+  for (const auto& c : clusters) {
+    t.add_row({c.signature, std::to_string(c.count),
+               std::to_string(c.total_failures),
+               std::to_string(c.total_recoveries),
+               std::to_string(c.fault_ids.size())});
+  }
+  return std::to_string(study.failures()) + "/" +
+         std::to_string(study.trials) + " trials failed, " +
+         std::to_string(clusters.size()) + " failure signatures\n\n" +
+         t.to_string();
+}
+
+/// Runs the attached matrix and renders the ten exports in kGolden order.
 std::vector<std::string> render_exports(std::size_t threads) {
   harness::TrialConfig config;
   config.threads = threads;
@@ -81,7 +102,8 @@ std::vector<std::string> render_exports(std::size_t threads) {
           telemetry::to_prometheus(metrics), obs::to_json(atlas),
           obs::render_heatmap_html(atlas),
           obs::to_json(obs::build_snapshot(seeds, matrix, atlas, metrics,
-                                           config.seed, 3))};
+                                           config.seed, 3)),
+          obs::render_text(atlas), render_triage(study, clusters)};
 }
 
 TEST(ExportGolden, MatchesParentCommit) {
