@@ -14,17 +14,20 @@
 // against the taxonomy labels. `report` also writes figure{1,2,3}_*.svg
 // into the working directory.
 //
-// `matrix` runs the study once and attaches only the views its requested
-// outputs need. Every output flag but --baseline may repeat, and each
-// path's extension picks its format, so one run writes every artifact.
-// `--threads N` (anywhere on the command line) sets the lanes of every
-// sweep; the matrix, oracle and sweep results and every matrix/simulate
-// export (simulated-tick traces included) are byte-identical for any N.
-// `mine` prints its study only; the export flags apply to matrix/simulate.
+// `matrix` runs the study once. With any output flag or --baseline it
+// attaches every view through report::StudyExports, so each file is the
+// same whatever flags come with it; with none it runs bare. Every output
+// flag but --baseline may repeat, and each path's extension picks its
+// format, so one run writes every artifact. `--threads N` (anywhere on the
+// command line) sets the lanes of every sweep; the matrix, oracle and sweep
+// results and every matrix/simulate export (simulated-tick traces
+// included) are byte-identical for any N. A command given an output flag
+// it does not read exits 2.
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -40,7 +43,6 @@
 #include "corpus/serialize.hpp"
 #include "corpus/synth.hpp"
 #include "forensics/export.hpp"
-#include "forensics/triage.hpp"
 #include "harness/experiment.hpp"
 #include "mining/pipeline.hpp"
 #include "obs/baseline.hpp"
@@ -72,21 +74,22 @@ std::vector<std::string> g_trace_paths;
 std::vector<std::string> g_coverage_paths;
 std::vector<std::string> g_forensics_paths;
 std::vector<std::string> g_snapshot_paths;
-std::string g_baseline_path;
+/// The last --baseline given is the one read.
+std::vector<std::string> g_baseline_paths;
 
-/// The repeatable `--flag=PATH` outputs.
+/// The `--flag=PATH` options and the commands that read each.
 const struct {
   std::string_view prefix;
   std::vector<std::string>* paths;
+  std::array<std::string_view, 2> readers;
 } kOutputFlags[] = {
-    {"--telemetry=", &g_telemetry_paths}, {"--trace=", &g_trace_paths},
-    {"--coverage=", &g_coverage_paths},   {"--forensics=", &g_forensics_paths},
-    {"--snapshot=", &g_snapshot_paths},
+    {"--telemetry=", &g_telemetry_paths, {"matrix", "simulate"}},
+    {"--trace=", &g_trace_paths, {"matrix", "simulate"}},
+    {"--coverage=", &g_coverage_paths, {"matrix", "simulate"}},
+    {"--forensics=", &g_forensics_paths, {"matrix"}},
+    {"--snapshot=", &g_snapshot_paths, {"matrix"}},
+    {"--baseline=", &g_baseline_paths, {"matrix", "simulate"}},
 };
-
-bool telemetry_wanted() {
-  return !g_telemetry_paths.empty() || !g_trace_paths.empty();
-}
 
 int usage() {
   std::fputs(
@@ -166,8 +169,8 @@ int load_snapshot(const std::string& path, obs::StudySnapshot& out) {
 /// Reads the --baseline snapshot, if one was given, before any trial runs,
 /// so a bad path fails early. Returns 0 or load_snapshot's exit code.
 int load_baseline(std::optional<obs::StudySnapshot>& out) {
-  if (g_baseline_path.empty()) return 0;
-  return load_snapshot(g_baseline_path, out.emplace());
+  if (g_baseline_paths.empty()) return 0;
+  return load_snapshot(g_baseline_paths.back(), out.emplace());
 }
 
 /// Prints the drift report and maps it to the exit code (4 = fatal drift).
@@ -207,43 +210,14 @@ bool export_coverage(const obs::CoverageAtlas& atlas) {
   return true;
 }
 
-/// The triage table: failure signatures by cluster size.
-std::string render_triage(
-    const forensics::StudyForensics& study,
-    const std::vector<forensics::TriageCluster>& clusters) {
-  report::AsciiTable t({"signature", "count", "failures", "recoveries",
-                        "specimens"});
-  for (const auto& c : clusters) {
-    t.add_row({c.signature, std::to_string(c.count),
-               std::to_string(c.total_failures),
-               std::to_string(c.total_recoveries),
-               std::to_string(c.fault_ids.size())});
-  }
-  return std::to_string(study.failures()) + "/" +
-         std::to_string(study.trials) + " trials failed, " +
-         std::to_string(clusters.size()) + " failure signatures\n\n" +
-         t.to_string();
-}
-
 /// Writes the --forensics outputs; false on an I/O error.
-bool export_forensics(const harness::MatrixResult& matrix,
-                      const forensics::StudyForensics& study) {
-  const auto clusters = forensics::triage(study.postmortems);
+bool export_forensics(const report::StudyExports& exports) {
   for (const auto& path : g_forensics_paths) {
-    std::string payload;
-    if (path.ends_with(".json")) {
-      payload = forensics::to_json(study, clusters);
-    } else if (path.ends_with(".html")) {
-      std::vector<forensics::MechanismSuccessRow> rows;
-      for (const auto& r : matrix.reports) {
-        rows.push_back({r.mechanism, r.generic, r.survived_all(),
-                        r.total_all(), r.state_losses});
-      }
-      payload = forensics::render_explorer_html(
-          study, clusters, rows, "Fault-forensics study explorer");
-    } else {
-      payload = render_triage(study, clusters);
-    }
+    const std::string payload =
+        path.ends_with(".json")
+            ? forensics::to_json(exports.forensics, exports.triage)
+        : path.ends_with(".html") ? exports.explorer()
+                                  : exports.triage_text();
     if (!write_export("forensics", path, payload)) return false;
   }
   return true;
@@ -289,12 +263,11 @@ int cmd_report(const std::string& path) {
       return 1;
     }
   }
+  const auto& reports = results.exports.matrix.reports;
   std::printf("\nheadline: generic recovery survived %zu/%zu faults; "
               "app-specific %zu/%zu\n",
-              results.matrix.reports.front().survived_all(),
-              results.matrix.reports.front().total_all(),
-              results.matrix.reports.back().survived_all(),
-              results.matrix.reports.back().total_all());
+              reports.front().survived_all(), reports.front().total_all(),
+              reports.back().survived_all(), reports.back().total_all());
   return 0;
 }
 
@@ -467,8 +440,8 @@ void print_baseline(const obs::StudySnapshot& baseline,
                 static_cast<unsigned long long>(row.trials));
     return;
   }
-  std::printf("baseline  : %s has no record of %s\n", g_baseline_path.c_str(),
-              fault_id.c_str());
+  std::printf("baseline  : %s has no record of %s\n",
+              g_baseline_paths.back().c_str(), fault_id.c_str());
 }
 
 /// The stability sweep: races and timing phases are probabilistic, so one
@@ -526,17 +499,14 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
   // config seed 99; --seed N sets both.
   harness::TrialConfig config;
   if (g_seed >= 0) config.seed = static_cast<std::uint64_t>(g_seed);
-  // Traced, with a flight ring: a failed trial's post-mortem carries the
-  // race-detector and invariant-checker verdicts in its detection stage.
+  // Traced, with every view attached: a failed trial's post-mortem carries
+  // the race-detector and invariant-checker verdicts in its detection stage.
   harness::TrialObservation observation;
-  forensics::FlightRecorder ring;
   telemetry::TrialTelemetry telem;
+  forensics::FlightRecorder ring;
   obs::CoverageMap cover;
-  obs::TrialSinks sinks{.flight = &ring};
-  if (telemetry_wanted()) sinks.telemetry = &telem;
-  if (!g_coverage_paths.empty() || baseline.has_value()) {
-    sinks.coverage = &cover;
-  }
+  const obs::TrialSinks sinks{
+      .telemetry = &telem, .flight = &ring, .coverage = &cover};
   const auto plan = inject::plan_for(
       *seed, g_seed >= 0 ? static_cast<std::uint64_t>(g_seed) : 42);
   auto mech = factory();
@@ -558,15 +528,13 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
   }
   std::printf("\n");
   print_audit(observation);
-  if (sinks.telemetry != nullptr) {
-    telemetry::MetricsRegistry registry;
-    telemetry::fold_into(telem, mechanism, registry);
-    if (!export_telemetry(registry.snapshot(),
-                          {{fault_id + "/" + mechanism, &telem.spans}})) {
-      return 1;
-    }
+  telemetry::MetricsRegistry registry;
+  telemetry::fold_into(telem, mechanism, registry);
+  if (!export_telemetry(registry.snapshot(),
+                        {{fault_id + "/" + mechanism, &telem.spans}})) {
+    return 1;
   }
-  if (sinks.coverage != nullptr) {
+  if (!g_coverage_paths.empty() || baseline.has_value()) {
     obs::CoverageAtlas atlas;
     atlas.begin_study({*seed}, {mechanism});
     atlas.fold_trial(*seed, cover);
@@ -614,23 +582,18 @@ int cmd_matrix() {
   std::printf("matrix: seed=%llu threads=%zu\n",
               static_cast<unsigned long long>(config.seed),
               util::resolve_threads(g_threads));
-  // Attach only the views the requested outputs need. A study snapshot
-  // (written or diffed) carries the atlas and the telemetry counters.
-  const bool study_snapshot =
-      baseline.has_value() || !g_snapshot_paths.empty();
-  telemetry::StudyTelemetry study;
-  telemetry::StudyTelemetry* tp =
-      telemetry_wanted() || study_snapshot ? &study : nullptr;
-  obs::CoverageAtlas atlas;
-  obs::CoverageAtlas* ap =
-      !g_coverage_paths.empty() || study_snapshot ? &atlas : nullptr;
-  forensics::StudyForensics postmortems;
-  forensics::StudyForensics* fp =
-      g_forensics_paths.empty() ? nullptr : &postmortems;
-  const auto seeds = corpus::all_seeds();
-  const auto matrix =
-      harness::run_matrix(seeds, harness::standard_mechanisms(), config,
-                          kRepeats, tp, fp, ap);
+  // Any output attaches every view; with none the matrix runs bare.
+  std::optional<report::StudyExports> exports;
+  harness::MatrixResult bare;
+  if (std::ranges::any_of(kOutputFlags,
+                          [](const auto& f) { return !f.paths->empty(); })) {
+    exports.emplace(config, kRepeats);
+  } else {
+    bare = harness::run_matrix(corpus::all_seeds(),
+                               harness::standard_mechanisms(), config,
+                               kRepeats);
+  }
+  const auto& matrix = exports.has_value() ? exports->matrix : bare;
   report::AsciiTable t({"mechanism", "EI", "EDN", "EDT", "overall"});
   for (const auto& r : matrix.reports) {
     const auto cell = [&](core::FaultClass c) {
@@ -644,22 +607,12 @@ int cmd_matrix() {
                              static_cast<double>(r.total_all()))});
   }
   std::fputs(t.to_string().c_str(), stdout);
-  // Publish atlas gauges before the metrics snapshot is taken, so both the
-  // telemetry export and the study snapshot see coverage.
-  if (ap != nullptr && tp != nullptr) obs::export_gauges(atlas, study.metrics);
-  if (!export_coverage(atlas)) return 1;
-  if (fp != nullptr && !export_forensics(matrix, postmortems)) return 1;
-  if (tp == nullptr) return 0;  // every output below needs telemetry
-  const auto metrics = study.metrics.snapshot();
-  std::vector<telemetry::TraceThread> threads;
-  threads.reserve(study.traces.size());
-  for (const auto& [label, tracer] : study.traces) {
-    threads.push_back({label, &tracer});
+  if (!exports.has_value()) return 0;
+  if (!export_coverage(exports->coverage) || !export_forensics(*exports) ||
+      !export_telemetry(exports->metrics, exports->trace_threads())) {
+    return 1;
   }
-  if (!export_telemetry(metrics, threads)) return 1;
-  if (!study_snapshot) return 0;
-  const auto snapshot = obs::build_snapshot(seeds, matrix, atlas, metrics,
-                                            config.seed, kRepeats);
+  const auto snapshot = exports->snapshot();
   for (const auto& path : g_snapshot_paths) {
     if (!write_export("snapshot", path, obs::to_json(snapshot))) return 1;
   }
@@ -714,18 +667,13 @@ int main(int argc, char** argv) {
       continue;
     }
     bool output = false;
-    for (const auto& [prefix, paths] : kOutputFlags) {
-      if (!arg.starts_with(prefix)) continue;
-      if (arg.size() == prefix.size()) return usage();
-      paths->push_back(arg.substr(prefix.size()));
+    for (const auto& flag : kOutputFlags) {
+      if (!arg.starts_with(flag.prefix)) continue;
+      if (arg.size() == flag.prefix.size()) return usage();
+      flag.paths->push_back(arg.substr(flag.prefix.size()));
       output = true;
     }
     if (output) continue;
-    if (arg.starts_with("--baseline=")) {
-      g_baseline_path = arg.substr(std::strlen("--baseline="));
-      if (g_baseline_path.empty()) return usage();
-      continue;
-    }
     if (arg.starts_with("--")) {
       std::fprintf(stderr, "unknown option %s\n", arg.c_str());
       return usage();
@@ -734,6 +682,13 @@ int main(int argc, char** argv) {
   }
   if (args.empty()) return usage();
   const std::string& cmd = args[0];
+  for (const auto& flag : kOutputFlags) {
+    if (!flag.paths->empty() && std::ranges::count(flag.readers, cmd) == 0) {
+      std::fprintf(stderr, "%s does not read %sPATH\n", cmd.c_str(),
+                   flag.prefix.data());
+      return usage();
+    }
+  }
   if (cmd == "classify") return cmd_classify();
   if (cmd == "taxonomy") return cmd_taxonomy();
   if (cmd == "corpus" && args.size() == 3) return cmd_corpus(args[1], args[2]);

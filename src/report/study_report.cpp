@@ -2,6 +2,7 @@
 
 #include "corpus/seeds.hpp"
 #include "corpus/synth.hpp"
+#include "forensics/export.hpp"
 #include "obs/export.hpp"
 #include "report/export.hpp"
 #include "report/figure.hpp"
@@ -12,26 +13,65 @@
 
 namespace faultstudy::report {
 
+StudyExports::StudyExports(const harness::TrialConfig& config, int repeats)
+    : seeds(corpus::all_seeds()), seed(config.seed), repeats(repeats) {
+  matrix = harness::run_matrix(seeds, harness::standard_mechanisms(), config,
+                               repeats, &telemetry, &forensics, &coverage);
+  obs::export_gauges(coverage, telemetry.metrics);
+  metrics = telemetry.metrics.snapshot();
+  triage = forensics::triage(forensics.postmortems);
+}
+
+std::vector<telemetry::TraceThread> StudyExports::trace_threads() const {
+  std::vector<telemetry::TraceThread> threads;
+  threads.reserve(telemetry.traces.size());
+  for (const auto& [label, tracer] : telemetry.traces) {
+    threads.push_back({label, &tracer});
+  }
+  return threads;
+}
+
+std::string StudyExports::explorer() const {
+  std::vector<forensics::MechanismSuccessRow> rows;
+  for (const auto& r : matrix.reports) {
+    rows.push_back({r.mechanism, r.generic, r.survived_all(), r.total_all(),
+                    r.state_losses});
+  }
+  return forensics::render_explorer_html(forensics, triage, rows,
+                                         "Fault-forensics study explorer");
+}
+
+std::string StudyExports::triage_text() const {
+  AsciiTable t({"signature", "count", "failures", "recoveries", "specimens"});
+  for (const auto& c : triage) {
+    t.add_row({c.signature, std::to_string(c.count),
+               std::to_string(c.total_failures),
+               std::to_string(c.total_recoveries),
+               std::to_string(c.fault_ids.size())});
+  }
+  return std::to_string(forensics.failures()) + "/" +
+         std::to_string(forensics.trials) + " trials failed, " +
+         std::to_string(triage.size()) + " failure signatures\n\n" +
+         t.to_string();
+}
+
+obs::StudySnapshot StudyExports::snapshot() const {
+  return obs::build_snapshot(seeds, matrix, coverage, metrics, seed, repeats);
+}
+
 StudyResults run_full_study() {
-  StudyResults r;
-  r.apache = mining::run_tracker_pipeline(corpus::make_apache_tracker());
-  r.gnome = mining::run_tracker_pipeline(corpus::make_gnome_tracker());
-  r.mysql = mining::run_mailinglist_pipeline(corpus::make_mysql_list());
+  StudyResults r{
+      .apache = mining::run_tracker_pipeline(corpus::make_apache_tracker()),
+      .gnome = mining::run_tracker_pipeline(corpus::make_gnome_tracker()),
+      .mysql = mining::run_mailinglist_pipeline(corpus::make_mysql_list()),
+      .all_faults = {},
+      .summary = {},
+      .exports = StudyExports(harness::TrialConfig{}, 3)};
 
   r.all_faults = mining::to_faults(r.apache);
   for (auto& f : mining::to_faults(r.gnome)) r.all_faults.push_back(f);
   for (auto& f : mining::to_faults(r.mysql)) r.all_faults.push_back(f);
   r.summary = core::summarize(r.all_faults);
-
-  telemetry::StudyTelemetry study;
-  r.matrix =
-      harness::run_matrix(corpus::all_seeds(), harness::standard_mechanisms(),
-                          {}, 3, &study, &r.forensics, &r.coverage);
-  // Atlas gauges ride the telemetry snapshot, so the Prometheus/JSON
-  // exporters publish coverage alongside the study counters.
-  obs::export_gauges(r.coverage, study.metrics);
-  r.telemetry = study.metrics.snapshot();
-  r.triage = forensics::triage(r.forensics.postmortems);
   return r;
 }
 
@@ -181,7 +221,7 @@ std::string render_markdown(const StudyResults& r) {
   md += "\n## Recovery experiment (Section 8 future work)\n\n";
   md += "| mechanism | generic | EI | EDN | EDT | overall |\n";
   md += "|---|---|---|---|---|---|\n";
-  for (const auto& report : r.matrix.reports) {
+  for (const auto& report : r.exports.matrix.reports) {
     const auto cell = [&](core::FaultClass c) {
       const auto i = static_cast<std::size_t>(c);
       return std::to_string(report.survived[i]) + "/" +
@@ -198,9 +238,9 @@ std::string render_markdown(const StudyResults& r) {
   md += "\nGeneric state-preserving recovery survives exactly the "
         "transient class; surviving the rest requires application-"
         "specific knowledge — the paper's conclusion.\n";
-  render_forensics(md, r.forensics, r.triage);
-  render_coverage(md, r.coverage);
-  render_telemetry(md, r.telemetry);
+  render_forensics(md, r.exports.forensics, r.exports.triage);
+  render_coverage(md, r.exports.coverage);
+  render_telemetry(md, r.exports.metrics);
   return md;
 }
 

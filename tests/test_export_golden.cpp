@@ -1,15 +1,15 @@
 // Exact gate on the study's export writers: the ten exports of the
 // attached seed-99 matrix (forensics JSON, explorer HTML, Chrome trace,
 // metrics JSON, Prometheus text, atlas JSON, heatmap HTML, study snapshot,
-// atlas text, triage text) must keep the byte count and FNV-1a digest they had when this gate was
-// written, at one lane and at four. The lane-identity tests only compare a
-// run with another run of the same build; this one compares with the
-// committed constants, so a writer rewrite that shifts one byte in every
-// lane count still fails here.
+// atlas text, triage text) must keep the byte count and FNV-1a digest they
+// had when this gate was written, at one lane and at four. The lane-identity
+// tests only compare a run with another run of the same build; this one
+// compares with the committed constants, so a writer rewrite that shifts one
+// byte in every lane count still fails here.
 //
-// The views are attached and exported exactly as `faultstudy_cli matrix`
-// does with every output flag, so the sizes below are also the sizes of
-// the files that command writes at its default seed.
+// The documents come from report::StudyExports, the code `faultstudy_cli
+// matrix` runs for any output flag, so the sizes below are also the sizes
+// of the files that command writes at its default seed.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -17,17 +17,12 @@
 #include <string>
 #include <vector>
 
-#include "corpus/seeds.hpp"
 #include "forensics/export.hpp"
-#include "forensics/postmortem.hpp"
-#include "forensics/triage.hpp"
 #include "harness/experiment.hpp"
-#include "obs/atlas.hpp"
 #include "obs/baseline.hpp"
 #include "obs/export.hpp"
-#include "report/table.hpp"
+#include "report/study_report.hpp"
 #include "telemetry/export.hpp"
-#include "telemetry/trial.hpp"
 #include "util/rng.hpp"
 
 namespace faultstudy {
@@ -53,57 +48,21 @@ constexpr ExportDigest kGolden[] = {
     {"triage.txt", 14348, 0xf73d2e9434fce89cULL},
 };
 
-/// The CLI's triage table: failure signatures by cluster size.
-std::string render_triage(
-    const forensics::StudyForensics& study,
-    const std::vector<forensics::TriageCluster>& clusters) {
-  report::AsciiTable t({"signature", "count", "failures", "recoveries",
-                        "specimens"});
-  for (const auto& c : clusters) {
-    t.add_row({c.signature, std::to_string(c.count),
-               std::to_string(c.total_failures),
-               std::to_string(c.total_recoveries),
-               std::to_string(c.fault_ids.size())});
-  }
-  return std::to_string(study.failures()) + "/" +
-         std::to_string(study.trials) + " trials failed, " +
-         std::to_string(clusters.size()) + " failure signatures\n\n" +
-         t.to_string();
-}
-
-/// Runs the attached matrix and renders the ten exports in kGolden order.
+/// Renders the ten exports of the attached matrix in kGolden order.
 std::vector<std::string> render_exports(std::size_t threads) {
   harness::TrialConfig config;
   config.threads = threads;
-  telemetry::StudyTelemetry telemetry;
-  forensics::StudyForensics study;
-  obs::CoverageAtlas atlas;
-  const auto seeds = corpus::all_seeds();
-  const auto matrix =
-      harness::run_matrix(seeds, harness::standard_mechanisms(), config, 3,
-                          &telemetry, &study, &atlas);
-  obs::export_gauges(atlas, telemetry.metrics);
-
-  const auto clusters = forensics::triage(study.postmortems);
-  std::vector<forensics::MechanismSuccessRow> rows;
-  for (const auto& r : matrix.reports) {
-    rows.push_back({r.mechanism, r.generic, r.survived_all(), r.total_all(),
-                    r.state_losses});
-  }
-  std::vector<telemetry::TraceThread> traces;
-  for (const auto& [label, tracer] : telemetry.traces) {
-    traces.push_back({label, &tracer});
-  }
-  const auto metrics = telemetry.metrics.snapshot();
-  return {forensics::to_json(study, clusters),
-          forensics::render_explorer_html(study, clusters, rows,
-                                          "Fault-forensics study explorer"),
-          telemetry::to_chrome_trace(traces), telemetry::to_json(metrics),
-          telemetry::to_prometheus(metrics), obs::to_json(atlas),
-          obs::render_heatmap_html(atlas),
-          obs::to_json(obs::build_snapshot(seeds, matrix, atlas, metrics,
-                                           config.seed, 3)),
-          obs::render_text(atlas), render_triage(study, clusters)};
+  const report::StudyExports ex(config, 3);
+  return {forensics::to_json(ex.forensics, ex.triage),
+          ex.explorer(),
+          telemetry::to_chrome_trace(ex.trace_threads()),
+          telemetry::to_json(ex.metrics),
+          telemetry::to_prometheus(ex.metrics),
+          obs::to_json(ex.coverage),
+          obs::render_heatmap_html(ex.coverage),
+          obs::to_json(ex.snapshot()),
+          obs::render_text(ex.coverage),
+          ex.triage_text()};
 }
 
 TEST(ExportGolden, MatchesParentCommit) {

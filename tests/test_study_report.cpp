@@ -32,9 +32,10 @@ TEST_F(StudyReportTest, MinesAll139Faults) {
 }
 
 TEST_F(StudyReportTest, MatrixIncluded) {
-  ASSERT_EQ(results_->matrix.reports.size(), 6u);
-  EXPECT_EQ(results_->matrix.reports.front().mechanism, "process-pairs");
-  EXPECT_EQ(results_->matrix.reports.front().survived_all(), 12u);
+  const auto& reports = results_->exports.matrix.reports;
+  ASSERT_EQ(reports.size(), 6u);
+  EXPECT_EQ(reports.front().mechanism, "process-pairs");
+  EXPECT_EQ(reports.front().survived_all(), 12u);
 }
 
 TEST_F(StudyReportTest, MarkdownContainsPaperNumbers) {
