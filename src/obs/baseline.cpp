@@ -19,6 +19,12 @@ double fraction(std::uint64_t num, std::uint64_t den) noexcept {
 
 constexpr std::string_view kClassCodes[3] = {"ei", "edn", "edt"};
 
+/// Tolerance bands for distribution drift, as absolute deltas of exact
+/// fractions of integer counts: within the band a delta is a note, beyond
+/// it fatal.
+constexpr double kClassFractionBand = 0.02;  ///< per-app fault-class share
+constexpr double kSurvivalRateBand = 0.05;   ///< one mechanism, one class
+
 }  // namespace
 
 std::uint64_t StudySnapshot::probes_hit() const noexcept {
@@ -226,8 +232,8 @@ util::Result<StudySnapshot> parse_snapshot(std::string_view text) {
   return snap;
 }
 
-DriftReport diff(const StudySnapshot& baseline, const StudySnapshot& candidate,
-                 const Tolerance& tolerance) {
+DriftReport diff(const StudySnapshot& baseline,
+                 const StudySnapshot& candidate) {
   DriftReport report;
   auto fatal = [&report](std::string what) {
     report.findings.push_back({true, std::move(what)});
@@ -300,10 +306,10 @@ DriftReport diff(const StudySnapshot& baseline, const StudySnapshot& candidate,
     for (std::size_t c = 0; c < 3; ++c) {
       const double delta = std::abs(fraction(it->counts[c], ctotal) -
                                     fraction(b.counts[c], btotal));
-      if (delta > tolerance.class_fraction) {
+      if (delta > kClassFractionBand) {
         std::ostringstream what;
         what << b.app << " " << kClassCodes[c] << " fraction drifted by "
-             << delta << " (tolerance " << tolerance.class_fraction << ")";
+             << delta << " (tolerance " << kClassFractionBand << ")";
         fatal(what.str());
       } else if (b.counts[c] != it->counts[c]) {
         note(b.app + " " + std::string(kClassCodes[c]) + " count " +
@@ -325,11 +331,11 @@ DriftReport diff(const StudySnapshot& baseline, const StudySnapshot& candidate,
     for (std::size_t c = 0; c < 3; ++c) {
       const double delta = std::abs(fraction(it->survived[c], it->total[c]) -
                                     fraction(b.survived[c], b.total[c]));
-      if (delta > tolerance.survival_rate) {
+      if (delta > kSurvivalRateBand) {
         std::ostringstream what;
         what << b.mechanism << " " << kClassCodes[c]
              << " survival rate drifted by " << delta << " (tolerance "
-             << tolerance.survival_rate << ")";
+             << kSurvivalRateBand << ")";
         fatal(what.str());
       } else if (b.survived[c] != it->survived[c] ||
                  b.total[c] != it->total[c]) {

@@ -104,16 +104,6 @@ std::string to_json(const StudySnapshot& snapshot);
 /// Parses a snapshot written by to_json (schema-checked).
 util::Result<StudySnapshot> parse_snapshot(std::string_view text);
 
-/// Tolerance bands for distribution drift. Rates are compared as exact
-/// fractions of integer counts; a delta within the band is a note, beyond
-/// it fatal.
-struct Tolerance {
-  /// Absolute drift allowed in a per-app fault-class fraction.
-  double class_fraction = 0.02;
-  /// Absolute drift allowed in a per-class survival rate of one mechanism.
-  double survival_rate = 0.05;
-};
-
 /// One drift finding; `fatal` findings make the diff a regression.
 struct Drift {
   bool fatal = false;
@@ -138,9 +128,9 @@ struct DriftReport {
   }
 };
 
-/// Structural comparison of candidate vs baseline.
-DriftReport diff(const StudySnapshot& baseline, const StudySnapshot& candidate,
-                 const Tolerance& tolerance = {});
+/// Structural comparison of candidate vs baseline. A class fraction that
+/// moves by more than 0.02, or a survival rate by more than 0.05, is fatal.
+DriftReport diff(const StudySnapshot& baseline, const StudySnapshot& candidate);
 
 /// Human-readable drift report (stable ordering; FATAL lines first).
 std::string render_text(const DriftReport& report);
