@@ -281,6 +281,30 @@ TEST(Trial, RecoveryBudgetEnforced) {
   EXPECT_LE(outcome.recoveries, 5u);
 }
 
+TEST(Trial, StartFailureCarriesVerdictAndProbe) {
+  // With no descriptor slots the application cannot come up, so the trial
+  // ends at its first step: the one path to the start-failure verdict.
+  const corpus::SeedFault* seed = nullptr;
+  const auto seeds = corpus::all_seeds();
+  for (const auto& s : seeds) {
+    if (s.fault_id == "apache-edn-01") seed = &s;
+  }
+  ASSERT_NE(seed, nullptr);
+  auto plan = inject::plan_for(*seed, 42);
+  plan.env_config.fd_slots = 0;
+  recovery::AppSpecific mechanism;
+  forensics::FlightRecorder ring;
+  obs::CoverageMap cover;
+  const auto outcome = run_trial(plan, mechanism, {}, nullptr,
+                                 {.flight = &ring, .coverage = &cover});
+  EXPECT_FALSE(outcome.survived);
+  EXPECT_EQ(outcome.first_failure, "application failed to start");
+  ASSERT_TRUE(outcome.postmortem.has_value());
+  EXPECT_EQ(outcome.postmortem->verdict,
+            forensics::TrialVerdict::kStartFailure);
+  EXPECT_EQ(cover.count(obs::Site::kTrialStartFailure), 1u);
+}
+
 // ------------------------------------------------------------ transcript
 
 TEST(TranscriptLog, RecordsAndRenders) {
