@@ -502,8 +502,8 @@ int cmd_simulate(const std::string& fault_id, const std::string& mechanism) {
   // Traced, with every view attached: a failed trial's post-mortem carries
   // the race-detector and invariant-checker verdicts in its detection stage.
   harness::TrialObservation observation;
-  telemetry::TrialTelemetry telem;
   forensics::FlightRecorder ring;
+  telemetry::TrialTelemetry telem;
   obs::CoverageMap cover;
   const obs::TrialSinks sinks{
       .telemetry = &telem, .flight = &ring, .coverage = &cover};
