@@ -74,7 +74,7 @@ std::vector<std::string> g_trace_paths;
 std::vector<std::string> g_coverage_paths;
 std::vector<std::string> g_forensics_paths;
 std::vector<std::string> g_snapshot_paths;
-/// The last --baseline given is the one read.
+/// At most one: main() rejects a second --baseline.
 std::vector<std::string> g_baseline_paths;
 
 /// The `--flag=PATH` options and the commands that read each.
@@ -170,7 +170,7 @@ int load_snapshot(const std::string& path, obs::StudySnapshot& out) {
 /// so a bad path fails early. Returns 0 or load_snapshot's exit code.
 int load_baseline(std::optional<obs::StudySnapshot>& out) {
   if (g_baseline_paths.empty()) return 0;
-  return load_snapshot(g_baseline_paths.back(), out.emplace());
+  return load_snapshot(g_baseline_paths.front(), out.emplace());
 }
 
 /// Prints the drift report and maps it to the exit code (4 = fatal drift).
@@ -441,7 +441,7 @@ void print_baseline(const obs::StudySnapshot& baseline,
     return;
   }
   std::printf("baseline  : %s has no record of %s\n",
-              g_baseline_paths.back().c_str(), fault_id.c_str());
+              g_baseline_paths.front().c_str(), fault_id.c_str());
 }
 
 /// The stability sweep: races and timing phases are probabilistic, so one
@@ -679,6 +679,10 @@ int main(int argc, char** argv) {
       return usage();
     }
     args.push_back(arg);
+  }
+  if (g_baseline_paths.size() > 1) {
+    std::fputs("--baseline=PATH may be given only once\n", stderr);
+    return usage();
   }
   if (args.empty()) return usage();
   const std::string& cmd = args[0];

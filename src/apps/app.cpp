@@ -1,5 +1,6 @@
 #include "apps/app.hpp"
 
+#include <algorithm>
 #include <charconv>
 
 #include "core/rules.hpp"
@@ -15,6 +16,13 @@ constexpr env::Tick kClientTimeout = 1000;
 constexpr int kAuxPort = 8080;
 /// The file whose metadata is corrupted in kCorruptFileMetadata.
 constexpr const char* kSuspectFile = "/home/user/attachment.dat";
+
+/// The lane's checkpoints (BaseApp::snapshot). A lane runs one trial at a
+/// time, and its pool keeps its Snapshots from trial to trial.
+std::vector<std::shared_ptr<Snapshot>>& snapshot_pool() {
+  thread_local std::vector<std::shared_ptr<Snapshot>> pool;
+  return pool;
+}
 }  // namespace
 
 BaseApp::BaseApp(core::AppId id, std::string name, std::size_t base_fds,
@@ -138,14 +146,40 @@ std::string_view BaseApp::cache_path(std::string_view stem, int id) {
   return path_;
 }
 
+SnapshotPtr BaseApp::snapshot() const {
+  auto& pool = snapshot_pool();
+  auto slot = std::find_if(pool.begin(), pool.end(), [](const auto& snap) {
+    return snap.use_count() == 1;
+  });
+  if (slot == pool.end()) {
+    slot = pool.insert(pool.end(), std::make_shared<Snapshot>());
+  }
+  Snapshot& into = **slot;
+  into.app = id_;
+  into.base = state_;
+  save(into);
+  return *slot;
+}
+
+bool BaseApp::restore(const SnapshotPtr& snapshot, env::Environment& e) {
+  if (snapshot == nullptr || snapshot->app != id_) return false;
+  if (!base_restore(snapshot->base, e)) return false;
+  return load(*snapshot, e);
+}
+
+std::string_view BaseApp::keep_detail(std::string_view text) {
+  detail_.assign(text);
+  return detail_;
+}
+
 bool BaseApp::generic_race_armed() const noexcept {
   return fault_.has_value() &&
          fault_->trigger == core::Trigger::kRaceCondition && !fault_->realized;
 }
 
-StepResult BaseApp::fail(std::string detail) const {
+StepResult BaseApp::fail(std::string_view detail) const {
   StepResult r;
-  r.detail = std::move(detail);
+  r.detail = detail;
   if (!fault_.has_value()) {
     r.status = StepStatus::kError;
     return r;

@@ -18,6 +18,16 @@
 //      processes associated with the application; the recovered primary
 //      respawns only its configured worker pool. This is why process-table
 //      and port-holding faults are transient.
+//
+// The item loop allocates only what it keeps. An item's texts are views of
+// static storage (workload.hpp), and so is a step's `detail` when it is a
+// literal. A detail built at run time (a UI crash text with a number in
+// it, the SQL engine's crash message) lives in a buffer the app owns,
+// valid until the app's next handle(), like cache_path(); whoever keeps a
+// detail copies it. A checkpoint is one value type, Snapshot, for every
+// app: snapshot() refills a Snapshot the lane already holds (see
+// BaseApp::snapshot), so a warm checkpoint allocates nothing and restore()
+// needs no downcast.
 #pragma once
 
 #include <memory>
@@ -26,6 +36,7 @@
 #include <string_view>
 #include <vector>
 
+#include "apps/sql/engine.hpp"
 #include "apps/workload.hpp"
 #include "core/taxonomy.hpp"
 #include "env/environment.hpp"
@@ -41,7 +52,9 @@ enum class StepStatus : std::uint8_t {
 
 struct StepResult {
   StepStatus status = StepStatus::kOk;
-  std::string detail;
+  /// A literal, or the app's detail buffer: valid until the app's next
+  /// handle() (app.hpp's header comment).
+  std::string_view detail;
 };
 
 inline bool is_failure(const StepResult& r) noexcept {
@@ -69,10 +82,38 @@ struct ActiveFault {
   std::size_t fds_per_leak = 4;
 };
 
-/// Opaque application checkpoint. Each app derives its own concrete type.
-struct Snapshot {
-  virtual ~Snapshot() = default;
+/// The state every application checkpoints.
+struct BaseState {
+  std::uint64_t items_handled = 0;
+  /// Units leaked by leak-type faults. Part of the snapshot: generic
+  /// recovery faithfully restores the bloat.
+  std::uint64_t leaked_units = 0;
+  /// Descriptors the app currently holds (base + leaked).
+  std::size_t fd_footprint = 0;
+  /// Hostname captured at start (apps cache it; kHostnameChanged bites
+  /// when the environment's name moves away from the cached one).
+  std::string captured_hostname;
 };
+
+/// An application checkpoint: all application state, as a value. One type
+/// serves every app; each app fills its own fields and leaves the others
+/// as they were, so refilling a Snapshot reuses what it already holds (an
+/// Engine assigned over one with as many tables allocates nothing).
+struct Snapshot {
+  core::AppId app = core::AppId::kApache;  ///< the app that filled it
+  BaseState base;
+  // WebServer
+  std::uint64_t served = 0;
+  std::uint64_t cache_fills = 0;
+  // Desktop
+  std::uint64_t events = 0;
+  std::uint64_t open_windows = 1;
+  int calendar_year = 1999;
+  // Database: full catalog + data + lock state
+  sql::Engine engine;
+};
+/// A checkpoint as a mechanism holds it. The Snapshot it points to never
+/// changes while anyone holds it.
 using SnapshotPtr = std::shared_ptr<const Snapshot>;
 
 class SimApp {
@@ -100,7 +141,8 @@ class SimApp {
 
   /// Restores state from a snapshot and re-materializes its environment
   /// footprint (descriptors re-acquired, worker pool respawned). Returns
-  /// false when the environment cannot supply the footprint.
+  /// false when the environment cannot supply the footprint, or when
+  /// another app took the snapshot.
   virtual bool restore(const SnapshotPtr& snapshot,
                        env::Environment& environment) = 0;
 
@@ -153,19 +195,16 @@ class BaseApp : public SimApp {
   std::size_t reclaim_idle_descriptors(env::Environment& environment,
                                        double fraction) override;
 
- protected:
-  struct BaseState {
-    std::uint64_t items_handled = 0;
-    /// Units leaked by leak-type faults. Part of the snapshot: generic
-    /// recovery faithfully restores the bloat.
-    std::uint64_t leaked_units = 0;
-    /// Descriptors the app currently holds (base + leaked).
-    std::size_t fd_footprint = 0;
-    /// Hostname captured at start (apps cache it; kHostnameChanged bites
-    /// when the environment's name moves away from the cached one).
-    std::string captured_hostname;
-  };
+  /// Refills a Snapshot no one else holds, from a per-lane pool: a lane's
+  /// mechanisms hold at most two checkpoints at a time (the current one
+  /// and its replacement), so once a lane has run a trial, checkpoints
+  /// reuse the pool's Snapshots and allocate nothing. Snapshots never
+  /// cross lanes, so a use count of one means the pool's reference is the
+  /// only one.
+  SnapshotPtr snapshot() const final;
+  bool restore(const SnapshotPtr& snapshot, env::Environment& e) final;
 
+ protected:
   BaseApp(core::AppId id, std::string name, std::size_t base_fds,
           std::size_t worker_pool);
 
@@ -185,7 +224,13 @@ class BaseApp : public SimApp {
                                         env::Environment& e);
 
   /// Builds the failure result dictated by the armed fault's symptom.
-  StepResult fail(std::string detail) const;
+  /// `detail` must outlive the app's next handle(): a literal, or
+  /// keep_detail()'s result.
+  StepResult fail(std::string_view detail) const;
+
+  /// Copies a detail built at run time into the app's detail buffer;
+  /// valid until the next call.
+  std::string_view keep_detail(std::string_view text);
 
   /// Emits the fixed program's synchronized two-thread trace for a racy
   /// item: every access to `shared` is lock-protected, so the analysis
@@ -203,6 +248,11 @@ class BaseApp : public SimApp {
   /// generically (used to pick buggy vs fixed trace shape).
   bool generic_race_armed() const noexcept;
 
+  /// The app's own checkpointed state beyond BaseState; restore() has
+  /// already restored the base state and the footprint when load() runs.
+  virtual void save(Snapshot& into) const = 0;
+  virtual bool load(const Snapshot& from, env::Environment& e) = 0;
+
   BaseState state_;
   std::size_t base_fds_;
   std::size_t worker_pool_;
@@ -215,7 +265,8 @@ class BaseApp : public SimApp {
   std::uint64_t cache_quota_ = 0;
 
  private:
-  std::string path_;  ///< cache_path()'s buffer
+  std::string path_;    ///< cache_path()'s buffer
+  std::string detail_;  ///< keep_detail()'s buffer
 
   /// kUnknownTransient's hidden condition: environmental, so deliberately
   /// NOT part of BaseState / the snapshot. Cleared once it has fired.

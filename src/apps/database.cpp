@@ -92,11 +92,6 @@ const std::vector<sql::Statement>* cached_statements(std::string_view sql,
 
 }  // namespace
 
-struct Database::DbSnapshot : Snapshot {
-  BaseState base;
-  sql::Engine engine;  // full catalog + data + lock state
-};
-
 Database::Database(const DatabaseConfig& config)
     : BaseApp(core::AppId::kMysql, "mysqld", config.base_fds,
               config.worker_pool),
@@ -194,10 +189,15 @@ StepResult Database::handle(const WorkItem& item, env::Environment& e) {
       (void)e.dns().reverse(item.client_address);
     }
   } else {
-    const sql::ExecResult result = execute(item.op);
-    if (result.status == sql::ExecStatus::kCrash) {
-      running_ = false;
-      return {StepStatus::kCrash, result.message};
+    // Only the status matters here, so the statement builds no rows. An op
+    // that does not parse is an error too: returned to the client.
+    std::string parse_error;
+    if (const auto* statements = cached_statements(item.op, parse_error)) {
+      const sql::StatementStatus result = engine_.execute_status(*statements);
+      if (result.status == sql::ExecStatus::kCrash) {
+        running_ = false;
+        return {StepStatus::kCrash, keep_detail(result.message)};
+      }
     }
     // Statement errors are returned to the client, not server failures.
     if (item.write_bytes > 0) e.disk().append(log_path_, item.write_bytes);
@@ -211,18 +211,10 @@ StepResult Database::handle(const WorkItem& item, env::Environment& e) {
 
 void Database::stop(env::Environment& e) { base_stop(e); }
 
-SnapshotPtr Database::snapshot() const {
-  auto snap = std::make_shared<DbSnapshot>();
-  snap->base = state_;
-  snap->engine = engine_;
-  return snap;
-}
+void Database::save(Snapshot& into) const { into.engine = engine_; }
 
-bool Database::restore(const SnapshotPtr& snapshot, env::Environment& e) {
-  const auto* snap = dynamic_cast<const DbSnapshot*>(snapshot.get());
-  if (snap == nullptr) return false;
-  if (!base_restore(snap->base, e)) return false;
-  engine_ = snap->engine;
+bool Database::load(const Snapshot& from, env::Environment& e) {
+  engine_ = from.engine;
   e.network().release_ports_of("mysqld");
   if (!e.network().bind_port(config_.listen_port, "mysqld")) {
     running_ = false;

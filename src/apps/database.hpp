@@ -59,19 +59,19 @@ class Database final : public BaseApp {
   bool start(env::Environment& e) override;
   StepResult handle(const WorkItem& item, env::Environment& e) override;
   void stop(env::Environment& e) override;
-  SnapshotPtr snapshot() const override;
-  bool restore(const SnapshotPtr& snapshot, env::Environment& e) override;
   void rejuvenate(env::Environment& e) override;
 
-  /// Runs one SQL op through the statement cache (parsed on first use).
-  /// handle() runs every non-CONNECT item this way.
+  /// Runs one SQL op through the statement cache (parsed on first use),
+  /// returning its rows. handle() runs every non-CONNECT item through the
+  /// same cache but on the engine's status-only path (sql/engine.hpp).
   sql::ExecResult execute(std::string_view sql);
 
   std::uint64_t rows(const std::string& table) const;
   const sql::Engine& engine() const noexcept { return engine_; }
 
  private:
-  struct DbSnapshot;
+  void save(Snapshot& into) const override;
+  bool load(const Snapshot& from, env::Environment& e) override;
   void create_catalog();
 
   DatabaseConfig config_;

@@ -5,13 +5,6 @@
 
 namespace faultstudy::apps {
 
-struct Desktop::DesktopSnapshot : Snapshot {
-  BaseState base;
-  std::uint64_t events = 0;
-  std::uint64_t open_windows = 1;
-  int calendar_year = 1999;
-};
-
 Desktop::Desktop(const DesktopConfig& config)
     : BaseApp(core::AppId::kGnome, "gnome-session", config.base_fds,
               config.worker_pool),
@@ -85,14 +78,14 @@ StepResult Desktop::handle(const WorkItem& item, env::Environment& e) {
     const auto r = settings.click_tab("tasklist");
     if (r.status == ui::UiStatus::kCrash) {
       running_ = false;
-      return {StepStatus::kCrash, r.detail};
+      return {StepStatus::kCrash, keep_detail(r.detail)};
     }
   } else if (item.op == "click:calendar-prev-year") {
     ui::Calendar calendar(calendar_year_, ui_flags_);
     const auto r = calendar.click_prev_year();
     if (r.status == ui::UiStatus::kCrash) {
       running_ = false;
-      return {StepStatus::kCrash, r.detail};
+      return {StepStatus::kCrash, keep_detail(r.detail)};
     }
     calendar_year_ = calendar.year();
   } else if (util::starts_with(item.op, "open:archive")) {
@@ -100,7 +93,7 @@ StepResult Desktop::handle(const WorkItem& item, env::Environment& e) {
     const auto r = opener.open(3ull << 30);  // a 3 GiB tar.gz
     if (r.status == ui::UiStatus::kCrash) {
       running_ = false;
-      return {StepStatus::kCrash, r.detail};
+      return {StepStatus::kCrash, keep_detail(r.detail)};
     }
     ++open_windows_;
   } else if (util::starts_with(item.op, "open:")) {
@@ -124,22 +117,17 @@ StepResult Desktop::handle(const WorkItem& item, env::Environment& e) {
 
 void Desktop::stop(env::Environment& e) { base_stop(e); }
 
-SnapshotPtr Desktop::snapshot() const {
-  auto snap = std::make_shared<DesktopSnapshot>();
-  snap->base = state_;
-  snap->events = events_;
-  snap->open_windows = open_windows_;
-  snap->calendar_year = calendar_year_;
-  return snap;
+void Desktop::save(Snapshot& into) const {
+  into.events = events_;
+  into.open_windows = open_windows_;
+  into.calendar_year = calendar_year_;
 }
 
-bool Desktop::restore(const SnapshotPtr& snapshot, env::Environment& e) {
-  const auto* snap = dynamic_cast<const DesktopSnapshot*>(snapshot.get());
-  if (snap == nullptr) return false;
-  if (!base_restore(snap->base, e)) return false;
-  events_ = snap->events;
-  open_windows_ = snap->open_windows;
-  calendar_year_ = snap->calendar_year;
+bool Desktop::load(const Snapshot& from, env::Environment& e) {
+  (void)e;
+  events_ = from.events;
+  open_windows_ = from.open_windows;
+  calendar_year_ = from.calendar_year;
   return true;
 }
 

@@ -30,15 +30,14 @@ class Desktop final : public BaseApp {
   bool start(env::Environment& e) override;
   StepResult handle(const WorkItem& item, env::Environment& e) override;
   void stop(env::Environment& e) override;
-  SnapshotPtr snapshot() const override;
-  bool restore(const SnapshotPtr& snapshot, env::Environment& e) override;
   void rejuvenate(env::Environment& e) override;
 
   std::uint64_t events_handled() const noexcept { return events_; }
   std::uint64_t open_windows() const noexcept { return open_windows_; }
 
  private:
-  struct DesktopSnapshot;
+  void save(Snapshot& into) const override;
+  bool load(const Snapshot& from, env::Environment& e) override;
 
   DesktopConfig config_;
   ui::UiFaultFlags ui_flags_;

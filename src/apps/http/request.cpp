@@ -34,11 +34,9 @@ ParseOutcome parse_request(std::string_view line,
     outcome.detail = "no URI in request line";
     return outcome;
   }
-  outcome.request.method = std::string(line.substr(0, sp1));
-  auto rest = line.substr(sp1 + 1);
-  const auto sp2 = rest.find(' ');
-  outcome.request.uri =
-      std::string(sp2 == std::string_view::npos ? rest : rest.substr(0, sp2));
+  outcome.request.method = line.substr(0, sp1);
+  const auto rest = line.substr(sp1 + 1);
+  outcome.request.uri = rest.substr(0, rest.find(' '));
   if (outcome.request.uri.empty() || outcome.request.uri[0] != '/') {
     outcome.status = ParseStatus::kBadRequest;
     outcome.detail = "URI must be absolute";
@@ -46,7 +44,7 @@ ParseOutcome parse_request(std::string_view line,
   }
   const auto q = outcome.request.uri.find('?');
   outcome.request.path = outcome.request.uri.substr(0, q);
-  if (q != std::string::npos) {
+  if (q != std::string_view::npos) {
     outcome.request.query = outcome.request.uri.substr(q + 1);
   }
 

@@ -27,11 +27,12 @@ struct HttpFaultFlags {
   bool empty_dir_palloc_bug = false;
 };
 
+/// Views into the parsed request line: valid while the line is.
 struct Request {
-  std::string method;  ///< GET, POST, HEAD
-  std::string uri;     ///< path + optional query
-  std::string path;    ///< uri up to '?'
-  std::string query;   ///< after '?', may be empty
+  std::string_view method;  ///< GET, POST, HEAD
+  std::string_view uri;     ///< path + optional query
+  std::string_view path;    ///< uri up to '?'
+  std::string_view query;   ///< after '?', may be empty
 };
 
 enum class ParseStatus : std::uint8_t {
@@ -43,7 +44,7 @@ enum class ParseStatus : std::uint8_t {
 struct ParseOutcome {
   ParseStatus status = ParseStatus::kOk;
   Request request;
-  std::string detail;
+  std::string_view detail;  ///< a literal
 };
 
 /// Size of the URI working buffer in the (buggy) hash path. Real Apache's
@@ -51,7 +52,7 @@ struct ParseOutcome {
 inline constexpr std::size_t kUriBufferSize = 256;
 
 /// Parses a request line ("GET /path?query") and runs the request-hash
-/// path. With long_url_hash_overflow set, a URI longer than the working
+/// path. Allocates nothing: the request's fields are views into `line`. With long_url_hash_overflow set, a URI longer than the working
 /// buffer overruns the bucket array — the crash the study describes.
 ParseOutcome parse_request(std::string_view line, const HttpFaultFlags& flags);
 

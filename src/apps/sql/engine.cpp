@@ -1,29 +1,120 @@
 #include "apps/sql/engine.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 
 namespace faultstudy::apps::sql {
 
 namespace {
-ExecResult crash(std::string message) {
-  ExecResult r;
-  r.status = ExecStatus::kCrash;
-  r.message = std::move(message);
-  return r;
+
+/// A statement's scratch, one per thread (engine.hpp): kept from statement
+/// to statement, so a warm statement reuses its capacity.
+struct Scratch {
+  std::vector<int> columns;  ///< schema column per WHERE predicate
+  std::vector<Slot> hits;    ///< find_hits()' output
+  std::string message;       ///< error()'s text
+};
+
+Scratch& scratch() {
+  thread_local Scratch buffer;
+  return buffer;
 }
-ExecResult error(std::string message) {
-  ExecResult r;
-  r.status = ExecStatus::kError;
-  r.message = std::move(message);
-  return r;
+
+StatementStatus ok(std::int64_t affected = 0) {
+  return {ExecStatus::kOk, {}, affected};
 }
+
+StatementStatus crash(std::string_view message) {
+  return {ExecStatus::kCrash, message, 0};
+}
+
+/// `what` followed by `name`, in this thread's error buffer.
+StatementStatus error(std::string_view what, std::string_view name = {}) {
+  std::string& message = scratch().message;
+  message.assign(what);
+  message += name;
+  return {ExecStatus::kError, message, 0};
+}
+
+/// Schema column of each WHERE predicate, -1 when unknown; resolved once
+/// per statement, not per row.
+void resolve(const Table& table, const std::vector<Predicate>& where,
+             std::vector<int>& columns) {
+  columns.clear();
+  for (const Predicate& p : where) {
+    columns.push_back(table.schema().find(p.column));
+  }
+}
+
+/// An unknown column is an error only once a row reaches its predicate:
+/// the row then does not match, and `*unknown` (when given) names the
+/// column.
+bool matches(const Table& table, Slot slot,
+             const std::vector<Predicate>& where,
+             const std::vector<int>& columns, const std::string** unknown) {
+  const auto row = table.row(slot);
+  for (std::size_t i = 0; i < where.size(); ++i) {
+    const Predicate& p = where[i];
+    if (columns[i] < 0) {
+      if (unknown != nullptr) *unknown = &p.column;
+      return false;
+    }
+    if (!evaluate(p.op, row[static_cast<std::size_t>(columns[i])],
+                  p.literal)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The live slots satisfying `where`, ascending, into `s.hits`. Returns the
+/// unknown column a row reached (the hits are then meaningless), else
+/// nullptr.
+const std::string* find_hits(const Table& table,
+                             const std::vector<Predicate>& where,
+                             Scratch& s) {
+  resolve(table, where, s.columns);
+  const std::vector<int>& columns = s.columns;
+  std::vector<Slot>& hits = s.hits;
+  hits.clear();
+  const bool resolved =
+      std::find(columns.begin(), columns.end(), -1) == columns.end();
+  std::size_t bound = 0;
+  while (bound < where.size() &&
+         (columns[bound] != 0 || where[bound].op == CompareOp::kNe)) {
+    ++bound;
+  }
+  if (resolved && bound < where.size()) {
+    // The bounding predicate's key range holds every hit (table.hpp).
+    // Sorting restores slot order; the dedupe and the re-check drop stale
+    // entries and apply the other predicates.
+    const auto range =
+        table.index_range(where[bound].op, where[bound].literal);
+    for (const auto& entry : range) hits.push_back(entry.second);
+    std::sort(hits.begin(), hits.end());
+    hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
+    std::erase_if(hits, [&](Slot slot) {
+      return !table.is_live(slot) ||
+             !matches(table, slot, where, columns, nullptr);
+    });
+    return nullptr;
+  }
+  const std::string* unknown = nullptr;
+  for (Slot slot = 0; slot < table.slot_count(); ++slot) {
+    if (!table.is_live(slot)) continue;
+    if (matches(table, slot, where, columns, &unknown)) hits.push_back(slot);
+    if (unknown != nullptr) break;
+  }
+  return unknown;
+}
+
 }  // namespace
 
 ExecResult Engine::execute(std::string_view sql) {
   auto statements = parse(sql);
-  if (!statements.ok()) return error(statements.error());
+  if (!statements.ok()) {
+    return {ExecStatus::kError, statements.error(), {}, 0};
+  }
   return execute(statements.value());
 }
 
@@ -36,12 +127,32 @@ ExecResult Engine::execute(const std::vector<Statement>& statements) {
   return last;
 }
 
+StatementStatus Engine::execute_status(
+    const std::vector<Statement>& statements) {
+  StatementStatus last;
+  for (const Statement& statement : statements) {
+    last = step(statement, nullptr);
+    if (last.status != ExecStatus::kOk) return last;
+  }
+  return last;
+}
+
 ExecResult Engine::run(const Statement& statement) {
+  ExecResult r;
+  const StatementStatus status = step(statement, &r.rows);
+  r.status = status.status;
+  r.message = status.message;
+  r.affected = status.affected;
+  return r;
+}
+
+StatementStatus Engine::step(const Statement& statement,
+                             std::vector<Row>* rows) {
   return std::visit(
-      [this](const auto& node) -> ExecResult {
+      [this, rows](const auto& node) -> StatementStatus {
         using T = std::decay_t<decltype(node)>;
         if constexpr (std::is_same_v<T, SelectStatement>) {
-          return run_select(node);
+          return run_select(node, rows);
         } else if constexpr (std::is_same_v<T, InsertStatement>) {
           return run_insert(node);
         } else if constexpr (std::is_same_v<T, UpdateStatement>) {
@@ -73,73 +184,10 @@ const Table* Engine::find_table(std::string_view name) const {
   return it == tables_.end() || it->first != name ? nullptr : &it->second;
 }
 
-std::vector<int> Engine::resolve(const Table& table,
-                                 const std::vector<Predicate>& where) {
-  std::vector<int> columns;
-  columns.reserve(where.size());
-  for (const Predicate& p : where) {
-    columns.push_back(table.schema().find(p.column));
-  }
-  return columns;
-}
-
-bool Engine::matches(const Table& table, Slot slot,
-                     const std::vector<Predicate>& where,
-                     const std::vector<int>& columns, std::string* err) {
-  const auto row = table.row(slot);
-  for (std::size_t i = 0; i < where.size(); ++i) {
-    const Predicate& p = where[i];
-    if (columns[i] < 0) {
-      if (err != nullptr) *err = "unknown column " + p.column;
-      return false;
-    }
-    if (!evaluate(p.op, row[static_cast<std::size_t>(columns[i])],
-                  p.literal)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::vector<Slot> Engine::find_hits(const Table& table,
-                                    const std::vector<Predicate>& where,
-                                    std::string& err) {
-  const std::vector<int> columns = resolve(table, where);
-  std::vector<Slot> hits;
-  const bool resolved =
-      std::find(columns.begin(), columns.end(), -1) == columns.end();
-  std::size_t bound = 0;
-  while (bound < where.size() &&
-         (columns[bound] != 0 || where[bound].op == CompareOp::kNe)) {
-    ++bound;
-  }
-  if (resolved && bound < where.size()) {
-    // The bounding predicate's key range holds every hit (table.hpp).
-    // Sorting restores slot order; the dedupe and the re-check drop stale
-    // entries and apply the other predicates.
-    const auto range =
-        table.index_range(where[bound].op, where[bound].literal);
-    hits.reserve(range.size());
-    for (const auto& entry : range) hits.push_back(entry.second);
-    std::sort(hits.begin(), hits.end());
-    hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
-    std::erase_if(hits, [&](Slot slot) {
-      return !table.is_live(slot) ||
-             !matches(table, slot, where, columns, nullptr);
-    });
-    return hits;
-  }
-  for (Slot slot = 0; slot < table.slot_count(); ++slot) {
-    if (!table.is_live(slot)) continue;
-    if (matches(table, slot, where, columns, &err)) hits.push_back(slot);
-    if (!err.empty()) break;
-  }
-  return hits;
-}
-
-ExecResult Engine::run_select(const SelectStatement& s) {
+StatementStatus Engine::run_select(const SelectStatement& s,
+                                   std::vector<Row>* rows) {
   const Table* table = find_table(s.table);
-  if (table == nullptr) return error("unknown table " + s.table);
+  if (table == nullptr) return error("unknown table ", s.table);
 
   if (s.count_star && s.where.empty()) {
     // --- mysql-ei-03: "the use of a count clause on an empty table
@@ -148,28 +196,27 @@ ExecResult Engine::run_select(const SelectStatement& s) {
       return crash("segfault in COUNT(*) fast path: empty-table check "
                    "missing");
     }
-    ExecResult r;
-    r.affected = static_cast<std::int64_t>(table->row_count());
-    return r;
+    return ok(static_cast<std::int64_t>(table->row_count()));
   }
 
-  std::string err;
-  std::vector<Slot> hits = find_hits(*table, s.where, err);
-  if (!err.empty()) return error(err);
+  Scratch& scratch_buffer = scratch();
+  if (const std::string* unknown = find_hits(*table, s.where, scratch_buffer)) {
+    return error("unknown column ", *unknown);
+  }
+  std::vector<Slot>& hits = scratch_buffer.hits;
 
   if (s.count_star) {
     if (flags_.count_on_empty_crash && hits.empty()) {
       return crash("segfault in COUNT(*): empty result, check missing");
     }
-    ExecResult r;
-    r.affected = static_cast<std::int64_t>(hits.size());
-    return r;
+    return ok(static_cast<std::int64_t>(hits.size()));
   }
 
   const std::size_t limit =
       s.limit.has_value()
           ? static_cast<std::size_t>(std::max<std::int64_t>(0, *s.limit))
           : hits.size();
+  const std::size_t kept = std::min(limit, hits.size());
   if (s.order_by.has_value()) {
     // --- mysql-ei-02: "a query which selects zero records and has an
     // 'order by' clause will cause the server to crash ... missing
@@ -179,59 +226,69 @@ ExecResult Engine::run_select(const SelectStatement& s) {
                    "result set");
     }
     const int col = table->schema().find(s.order_by->column);
-    if (col < 0) return error("unknown column " + s.order_by->column);
-    // Hits arrive in slot order, so ties by slot (for DESC too) are what a
-    // stable sort on the value gives. Only the kept rows need sorting.
-    const auto before = [&](Slot a, Slot b) {
-      const int cmp = compare(table->row(a)[static_cast<std::size_t>(col)],
-                              table->row(b)[static_cast<std::size_t>(col)]);
-      if (cmp != 0) return s.order_by->descending ? cmp > 0 : cmp < 0;
-      return a < b;
-    };
-    const auto kept = hits.begin() + static_cast<std::ptrdiff_t>(
-                                         std::min(limit, hits.size()));
-    std::partial_sort(hits.begin(), kept, hits.end(), before);
-  }
-
-  ExecResult r;
-  r.rows.reserve(std::min(limit, hits.size()));
-  for (std::size_t i = 0; i < hits.size() && i < limit; ++i) {
-    const auto row = table->row(hits[i]);
-    if (s.columns.empty()) {
-      r.rows.emplace_back(row.begin(), row.end());
-    } else {
-      Row projected;
-      projected.reserve(s.columns.size());
-      for (const auto& name : s.columns) {
-        const int col = table->schema().find(name);
-        if (col < 0) return error("unknown column " + name);
-        projected.push_back(row[static_cast<std::size_t>(col)]);
-      }
-      r.rows.push_back(std::move(projected));
+    if (col < 0) return error("unknown column ", s.order_by->column);
+    if (rows != nullptr) {
+      // Hits arrive in slot order, so ties by slot (for DESC too) are what
+      // a stable sort on the value gives. Only the kept rows need sorting.
+      const auto before = [&](Slot a, Slot b) {
+        const int cmp =
+            compare(table->row(a)[static_cast<std::size_t>(col)],
+                    table->row(b)[static_cast<std::size_t>(col)]);
+        if (cmp != 0) return s.order_by->descending ? cmp > 0 : cmp < 0;
+        return a < b;
+      };
+      std::partial_sort(hits.begin(),
+                        hits.begin() + static_cast<std::ptrdiff_t>(kept),
+                        hits.end(), before);
     }
   }
-  r.affected = static_cast<std::int64_t>(r.rows.size());
-  return r;
+
+  // A projected column is looked up once, and is an error only when a row
+  // is kept.
+  std::vector<int>& projection = scratch_buffer.columns;
+  projection.clear();
+  if (kept > 0) {
+    for (const auto& name : s.columns) {
+      const int col = table->schema().find(name);
+      if (col < 0) return error("unknown column ", name);
+      projection.push_back(col);
+    }
+  }
+
+  if (rows != nullptr) {
+    rows->reserve(rows->size() + kept);
+    for (std::size_t i = 0; i < kept; ++i) {
+      const auto row = table->row(hits[i]);
+      if (projection.empty()) {
+        rows->emplace_back(row.begin(), row.end());
+        continue;
+      }
+      Row& projected = rows->emplace_back();
+      projected.reserve(projection.size());
+      for (const int col : projection) {
+        projected.push_back(row[static_cast<std::size_t>(col)]);
+      }
+    }
+  }
+  return ok(static_cast<std::int64_t>(kept));
 }
 
-ExecResult Engine::run_insert(const InsertStatement& s) {
+StatementStatus Engine::run_insert(const InsertStatement& s) {
   Table* table = find_table(s.table);
-  if (table == nullptr) return error("unknown table " + s.table);
+  if (table == nullptr) return error("unknown table ", s.table);
   if (s.values.size() != table->schema().columns.size()) {
-    return error("arity mismatch for " + s.table);
+    return error("arity mismatch for ", s.table);
   }
   table->insert(s.values);
-  ExecResult r;
-  r.affected = 1;
-  return r;
+  return ok(1);
 }
 
-ExecResult Engine::run_update(const UpdateStatement& s) {
+StatementStatus Engine::run_update(const UpdateStatement& s) {
   Table* table = find_table(s.table);
-  if (table == nullptr) return error("unknown table " + s.table);
+  if (table == nullptr) return error("unknown table ", s.table);
   const int col = table->schema().find(s.column);
-  if (col < 0) return error("unknown column " + s.column);
-  std::string err;
+  if (col < 0) return error("unknown column ", s.column);
+  Scratch& scratch_buffer = scratch();
 
   if (flags_.update_index_scan_bug && col == 0) {
     // --- mysql-ei-01, the buggy path: drive the update through the index
@@ -242,13 +299,14 @@ ExecResult Engine::run_update(const UpdateStatement& s) {
     // ownership before opening it, or the first write would clone the
     // (snapshot-shared) rows and the scan would never meet its own moves.
     table->detach();
-    const std::vector<int> where_columns = resolve(*table, s.where);
+    resolve(*table, s.where, scratch_buffer.columns);
     std::int64_t touched = 0;
     for (auto cursor = table->index_scan(); !cursor.done(); cursor.next()) {
       const Slot slot = cursor.slot();
       if (!table->is_live(slot)) continue;
-      if (!matches(*table, slot, s.where, where_columns, &err)) {
-        if (!err.empty()) return error(err);
+      const std::string* unknown = nullptr;
+      if (!matches(*table, slot, s.where, scratch_buffer.columns, &unknown)) {
+        if (unknown != nullptr) return error("unknown column ", *unknown);
         continue;
       }
       table->update_cell(slot, col, s.value,
@@ -262,64 +320,60 @@ ExecResult Engine::run_update(const UpdateStatement& s) {
                      "duplicate values in the index");
       }
     }
-    ExecResult r;
-    r.affected = touched;
-    return r;
+    return ok(touched);
   }
 
   // The fixed algorithm (the paper's fix): "first scanning for all matching
   // rows and then updating the found rows".
-  const std::vector<Slot> hits = find_hits(*table, s.where, err);
-  if (!err.empty()) return error(err);
-  for (Slot slot : hits) table->update_cell(slot, col, s.value);
-  ExecResult r;
-  r.affected = static_cast<std::int64_t>(hits.size());
-  return r;
+  if (const std::string* unknown = find_hits(*table, s.where, scratch_buffer)) {
+    return error("unknown column ", *unknown);
+  }
+  for (Slot slot : scratch_buffer.hits) table->update_cell(slot, col, s.value);
+  return ok(static_cast<std::int64_t>(scratch_buffer.hits.size()));
 }
 
-ExecResult Engine::run_delete(const DeleteStatement& s) {
+StatementStatus Engine::run_delete(const DeleteStatement& s) {
   Table* table = find_table(s.table);
-  if (table == nullptr) return error("unknown table " + s.table);
-  std::string err;
-  const std::vector<Slot> hits = find_hits(*table, s.where, err);
-  if (!err.empty()) return error(err);
-  for (Slot slot : hits) table->erase(slot);
-  ExecResult r;
-  r.affected = static_cast<std::int64_t>(hits.size());
-  return r;
+  if (table == nullptr) return error("unknown table ", s.table);
+  Scratch& scratch_buffer = scratch();
+  if (const std::string* unknown = find_hits(*table, s.where, scratch_buffer)) {
+    return error("unknown column ", *unknown);
+  }
+  for (Slot slot : scratch_buffer.hits) table->erase(slot);
+  return ok(static_cast<std::int64_t>(scratch_buffer.hits.size()));
 }
 
-ExecResult Engine::run_create(const CreateStatement& s) {
+StatementStatus Engine::run_create(const CreateStatement& s) {
   const auto it = lower_bound(s.table);
   if (it != tables_.end() && it->first == s.table) {
-    return error("table exists: " + s.table);
+    return error("table exists: ", s.table);
   }
   tables_.emplace(it, s.table, Table(s.schema));
-  return {};
+  return ok();
 }
 
-ExecResult Engine::run_admin(const AdminStatement& s) {
+StatementStatus Engine::run_admin(const AdminStatement& s) {
   switch (s.kind) {
     case AdminStatement::Kind::kOptimize: {
       Table* table = find_table(s.table);
-      if (table == nullptr) return error("unknown table " + s.table);
+      if (table == nullptr) return error("unknown table ", s.table);
       // --- mysql-ei-04: "an OPTIMIZE TABLE query crashes the server ...
       // caused by a missing initialization statement" ---
       if (flags_.optimize_missing_init) {
         return crash("OPTIMIZE TABLE used an uninitialized repair context");
       }
       table->compact();
-      return {};
+      return ok();
     }
     case AdminStatement::Kind::kLockTables:
       if (find_table(s.table) == nullptr) {
-        return error("unknown table " + s.table);
+        return error("unknown table ", s.table);
       }
       locked_table_ = s.table;
-      return {};
+      return ok();
     case AdminStatement::Kind::kUnlockTables:
       locked_table_.clear();
-      return {};
+      return ok();
     case AdminStatement::Kind::kFlushTables:
       // --- mysql-ei-05: "a FLUSH TABLES command after a LOCK TABLES
       // command crashes the server": the flush path re-acquires locks the
@@ -328,7 +382,7 @@ ExecResult Engine::run_admin(const AdminStatement& s) {
         return crash("FLUSH TABLES deadlocked on the session's own LOCK "
                      "TABLES lock and aborted");
       }
-      return {};
+      return ok();
   }
   return error("unhandled admin statement");
 }

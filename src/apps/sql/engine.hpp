@@ -26,6 +26,16 @@
 // allocations, however many rows the table holds. A WHERE bounding column
 // 0 with =, <, <=, > or >= re-checks the index's key range; any other
 // WHERE walks the slots in place. Hits come out in slot order either way.
+//
+// Two ways to run a statement. execute() returns an ExecResult with the
+// result rows. execute_status() runs the same code with no row sink: it
+// makes every check and every write execute() makes (the five bugs, an
+// unknown table or column, ORDER BY over zero rows) but builds no rows and
+// skips the ORDER BY sort, which only orders rows. The Database app's
+// handle() reads only a statement's status, so it runs that path. Both
+// keep their per-statement scratch (the WHERE columns, the hits, an error
+// text) in one buffer per thread, so a warm statement allocates nothing
+// beyond what it writes or returns.
 #pragma once
 
 #include <string>
@@ -61,6 +71,15 @@ struct ExecResult {
   std::int64_t affected = 0;  ///< rows touched, or the COUNT(*) value
 };
 
+/// An ExecResult without its rows.
+struct StatementStatus {
+  ExecStatus status = ExecStatus::kOk;
+  /// A literal, or this thread's error buffer: valid until the next
+  /// statement runs on this thread.
+  std::string_view message;
+  std::int64_t affected = 0;  ///< as ExecResult::affected
+};
+
 class Engine {
  public:
   explicit Engine(SqlFaultFlags flags = {}) : flags_(flags) {}
@@ -76,6 +95,10 @@ class Engine {
   /// caller can parse a statement list once and run it many times.
   ExecResult execute(const std::vector<Statement>& statements);
 
+  /// execute() without building result rows: the same status, message,
+  /// affected count and engine state.
+  StatementStatus execute_status(const std::vector<Statement>& statements);
+
   /// Direct statement execution (parser bypass, used by tests).
   ExecResult run(const Statement& statement);
 
@@ -87,26 +110,15 @@ class Engine {
   const std::string& locked_table() const noexcept { return locked_table_; }
 
  private:
-  ExecResult run_select(const SelectStatement& s);
-  ExecResult run_insert(const InsertStatement& s);
-  ExecResult run_update(const UpdateStatement& s);
-  ExecResult run_delete(const DeleteStatement& s);
-  ExecResult run_create(const CreateStatement& s);
-  ExecResult run_admin(const AdminStatement& s);
-
-  /// Schema column of each WHERE predicate, -1 when unknown; resolved once
-  /// per statement, not per row.
-  static std::vector<int> resolve(const Table& table,
-                                  const std::vector<Predicate>& where);
-  /// An unknown column is an error only once a row reaches its predicate.
-  static bool matches(const Table& table, Slot slot,
-                      const std::vector<Predicate>& where,
-                      const std::vector<int>& columns, std::string* error);
-  /// The live slots satisfying `where`, ascending. Sets `err` (the hits
-  /// are then meaningless) when a row reaches an unknown column.
-  static std::vector<Slot> find_hits(const Table& table,
-                                     const std::vector<Predicate>& where,
-                                     std::string& err);
+  /// Runs one statement; a SELECT appends its rows to `rows` unless it is
+  /// null.
+  StatementStatus step(const Statement& statement, std::vector<Row>* rows);
+  StatementStatus run_select(const SelectStatement& s, std::vector<Row>* rows);
+  StatementStatus run_insert(const InsertStatement& s);
+  StatementStatus run_update(const UpdateStatement& s);
+  StatementStatus run_delete(const DeleteStatement& s);
+  StatementStatus run_create(const CreateStatement& s);
+  StatementStatus run_admin(const AdminStatement& s);
 
   using NamedTable = std::pair<std::string, Table>;
   /// The first table whose name is not less than `name`.

@@ -61,15 +61,14 @@ void Table::detach() {
   if (data_.use_count() > 1) data_ = std::make_shared<Data>(*data_);
 }
 
-Slot Table::insert(Row row) {
+Slot Table::insert(const Row& row) {
   if (row.size() != width()) {
     throw std::invalid_argument("row of width " + std::to_string(row.size()) +
                                 " for a table of width " +
                                 std::to_string(width()));
   }
   detach();
-  return data_->append(std::make_move_iterator(row.begin()),
-                       std::make_move_iterator(row.end()));
+  return data_->append(row.begin(), row.end());
 }
 
 void Table::erase(Slot slot) {

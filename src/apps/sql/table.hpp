@@ -55,9 +55,10 @@ class Table {
     return static_cast<Slot>(data_->dead.size());
   }
 
-  /// Appends a row and indexes its column 0. Throws std::invalid_argument,
-  /// leaving the table unchanged, unless the row has the schema's width.
-  Slot insert(Row row);
+  /// Appends a copy of the row's cells and indexes its column 0. Throws
+  /// std::invalid_argument, leaving the table unchanged, unless the row has
+  /// the schema's width.
+  Slot insert(const Row& row);
 
   /// Marks a slot dead and removes its index entry.
   void erase(Slot slot);

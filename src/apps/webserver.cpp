@@ -2,12 +2,6 @@
 
 namespace faultstudy::apps {
 
-struct WebServer::WebSnapshot : Snapshot {
-  BaseState base;
-  std::uint64_t served = 0;
-  std::uint64_t cache_fills = 0;
-};
-
 WebServer::WebServer(const WebServerConfig& config)
     : BaseApp(core::AppId::kApache, "apache", config.base_fds,
               config.worker_pool),
@@ -65,8 +59,9 @@ StepResult WebServer::handle(const WorkItem& item, env::Environment& e) {
     if (parsed.status == http::ParseStatus::kOk &&
         !parsed.request.path.empty() && parsed.request.path.back() == '/') {
       // Directory listing (the apache-ei-04 palloc(0) bug lives here).
-      const auto entries =
-          e.disk().list_prefix("/htdocs" + parsed.request.path);
+      std::string dir = "/htdocs";
+      dir += parsed.request.path;
+      const auto entries = e.disk().list_prefix(dir);
       const auto listing = http::index_directory(entries, http_flags_);
       if (listing.crashed) {
         running_ = false;
@@ -119,20 +114,14 @@ StepResult WebServer::handle(const WorkItem& item, env::Environment& e) {
 
 void WebServer::stop(env::Environment& e) { base_stop(e); }
 
-SnapshotPtr WebServer::snapshot() const {
-  auto snap = std::make_shared<WebSnapshot>();
-  snap->base = state_;
-  snap->served = served_;
-  snap->cache_fills = cache_fills_;
-  return snap;
+void WebServer::save(Snapshot& into) const {
+  into.served = served_;
+  into.cache_fills = cache_fills_;
 }
 
-bool WebServer::restore(const SnapshotPtr& snapshot, env::Environment& e) {
-  const auto* snap = dynamic_cast<const WebSnapshot*>(snapshot.get());
-  if (snap == nullptr) return false;
-  if (!base_restore(snap->base, e)) return false;
-  served_ = snap->served;
-  cache_fills_ = snap->cache_fills;
+bool WebServer::load(const Snapshot& from, env::Environment& e) {
+  served_ = from.served;
+  cache_fills_ = from.cache_fills;
   e.network().release_ports_of("apache");
   if (!e.network().bind_port(config_.listen_port, "apache")) {
     running_ = false;

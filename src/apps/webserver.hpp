@@ -31,14 +31,13 @@ class WebServer final : public BaseApp {
   bool start(env::Environment& e) override;
   StepResult handle(const WorkItem& item, env::Environment& e) override;
   void stop(env::Environment& e) override;
-  SnapshotPtr snapshot() const override;
-  bool restore(const SnapshotPtr& snapshot, env::Environment& e) override;
   void rejuvenate(env::Environment& e) override;
 
   std::uint64_t requests_served() const noexcept { return served_; }
 
  private:
-  struct WebSnapshot;
+  void save(Snapshot& into) const override;
+  bool load(const Snapshot& from, env::Environment& e) override;
 
   WebServerConfig config_;
   http::HttpFaultFlags http_flags_;

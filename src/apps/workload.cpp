@@ -1,6 +1,9 @@
 #include "apps/workload.hpp"
 
 #include <array>
+#include <span>
+#include <string>
+#include <string_view>
 
 #include "util/rng.hpp"
 
@@ -48,6 +51,26 @@ constexpr OpTemplate kDesktopOps[] = {
     {"save:document", false, false, 256, 0},
 };
 
+/// A remote item's client is 10.0.0.N, N drawn from [kFirstClient,
+/// kLastClient].
+constexpr std::int64_t kFirstClient = 2;
+constexpr std::int64_t kLastClient = 250;
+
+/// "10.0.0.N", from a table built once and kept for the life of the
+/// process, so an item's address is a view of static storage.
+std::string_view client_address(std::int64_t n) {
+  static const auto table = [] {
+    std::array<std::string, kLastClient - kFirstClient + 1> addresses;
+    for (std::int64_t i = kFirstClient; i <= kLastClient; ++i) {
+      std::string& address = addresses[static_cast<std::size_t>(i - kFirstClient)];
+      address = "10.0.0.";
+      address += std::to_string(i);
+    }
+    return addresses;
+  }();
+  return table.at(static_cast<std::size_t>(n - kFirstClient));
+}
+
 std::span<const OpTemplate> ops_for(core::AppId app) {
   switch (app) {
     case core::AppId::kApache:
@@ -78,7 +101,10 @@ Workload make_workload(core::AppId app, const WorkloadSpec& spec) {
     item.heavy = rng.chance(spec.heavy_rate);
     item.racy = rng.chance(spec.racy_rate);
     if (t.dns) item.lookup_host = "peer.example.net";
-    if (t.remote) item.client_address = "10.0.0." + std::to_string(rng.between(2, 250));
+    if (t.remote) {
+      item.client_address =
+          client_address(rng.between(kFirstClient, kLastClient));
+    }
     item.write_bytes = t.write_bytes;
     item.entropy_bits = t.entropy_bits;
     w.items.push_back(std::move(item));

@@ -7,10 +7,18 @@
 // attempts is only the environment (interleavings, timing phases, resource
 // states). The `poison` flag marks the item that exercises a deterministic
 // bug's killer input — on retry the same item must be re-executed.
+//
+// Lifetime rule. Every text a WorkItem or a WorkloadSpec holds is a view of
+// static storage: the op templates below, one fixed table of client
+// addresses, kRejectedOp, and the registry's poison ops (inject/registry.cpp).
+// So items and specs copy without allocating, and no item can outlive its
+// text. Code that sets `op` or `poison_op` must pass text with static
+// storage too: a literal, or a string built once and kept for the life of
+// the process.
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/taxonomy.hpp"
@@ -20,7 +28,7 @@ namespace faultstudy::apps {
 struct WorkItem {
   int id = 0;
   /// Operation label, e.g. "GET /index.html", "SELECT 1", "click:panel".
-  std::string op;
+  std::string_view op;
   /// Killer input for environment-independent faults.
   bool poison = false;
   /// Part of a load burst (drives load-dependent leaks and child spawning).
@@ -28,9 +36,9 @@ struct WorkItem {
   /// Involves concurrency (a race-prone code path draws an interleaving).
   bool racy = false;
   /// Requires a DNS lookup of this host (empty = no lookup).
-  std::string lookup_host;
+  std::string_view lookup_host;
   /// Remote client address for connection-type items (empty = local).
-  std::string client_address;
+  std::string_view client_address;
   /// Bytes this item appends to the app's on-disk artifacts.
   std::uint64_t write_bytes = 0;
   /// Entropy bits the item consumes (e.g. an SSL handshake).
@@ -51,7 +59,7 @@ struct WorkloadSpec {
   /// template). Faults with real engine-level implementations supply the
   /// actual killer input here — the long URL, the COUNT on the empty
   /// table.
-  std::string poison_op;
+  std::string_view poison_op;
   /// Fraction of items marked heavy / racy.
   double heavy_rate = 0.25;
   double racy_rate = 0.3;

@@ -1,15 +1,71 @@
 #include "env/disk.hpp"
 
+#include <functional>
+#include <utility>
+
 namespace faultstudy::env {
+
+namespace {
+/// First sizes of the tables: room for an apache trial's cache files, so a
+/// trial's disk usually allocates each table once.
+constexpr std::size_t kFirstFiles = 64;
+constexpr std::size_t kFirstNames = 2048;
+
+std::size_t hash_of(std::string_view path) {
+  return std::hash<std::string_view>{}(path);
+}
+}  // namespace
+
+const Disk::File* Disk::find(std::string_view path) const {
+  if (index_.empty()) return nullptr;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = hash_of(path) & mask;; i = (i + 1) & mask) {
+    if (index_[i] == 0) return nullptr;
+    const File& file = files_[index_[i] - 1];
+    if (path_of(file) == path) return &file;
+  }
+}
+
+Disk::File* Disk::find(std::string_view path) {
+  return const_cast<File*>(std::as_const(*this).find(path));
+}
+
+void Disk::index_file(std::size_t file) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = hash_of(path_of(files_[file])) & mask;
+  while (index_[i] != 0) i = (i + 1) & mask;
+  index_[i] = static_cast<std::uint32_t>(file + 1);
+}
+
+Disk::File& Disk::open(std::string_view path) {
+  if (File* file = find(path)) {
+    if (!file->live) *file = {file->name, file->length, true, FileInfo{}};
+    return *file;
+  }
+  if (files_.empty()) {
+    files_.reserve(kFirstFiles);
+    names_.reserve(kFirstNames);
+  }
+  File& file = files_.emplace_back();
+  file.name = static_cast<std::uint32_t>(names_.size());
+  file.length = static_cast<std::uint32_t>(path.size());
+  file.live = true;
+  names_ += path;
+  if (files_.size() * 2 <= index_.size()) {
+    index_file(files_.size() - 1);
+  } else {
+    index_.assign(index_.empty() ? kFirstFiles * 2 : index_.size() * 2, 0);
+    for (std::size_t f = 0; f < files_.size(); ++f) index_file(f);
+  }
+  return file;
+}
 
 Disk::WriteResult Disk::append(std::string_view path, std::uint64_t bytes) {
   if (free_space() < bytes) {
     obs::emit(sinks_, obs::Event::kDiskNoSpace, bytes, used_);
     return WriteResult::kNoSpace;
   }
-  auto it = files_.find(path);
-  if (it == files_.end()) it = files_.emplace(path, FileInfo{}).first;
-  FileInfo& info = it->second;
+  FileInfo& info = open(path).info;
   if (info.size + bytes > max_file_size_) {
     obs::emit(sinks_, obs::Event::kDiskFileTooBig, bytes, max_file_size_);
     return WriteResult::kFileTooBig;
@@ -21,52 +77,54 @@ Disk::WriteResult Disk::append(std::string_view path, std::uint64_t bytes) {
 }
 
 void Disk::truncate(std::string_view path) {
-  auto it = files_.find(path);
-  if (it == files_.end()) return;
-  used_ -= it->second.size;
-  it->second.size = 0;
+  File* file = find(path);
+  if (file == nullptr || !file->live) return;
+  used_ -= file->info.size;
+  file->info.size = 0;
   obs::emit(sinks_, obs::Event::kDiskTruncate);
 }
 
 void Disk::remove_prefix(std::string_view prefix) {
-  std::erase_if(files_, [&](const auto& entry) {
-    if (!entry.first.starts_with(prefix)) return false;
-    used_ -= entry.second.size;
-    return true;
-  });
+  for (File& file : files_) {
+    if (!file.live || !path_of(file).starts_with(prefix)) continue;
+    used_ -= file.info.size;
+    file.live = false;
+  }
 }
 
 void Disk::consume_external(std::uint64_t target_used) {
   if (target_used <= used_) return;
   const std::uint64_t grow = target_used - used_;
-  files_["/external/ballast"].size += grow;
+  open("/external/ballast").info.size += grow;
   used_ += grow;
 }
 
 std::optional<FileInfo> Disk::stat(std::string_view path) const {
-  auto it = files_.find(path);
-  if (it == files_.end()) return std::nullopt;
-  return it->second;
+  const File* file = find(path);
+  if (file == nullptr || !file->live) return std::nullopt;
+  return file->info;
 }
 
-void Disk::set_owner(const std::string& path, std::int64_t uid) {
-  files_[path].owner_uid = uid;
+void Disk::set_owner(std::string_view path, std::int64_t uid) {
+  open(path).info.owner_uid = uid;
 }
 
-std::vector<std::string> Disk::list_prefix(const std::string& prefix) const {
+std::vector<std::string> Disk::list_prefix(std::string_view prefix) const {
   std::vector<std::string> out;
-  out.reserve(files_.size());
-  for (const auto& [path, info] : files_) {
-    (void)info;
-    if (path.starts_with(prefix)) out.push_back(path);
+  for (const File& file : files_) {
+    if (file.live && path_of(file).starts_with(prefix)) {
+      out.emplace_back(path_of(file));
+    }
   }
   return out;
 }
 
-std::uint64_t Disk::used_under(const std::string& prefix) const {
+std::uint64_t Disk::used_under(std::string_view prefix) const {
   std::uint64_t total = 0;
-  for (const auto& [path, info] : files_) {
-    if (path.starts_with(prefix)) total += info.size;
+  for (const File& file : files_) {
+    if (file.live && path_of(file).starts_with(prefix)) {
+      total += file.info.size;
+    }
   }
   return total;
 }

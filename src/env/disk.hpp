@@ -1,17 +1,22 @@
 // Simulated file system: capacity, per-file sizes, a per-file size limit,
 // and file metadata (the owner field a GNOME fault chokes on).
+//
+// The file table is flat: one entry per path ever created, in creation
+// order, with every path in one character buffer and an open-addressing
+// index over the entries. Removing a file keeps its entry (path, index
+// slot and all) and marks it removed, like the network's port table, so
+// re-creating it allocates nothing: a warm apache cache fill after
+// rejuvenate() writes the same paths again. Walks by prefix read the
+// entries in creation order.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/bus.hpp"
-#include "util/strings.hpp"
 
 namespace faultstudy::env {
 
@@ -36,7 +41,7 @@ class Disk {
   enum class WriteResult { kOk, kNoSpace, kFileTooBig };
 
   /// Appends `bytes` to `path` (creating it if absent). Only creating a
-  /// file allocates.
+  /// path the disk has never held may allocate.
   WriteResult append(std::string_view path, std::uint64_t bytes);
 
   /// Truncates a file to zero length, reclaiming its space.
@@ -51,7 +56,7 @@ class Disk {
   void consume_external(std::uint64_t target_used);
 
   std::optional<FileInfo> stat(std::string_view path) const;
-  void set_owner(const std::string& path, std::int64_t uid);
+  void set_owner(std::string_view path, std::int64_t uid);
 
   /// Grows the volume (the paper: "some systems may provide a way to
   /// automatically increase the disk capacity and hence avoid the bug
@@ -64,11 +69,12 @@ class Disk {
     if (new_limit > max_file_size_) max_file_size_ = new_limit;
   }
 
-  /// Paths with the given prefix (e.g. the app's cache directory).
-  std::vector<std::string> list_prefix(const std::string& prefix) const;
+  /// Paths with the given prefix (e.g. the app's cache directory), in
+  /// creation order.
+  std::vector<std::string> list_prefix(std::string_view prefix) const;
 
   /// Total bytes under a path prefix.
-  std::uint64_t used_under(const std::string& prefix) const;
+  std::uint64_t used_under(std::string_view prefix) const;
 
   /// Per-trial observation sinks; nullptr (the default) records nothing.
   void bind_sinks(const obs::TrialSinks* sinks) noexcept { sinks_ = sinks; }
@@ -77,8 +83,29 @@ class Disk {
   std::uint64_t capacity_;
   std::uint64_t max_file_size_;
   std::uint64_t used_ = 0;
-  std::unordered_map<std::string, FileInfo, util::StringHash, std::equal_to<>>
-      files_;
+
+  struct File {
+    std::uint32_t name = 0;    ///< offset of the path in names_
+    std::uint32_t length = 0;  ///< the path's length
+    bool live = false;         ///< false once removed
+    FileInfo info;
+  };
+  std::string_view path_of(const File& file) const {
+    return std::string_view(names_).substr(file.name, file.length);
+  }
+  /// The entry for `path`, live or removed; nullptr if never created.
+  const File* find(std::string_view path) const;
+  File* find(std::string_view path);
+  /// The live entry for `path`: created, or revived empty, if need be.
+  File& open(std::string_view path);
+  /// Puts files_[file] in the index.
+  void index_file(std::size_t file);
+
+  std::string names_;  ///< every path ever created, back to back
+  std::vector<File> files_;
+  /// files_ index + 1 per slot, 0 for an empty slot; a power of two
+  /// slots, at most half full.
+  std::vector<std::uint32_t> index_;
   const obs::TrialSinks* sinks_ = nullptr;
 };
 

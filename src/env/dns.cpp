@@ -15,7 +15,7 @@ void DnsServer::break_until(DnsHealth state, Tick until) noexcept {
   }
 }
 
-DnsReply DnsServer::resolve(const std::string& host, Tick now) const {
+DnsReply DnsServer::resolve(std::string_view host, Tick now) const {
   (void)host;
   obs::emit(sinks_, obs::Event::kDnsLookup);
   switch (health(now)) {
@@ -31,7 +31,7 @@ DnsReply DnsServer::resolve(const std::string& host, Tick now) const {
   return {.ok = true, .latency = kNormalLatency};
 }
 
-DnsReply DnsServer::reverse(const std::string& address) const {
+DnsReply DnsServer::reverse(std::string_view address) const {
   (void)address;
   obs::emit(sinks_, obs::Event::kDnsReverseMiss);
   return {.ok = false, .latency = kNormalLatency};

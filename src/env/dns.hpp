@@ -7,7 +7,7 @@
 // reverse DNS, by contrast, is configuration: no retry brings it back.
 #pragma once
 
-#include <string>
+#include <string_view>
 
 #include "env/clock.hpp"
 #include "obs/bus.hpp"
@@ -30,11 +30,11 @@ class DnsServer {
 
   /// Forward lookup. Errors while kErroring; while kSlow succeeds with a
   /// latency above any sane client timeout.
-  DnsReply resolve(const std::string& host, Tick now) const;
+  DnsReply resolve(std::string_view host, Tick now) const;
 
   /// Reverse lookup of a client address. The simulated zone holds no PTR
   /// records, so every lookup misses.
-  DnsReply reverse(const std::string& address) const;
+  DnsReply reverse(std::string_view address) const;
 
   static constexpr Tick kNormalLatency = 2;
   static constexpr Tick kSlowLatency = 5000;

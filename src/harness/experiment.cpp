@@ -256,7 +256,7 @@ TrialOutcome run_trial(const inject::InjectionPlan& plan,
       recorder->observe(i);
       observation->transcript.record(
           apps::is_failure(result) ? EventKind::kFailure : EventKind::kItemOk,
-          environment.now(), i, result.detail);
+          environment.now(), i, std::string(result.detail));
     }
     if (!apps::is_failure(result)) {
       mechanism.on_item_success(*app, environment);

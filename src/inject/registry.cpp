@@ -41,6 +41,14 @@ std::size_t worker_pool_for(core::AppId app) {
 /// that a retry budget outlives it.
 constexpr env::Tick kHealAfter = 240;
 
+/// apache-ei-01's killer request: a URL far past the hash path's working
+/// buffer. Built once and kept for the life of the process, because a
+/// workload's ops are views of static storage (apps/workload.hpp).
+std::string_view long_url_request() {
+  static const std::string request = "GET /search?q=" + std::string(2048, 'a');
+  return request;
+}
+
 }  // namespace
 
 InjectionPlan plan_for(const corpus::SeedFault& seed,
@@ -59,7 +67,7 @@ InjectionPlan plan_for(const corpus::SeedFault& seed,
   // input as the poison operation; the application recognizes the fault id
   // and the corresponding code path produces the failure.
   if (seed.fault_id == "apache-ei-01") {
-    plan.workload.poison_op = "GET /search?q=" + std::string(2048, 'a');
+    plan.workload.poison_op = long_url_request();
   } else if (seed.fault_id == "gnome-ei-01") {
     plan.workload.poison_op = "click:pager-settings-tasklist";
   } else if (seed.fault_id == "gnome-ei-02") {

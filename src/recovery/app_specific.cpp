@@ -46,7 +46,7 @@ void AppSpecific::prepare_retry(apps::WorkItem& item) {
       // The error-checking wrapper answers the killer request with an error
       // page instead of handing it to the buggy code path.
       item.poison = false;
-      item.op = std::string(apps::kRejectedOp);
+      item.op = apps::kRejectedOp;
       obs::emit(sinks_, obs::Event::kRetrySanitized, item.id);
     }
     sanitize_next_ = false;

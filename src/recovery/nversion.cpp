@@ -54,7 +54,7 @@ void NVersionProgramming::prepare_retry(apps::WorkItem& item) {
   // input-triggered failures are masked.
   if (majority_healthy() && item.poison) {
     item.poison = false;
-    item.op = std::string(apps::kRejectedOp);
+    item.op = apps::kRejectedOp;
   }
 }
 
@@ -102,7 +102,7 @@ void RecoveryBlocks::prepare_retry(apps::WorkItem& item) {
   // alternate (if any): its implementation does not contain this bug.
   if (switch_pending_ && healthy_ > 0 && item.poison) {
     item.poison = false;
-    item.op = std::string(apps::kRejectedOp);
+    item.op = apps::kRejectedOp;
   }
 }
 

@@ -36,7 +36,7 @@ void WrappedMechanism::prepare_retry(apps::WorkItem& item) {
   // if the boundary-testing campaign generated a check for it.
   if (covered_ && item.poison) {
     item.poison = false;
-    item.op = std::string(apps::kRejectedOp);
+    item.op = apps::kRejectedOp;
   }
 }
 

@@ -7,11 +7,14 @@
 // toolchain that keeps the standard containers' growth rules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <new>
 
 #include "apps/database.hpp"
 #include "apps/desktop.hpp"
+#include "apps/http/request.hpp"
 #include "apps/sql/parser.hpp"
 #include "apps/webserver.hpp"
 #include "apps/workload.hpp"
@@ -39,6 +42,36 @@ std::size_t allocs_during(Fn&& fn) {
   fn();
   return t_allocs - before;
 }
+
+/// Every op the database workload draws (kDbOps), in first-drawn order.
+std::vector<std::string> database_ops() {
+  std::vector<std::string> ops;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    apps::WorkloadSpec spec;
+    spec.seed = seed;
+    spec.poison_at = -1;
+    for (const auto& item : apps::make_workload(core::AppId::kMysql, spec).items) {
+      if (std::find(ops.begin(), ops.end(), item.op) == ops.end()) {
+        ops.emplace_back(item.op);
+      }
+    }
+  }
+  return ops;
+}
+
+/// The three apps, each started on `e`.
+struct StartedApps {
+  explicit StartedApps(env::Environment& e) {
+    for (apps::SimApp* app : all()) {
+      if (!app->start(e)) ADD_FAILURE() << app->name() << " did not start";
+    }
+  }
+  std::array<apps::SimApp*, 3> all() { return {&web, &db, &desktop}; }
+
+  apps::WebServer web;
+  apps::Database db;
+  apps::Desktop desktop;
+};
 
 TEST(AllocPins, WarmProcessTableCycleAllocatesNothing) {
   env::ProcessTable procs(64);
@@ -127,6 +160,98 @@ TEST(AllocPins, WarmApacheRejuvenateAllocatesNothing) {
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(e.disk().used_under("/var/cache/apache"), 0u);
   EXPECT_TRUE(e.disk().list_prefix("/var/cache/apache").empty());
+}
+
+// The pins below are the trial item loop's former allocation sites; each
+// "Was" gives the count before the loop stopped allocating.
+
+// Was: apache 36, mysqld 90, gnome-session 0 (request parsing, cache
+// paths, the SQL engine's rows and scratch).
+TEST(AllocPins, WarmWorkloadPassAllocatesNothing) {
+  env::Environment e;
+  StartedApps started(e);
+  for (apps::SimApp* app : started.all()) {
+    SCOPED_TRACE(std::string(app->name()));
+    const apps::Workload workload = apps::make_workload(app->id());
+    const auto pass = [&] {
+      for (const apps::WorkItem& item : workload.items) {
+        ASSERT_FALSE(apps::is_failure(app->handle(item, e)));
+      }
+    };
+    pass();
+    const std::size_t allocs = allocs_during(pass);
+    EXPECT_EQ(allocs, 0u);
+    EXPECT_EQ(workload.size(), 40u);
+  }
+}
+
+// Was: 8 for the ORDER BY LIMIT 5 SELECT, 2 for the UPDATE, 1 each for
+// the INSERT and the DELETE, 0 for the others.
+TEST(AllocPins, EachDatabaseOpThroughHandleAllocatesNothingWhenWarm) {
+  const std::vector<std::string> ops = database_ops();
+  ASSERT_EQ(ops.size(), 7u);
+  env::Environment e;
+  apps::Database db;
+  ASSERT_TRUE(db.start(e));
+  for (const std::string& op : ops) {
+    SCOPED_TRACE(op);
+    apps::WorkItem item;
+    item.op = op;
+    ASSERT_FALSE(apps::is_failure(db.handle(item, e)));
+    apps::StepResult result;
+    const std::size_t allocs =
+        allocs_during([&] { result = db.handle(item, e); });
+    EXPECT_EQ(allocs, 0u);
+    EXPECT_FALSE(apps::is_failure(result));
+  }
+}
+
+// Was: 116 (a map node and a path string per re-created cache file,
+// and request parsing).
+TEST(AllocPins, WarmApacheCacheFillAfterRejuvenateAllocatesNothing) {
+  env::Environment e;
+  apps::WebServer web;
+  ASSERT_TRUE(web.start(e));
+  const apps::Workload workload = apps::make_workload(core::AppId::kApache);
+  const auto serve = [&] {
+    for (const apps::WorkItem& item : workload.items) (void)web.handle(item, e);
+  };
+  serve();
+  const std::uint64_t filled = e.disk().used_under("/var/cache/apache");
+  ASSERT_GT(filled, 0u);
+  web.rejuvenate(e);
+  const std::size_t allocs = allocs_during(serve);
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(e.disk().used_under("/var/cache/apache"), filled);
+}
+
+// Was: 2 (the URI and the path outgrow the small-string buffer).
+TEST(AllocPins, ParseRequestAllocatesNothing) {
+  constexpr std::string_view kLine = "GET /docs/manual.html?lang=en HTTP/1.0";
+  apps::http::ParseOutcome parsed;
+  const std::size_t allocs = allocs_during(
+      [&] { parsed = apps::http::parse_request(kLine, {}); });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(parsed.status, apps::http::ParseStatus::kOk);
+  EXPECT_EQ(parsed.request.path, "/docs/manual.html");
+  EXPECT_EQ(parsed.request.query, "lang=en");
+}
+
+// Was: apache 1, mysqld 2, gnome-session 1 (a make_shared per
+// checkpoint, and the engine's table vector).
+TEST(AllocPins, WarmSnapshotRefillAllocatesNothing) {
+  env::Environment e;
+  StartedApps started(e);
+  for (apps::SimApp* app : started.all()) {
+    SCOPED_TRACE(std::string(app->name()));
+    // A mechanism holds one checkpoint and replaces it after each item.
+    apps::SnapshotPtr held = app->snapshot();
+    held = app->snapshot();
+    held = app->snapshot();
+    const std::size_t allocs = allocs_during([&] { held = app->snapshot(); });
+    EXPECT_EQ(allocs, 0u);
+    EXPECT_TRUE(app->restore(held, e));
+  }
 }
 
 TEST(AllocPins, CachedStatementIsNotReparsed) {

@@ -16,10 +16,10 @@
 namespace faultstudy::apps {
 namespace {
 
-WorkItem item(std::string op, int id = 0) {
+WorkItem item(std::string_view op, int id = 0) {
   WorkItem w;
   w.id = id;
-  w.op = std::move(op);
+  w.op = op;
   return w;
 }
 
@@ -585,7 +585,7 @@ TEST(Database, SharedStatementCacheAcrossLanes) {
     spec.poison_at = -1;
     std::vector<std::string> ops;
     for (const WorkItem& w : make_workload(core::AppId::kMysql, spec).items) {
-      if (!w.op.starts_with("CONNECT")) ops.push_back(w.op);
+      if (!w.op.starts_with("CONNECT")) ops.emplace_back(w.op);
     }
     for (int k = 0; k < 24; ++k) {
       ops.push_back("SELECT id, state FROM orders WHERE id > " +

@@ -162,6 +162,35 @@ TEST(Disk, RemovePrefixKeepsOtherFiles) {
   EXPECT_EQ(disk.stat("/log")->size, 5u);
 }
 
+TEST(Disk, RemovedPathsComeBackEmptyPastTheFirstTableSize) {
+  // More paths than the file table first holds, half of them removed and
+  // written again: each comes back as a fresh file, the others keep their
+  // sizes, and listings keep creation order.
+  Disk disk(1 << 20, 1 << 20);
+  const auto path = [](const char* dir, int i) {
+    std::string p = dir;
+    p += "/file";
+    p += std::to_string(i);
+    return p;
+  };
+  for (int i = 0; i < 150; ++i) {
+    disk.append(path(i % 2 == 0 ? "/cache" : "/keep", i), 10);
+  }
+  disk.set_owner(path("/cache", 0), -1);
+  disk.remove_prefix("/cache");
+  EXPECT_EQ(disk.used(), 750u);
+  EXPECT_FALSE(disk.stat(path("/cache", 0)).has_value());
+  for (int i = 0; i < 150; i += 2) disk.append(path("/cache", i), 3);
+  EXPECT_EQ(disk.used(), 750u + 75u * 3u);
+  EXPECT_EQ(disk.stat(path("/cache", 0))->size, 3u);
+  EXPECT_EQ(disk.stat(path("/cache", 0))->owner_uid, 0);
+  EXPECT_EQ(disk.stat(path("/keep", 149))->size, 10u);
+  const auto cache = disk.list_prefix("/cache");
+  ASSERT_EQ(cache.size(), 75u);
+  EXPECT_EQ(cache.front(), path("/cache", 0));
+  EXPECT_EQ(cache.back(), path("/cache", 148));
+}
+
 TEST(Disk, OwnerMetadata) {
   Disk disk(100, 100);
   disk.append("/f", 1);

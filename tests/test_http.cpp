@@ -79,9 +79,9 @@ TEST(HttpBugs, EmptyDirListingCrashesOnlyWhenArmed) {
 
 // --------------------------------------------- through the application
 
-apps::WorkItem http_item(std::string op, bool poison = false) {
+apps::WorkItem http_item(std::string_view op, bool poison = false) {
   apps::WorkItem w;
-  w.op = std::move(op);
+  w.op = op;
   w.poison = poison;
   return w;
 }

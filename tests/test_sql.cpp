@@ -8,8 +8,13 @@
 #include <string>
 #include <utility>
 
+#include "apps/database.hpp"
 #include "apps/sql/engine.hpp"
 #include "apps/sql/lexer.hpp"
+#include "apps/sql/parser.hpp"
+#include "apps/workload.hpp"
+#include "corpus/seeds.hpp"
+#include "inject/specimen.hpp"
 #include "util/rng.hpp"
 
 namespace faultstudy::apps::sql {
@@ -767,6 +772,116 @@ TEST(SqlEngine, IndexRangeMatchesFullScan) {
       ASSERT_EQ(actual.rows, expected.rows) << at;
       ASSERT_EQ(actual.affected, expected.affected) << at;
       ASSERT_EQ(state_of(t), state_of(expected_table)) << at;
+    }
+  }
+}
+
+// ------------------------------- the status-only path against the row path
+
+/// The ops the study runs through Database::handle: every op the database
+/// workload draws (kDbOps) and every MySQL fault's poison op.
+std::vector<std::string> study_ops() {
+  std::vector<std::string> ops;
+  const auto add = [&ops](std::string_view op) {
+    if (std::find(ops.begin(), ops.end(), op) == ops.end()) ops.emplace_back(op);
+  };
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    WorkloadSpec spec;
+    spec.seed = seed;
+    spec.poison_at = -1;
+    for (const auto& item : make_workload(core::AppId::kMysql, spec).items) {
+      if (!item.op.starts_with("CONNECT")) add(item.op);
+    }
+  }
+  for (const corpus::SeedFault& seed : corpus::all_seeds()) {
+    const auto plan = inject::plan_for(seed, 99);
+    if (seed.app == core::AppId::kMysql && !plan.workload.poison_op.empty()) {
+      add(plan.workload.poison_op);
+    }
+  }
+  return ops;
+}
+
+/// No fault, then each of the five engine bugs alone.
+std::vector<SqlFaultFlags> flag_sets() {
+  std::vector<SqlFaultFlags> sets(6);
+  sets[1].update_index_scan_bug = true;
+  sets[2].orderby_empty_missing_init = true;
+  sets[3].count_on_empty_crash = true;
+  sets[4].optimize_missing_init = true;
+  sets[5].flush_after_lock_bug = true;
+  return sets;
+}
+
+/// Runs `statements` on `rows` through execute() and on `status` through
+/// execute_status(); both must answer alike and leave the same state.
+void expect_same_outcome(Engine& rows, Engine& status,
+                         const std::vector<Statement>& statements,
+                         const std::string& at) {
+  const ExecResult expected = rows.execute(statements);
+  const StatementStatus actual = status.execute_status(statements);
+  ASSERT_EQ(actual.status, expected.status) << at;
+  ASSERT_EQ(actual.message, expected.message) << at;
+  ASSERT_EQ(actual.affected, expected.affected) << at;
+  ASSERT_EQ(status.holds_lock(), rows.holds_lock()) << at;
+  ASSERT_EQ(status.locked_table(), rows.locked_table()) << at;
+  ASSERT_EQ(status.table_count(), rows.table_count()) << at;
+  for (const char* name : {"orders", "customers", "sessions", "audit_log", "t"}) {
+    const Table* want = rows.find_table(name);
+    const Table* got = status.find_table(name);
+    ASSERT_EQ(got == nullptr, want == nullptr) << at << ", table " << name;
+    if (want != nullptr) {
+      ASSERT_EQ(state_of(*got), state_of(*want)) << at << ", table " << name;
+    }
+  }
+}
+
+TEST(Sql, StatusOnlyMatchesRowPath) {
+  // The study's ops in order, twice, on the database's own catalog, with
+  // no fault and under each engine bug.
+  env::Environment environment;
+  Database db;
+  ASSERT_TRUE(db.start(environment));
+  const std::vector<std::string> ops = study_ops();
+  ASSERT_EQ(ops.size(), 11u);  // 6 workload ops and 5 poison ops
+  for (const SqlFaultFlags& flags : flag_sets()) {
+    Engine rows = db.engine();
+    rows.set_fault_flags(flags);
+    Engine status = rows;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const std::string& op : ops) {
+        const auto statements = parse(op);
+        ASSERT_TRUE(statements.ok()) << op;
+        expect_same_outcome(rows, status, statements.value(),
+                            "pass " + std::to_string(pass) + ": " + op);
+      }
+    }
+  }
+
+  // Seeded random SELECT, UPDATE and DELETE with WHERE, ORDER BY and LIMIT
+  // over damaged tables; unknown columns in WHERE, ORDER BY and the
+  // projection.
+  util::Rng rng(4242);
+  for (const SqlFaultFlags& flags : flag_sets()) {
+    for (int round = 0; round < 60; ++round) {
+      Engine rows(flags);
+      ASSERT_EQ(rows.execute("CREATE TABLE t (id INT, v TEXT)").status,
+                ExecStatus::kOk);
+      damage(*rows.find_table("t"), rng);
+      Engine status = rows;
+      for (int step = 0; step < 12; ++step) {
+        Statement statement =
+            random_statement(rng, rows.find_table("t")->row_count());
+        if (auto* select = std::get_if<SelectStatement>(&statement.node)) {
+          if (rng.chance(0.1)) select->columns = {"id", "nosuch"};
+          if (select->order_by.has_value() && rng.chance(0.1)) {
+            select->order_by->column = "nosuch";
+          }
+        }
+        expect_same_outcome(rows, status, {statement},
+                            "round " + std::to_string(round) + ", step " +
+                                std::to_string(step));
+      }
     }
   }
 }

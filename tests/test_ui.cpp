@@ -111,9 +111,9 @@ TEST(Archive, SignedOverflowAtTwoGigabytes) {
 
 // ----------------------------------------------- through the application
 
-apps::WorkItem ui_item(std::string op, bool poison = false) {
+apps::WorkItem ui_item(std::string_view op, bool poison = false) {
   apps::WorkItem w;
-  w.op = std::move(op);
+  w.op = op;
   w.poison = poison;
   return w;
 }
